@@ -71,6 +71,5 @@ def induced_arc_complex(s: SurfaceSpec, removed_ids) -> Complex:
     directly from the disjointness predicate.
     """
     removed = frozenset(removed_ids)
-    arcs = enumerate_arcs(s)
     ids = arc_ids(s)
     return _sub_arc_complex(s, lambda a: ids[a] not in removed)

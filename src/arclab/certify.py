@@ -25,6 +25,7 @@ from .simplicial import (
     Complex,
     Face,
     Graph,
+    _bits,
     dimension,
     dual_graph,
     euler_characteristic,
@@ -39,6 +40,9 @@ PM_CLOSED = "closed"
 PM_BOUNDARY = "with-boundary"
 PM_NO = "no"
 
+# effort -> (shelling search budget, collapsibility search budget), in nodes
+EFFORT_BUDGETS = {"fast": (20_000, 5_000), "full": (DEFAULT_BUDGET, 200_000)}
+
 
 @dataclass(frozen=True)
 class PseudomanifoldReport:
@@ -51,6 +55,7 @@ class PseudomanifoldReport:
 class ShellingResult:
     status: str  # proven | disproven | inconclusive
     order: tuple[Face, ...] | None = None
+    nodes: int = 0  # search nodes spent; equals the budget when inconclusive
 
 
 @dataclass(frozen=True)
@@ -180,7 +185,18 @@ def validate_shelling(c: Complex, order: Iterable[Face]) -> bool:
 
 
 def shelling_search(c: Complex, budget: int = DEFAULT_BUDGET) -> ShellingResult:
-    """Backtracking over facet orders with incremental feasibility pruning."""
+    """Depth-first search over facet orders, one facet added per node.
+
+    A facet F can follow the placed facets iff its restriction face R(F),
+    the vertices v of F whose ridge F - v lies in a placed facet, is
+    nonempty and lies in no placed facet (Bjoerner 1995; Ziegler,
+    *Lectures on Polytopes* 8.1).  Facets and sets of facets are int
+    bitsets over facet indices, and the search keeps an explicit stack, so
+    its depth is bounded by the facet count rather than the interpreter.
+    Candidates are tried in ascending facet index from every start in turn,
+    each tested only when the search reaches it; each visited partial order
+    with a facet still to place spends one node.
+    """
     if not is_pure(c):
         raise ValueError("shelling search requires a pure complex")
     facets = list(c.facets)
@@ -192,70 +208,67 @@ def shelling_search(c: Complex, budget: int = DEFAULT_BUDGET) -> ShellingResult:
         # any order of points shells by convention
         return ShellingResult(PROVEN, tuple(facets))
 
-    index = {v: i for i, v in enumerate(c.vertex_ids)}
-    masks = [0] * t
+    # containing[v]: facets that contain vertex v
+    containing: dict[int, int] = {v: 0 for v in c.vertex_ids}
     for i, f in enumerate(facets):
         for v in f:
-            masks[i] |= 1 << index[v]
-    size = d + 1
+            containing[v] |= 1 << i
+    # across[i]: (v, the other facets through the ridge F_i - v) for v in F_i
+    table = _ridge_table(c)
+    across = [
+        [(v, sum(1 << j for j in table[f - {v}] if j != i)) for v in f]
+        for i, f in enumerate(facets)
+    ]
+    # distinct ridges of F_i lie in disjoint sets of other facets
+    neighbors = [sum(nb for _, nb in row) for row in across]
 
-    def popcount(x: int) -> int:
-        return bin(x).count("1")
-
-    neighbors: list[list[int]] = [[] for _ in range(t)]
-    for i in range(t):
-        for j in range(i + 1, t):
-            if popcount(masks[i] & masks[j]) == d:
-                neighbors[i].append(j)
-                neighbors[j].append(i)
+    def next_addable(pending: int, placed: int) -> int:
+        """Lowest facet of pending that can follow placed, as a one-bit mask, or 0."""
+        for i in _bits(pending):
+            restricted = False
+            common = placed  # placed facets containing every vertex of R(F_i)
+            for v, nb in across[i]:
+                if nb & placed:
+                    restricted = True
+                    common &= containing[v]
+            if restricted and not common:
+                return 1 << i
+        return 0
 
     nodes = 0
-
-    def addable(i: int, used: list[int]) -> bool:
-        ridges = [masks[i] & masks[j] for j in used if popcount(masks[i] & masks[j]) == d]
-        if not ridges:
-            return False
-        for j in used:
-            x = masks[i] & masks[j]
-            if x and not any(x & ~r == 0 for r in ridges):
-                return False
-        return True
-
-    def extend(used: list[int], used_set: set[int], frontier: set[int]) -> list[int] | None:
-        nonlocal nodes
-        if len(used) == t:
-            return used
-        nodes += 1
-        if nodes >= budget:
-            raise _Budget
-        candidates = sorted(i for i in frontier if addable(i, used))
-        for i in candidates:
-            new_frontier = (frontier | set(neighbors[i])) - used_set - {i}
-            used.append(i)
-            used_set.add(i)
-            result = extend(used, used_set, new_frontier)
-            if result is not None:
-                return result
-            used.pop()
-            used_set.discard(i)
-        return None
-
-    class _Budget(Exception):
-        pass
-
     for start in range(t):
-        try:
-            found = extend([start], {start}, set(neighbors[start]))
-        except _Budget:
-            return ShellingResult(INCONCLUSIVE)
-        except RecursionError:
-            return ShellingResult(INCONCLUSIVE)
-        if found is not None:
-            order = tuple(facets[i] for i in found)
-            if not validate_shelling(c, order):
-                raise AssertionError("search produced an invalid shelling")
-            return ShellingResult(PROVEN, order)
-    return ShellingResult(DISPROVEN)
+        order = [start]
+        placed = 1 << start
+        # per depth: the frontier (facets next to a placed one) and its facets
+        # not yet tested there.  Candidates are tested lazily, in ascending
+        # index; placed is as it was at the node whenever they are tested,
+        # so this tries the same candidates as a full scan on arrival.
+        frontier = [neighbors[start]]
+        untested: list[int] = []
+        while True:
+            if len(order) == t:
+                shelling = tuple(facets[i] for i in order)
+                if not validate_shelling(c, shelling):
+                    raise AssertionError("search produced an invalid shelling")
+                return ShellingResult(PROVEN, shelling, nodes)
+            nodes += 1
+            if nodes >= budget:
+                return ShellingResult(INCONCLUSIVE, nodes=nodes)
+            untested.append(frontier[-1])
+            # back up past every node with nothing left to try
+            while not (low := next_addable(untested[-1], placed)):
+                untested.pop()
+                if not untested:
+                    break
+                frontier.pop()
+                placed ^= 1 << order.pop()
+            if not untested:
+                break
+            untested[-1] &= -(low << 1)  # drop low and the facets below it
+            placed |= low
+            order.append(low.bit_length() - 1)
+            frontier.append((frontier[-1] | neighbors[order[-1]]) & ~placed)
+    return ShellingResult(DISPROVEN, nodes=nodes)
 
 
 # --- certificates --------------------------------------------------------------
@@ -282,10 +295,9 @@ def certify(
     """
     if not is_pure(c):
         raise ValueError("certification requires a pure complex")
-    budgets = {"fast": (20_000, 5_000), "full": (DEFAULT_BUDGET, 200_000)}
-    if effort not in budgets:
+    if effort not in EFFORT_BUDGETS:
         raise ValueError("effort must be 'fast' or 'full'")
-    shell_budget, collapse_budget = budgets[effort]
+    shell_budget, collapse_budget = EFFORT_BUDGETS[effort]
 
     d = dimension(c)
     pm = pseudomanifold_check(c)
@@ -314,7 +326,12 @@ def certify(
             return Certificate(
                 pm.status, pm.strongly_connected, shelling, verdict, d, RULE_DANARAJ_KLEE
             )
-        notes.append(f"shelling search: {result.status}")
+        if result.status == INCONCLUSIVE:
+            notes.append(
+                f"shelling search: inconclusive after {result.nodes} of {shell_budget} nodes"
+            )
+        else:
+            notes.append(f"shelling search: disproven after {result.nodes} nodes")
 
     if RULE_WHITEHEAD in rules and pm.status == PM_BOUNDARY and _depth <= 4:
         coll = is_collapsible(c, collapse_budget)

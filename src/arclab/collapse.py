@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .simplicial import (
     Complex,
@@ -236,14 +236,20 @@ def _is_point(facets: set[Face]) -> bool:
     return len(facets) == 1 and len(next(iter(facets))) == 1
 
 
-class _BudgetExhausted(Exception):
-    pass
+def _children(rep: _Replayer) -> Iterator[tuple[Pair, _Replayer]]:
+    """Each codimension-one collapse of rep, with the state it leads to."""
+    for free, coface in _codim1_moves(rep):
+        child = _Replayer(rep.to_complex())
+        if not child.collapse(free, coface):  # cannot fail for a just-computed move
+            yield (free, coface), child
 
 
 def is_collapsible(c: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult:
     """Decide collapsibility by exhaustive backtracking within a node budget.
 
-    Cones are recognized directly.  `disproven` is returned only when the
+    Cones are recognized directly.  The search is depth first over
+    codimension-one collapses on an explicit stack; every state reached for
+    the first time spends one node.  `disproven` is returned only when the
     full search space was exhausted; running out of budget yields
     `inconclusive`.
     """
@@ -254,36 +260,29 @@ def is_collapsible(c: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult:
     if is_cone(c) is not None:
         return SearchResult(PROVEN, cone_collapse_trace(c))
 
-    seen: set[tuple] = set()
-    nodes = 0
-
-    def search(rep: _Replayer, acc: list[Pair]) -> list[Pair] | None:
-        nonlocal nodes
-        if _is_point(rep.facets):
-            return acc
-        key = _canonical_state(rep.facets)
-        if key in seen:
-            return None
-        seen.add(key)
-        nodes += 1
-        if nodes >= budget:
-            raise _BudgetExhausted
-        for free, coface in _codim1_moves(rep):
-            child = _Replayer(rep.to_complex())
-            err = child.collapse(free, coface)
-            if err:  # cannot happen for a just-computed move
+    root = _Replayer(c)
+    seen = {_canonical_state(root.facets)}
+    nodes = 1
+    if nodes >= budget:
+        return SearchResult(INCONCLUSIVE)
+    path: list[Pair] = []  # path[k] leads from stack[k]'s state to stack[k + 1]'s
+    stack = [_children(root)]
+    while stack:
+        for move, child in stack[-1]:
+            if _is_point(child.facets):
+                return SearchResult(PROVEN, trace(path + [move]))
+            key = _canonical_state(child.facets)
+            if key in seen:
                 continue
-            result = search(child, acc + [(free, coface)])
-            if result is not None:
-                return result
-        return None
-
-    try:
-        found = search(_Replayer(c), [])
-    except _BudgetExhausted:
-        return SearchResult(INCONCLUSIVE)
-    except RecursionError:
-        return SearchResult(INCONCLUSIVE)
-    if found is None:
-        return SearchResult(DISPROVEN)
-    return SearchResult(PROVEN, trace(found))
+            seen.add(key)
+            nodes += 1
+            if nodes >= budget:
+                return SearchResult(INCONCLUSIVE)
+            path.append(move)
+            stack.append(_children(child))
+            break
+        else:
+            stack.pop()
+            if path:
+                path.pop()
+    return SearchResult(DISPROVEN)

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .arcs import SurfaceSpec, integral_strip
+from .arcs import SurfaceSpec
 
 Face = frozenset[int]
 
@@ -347,6 +347,11 @@ def isomorphic(c1: Complex, c2: Complex) -> bool:
 # --- JSON + DOT ---------------------------------------------------------------
 
 
+def _is_int(x: object) -> bool:
+    """True for a JSON integer; JSON true and false are not ids or counts."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def surface_to_json(s: SurfaceSpec | None) -> dict | None:
     if s is None:
         return None
@@ -361,9 +366,11 @@ def surface_from_json(d: dict | None) -> SurfaceSpec | None:
         return None
     if not isinstance(d, dict) or "family" not in d or "n" not in d:
         raise ValueError("surface: expected {family, n[, m]}")
-    if d["family"] == "strip":
-        return integral_strip(d.get("m", 1), d["n"])
-    return SurfaceSpec(d["family"], d["n"])
+    for key in ("n", "m"):
+        if key in d and not _is_int(d[key]):
+            raise ValueError(f"surface: {key} must be an integer")
+    # SurfaceSpec rejects a strip without m and any other family with one
+    return SurfaceSpec(d["family"], d["n"], d.get("m"))
 
 
 def complex_to_json(c: Complex) -> dict:
@@ -384,7 +391,7 @@ def complex_from_json(d: dict) -> Complex:
     for i, entry in enumerate(d["vertices"]):
         if (
             not isinstance(entry, dict)
-            or not isinstance(entry.get("id"), int)
+            or not _is_int(entry.get("id"))
             or not isinstance(entry.get("label"), str)
         ):
             raise ValueError(f"vertices[{i}]: expected {{id: int, label: str}}")
@@ -392,7 +399,7 @@ def complex_from_json(d: dict) -> Complex:
             raise ValueError(f"vertices[{i}]: duplicate id {entry['id']}")
         labels[entry["id"]] = entry["label"]
     for i, f in enumerate(d["facets"]):
-        if not isinstance(f, list) or not all(isinstance(v, int) for v in f):
+        if not isinstance(f, list) or not all(_is_int(v) for v in f):
             raise ValueError(f"facets[{i}]: expected a list of vertex ids")
         unknown = set(f) - set(labels)
         if unknown:

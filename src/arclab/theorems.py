@@ -18,6 +18,7 @@ from . import __version__
 from .arcs import (
     Arc,
     SurfaceSpec,
+    _nested_in,
     arc_ids,
     b_arc,
     b_arc_from_wrap,
@@ -288,11 +289,7 @@ def _sapling_link_trace(
         if arc.kind != "b":
             c_vertices.append(v)
             continue
-        hosts = [
-            b
-            for b in sap
-            if _interval_inside(n, arc, b)
-        ]
+        hosts = [b for b in sap if _nested_in(n, arc, b)]
         _require(
             len(hosts) == 1,
             claim,
@@ -335,12 +332,6 @@ def _sapling_link_trace(
     apex_cone = join_all([J, restrict(L, [w])])
     finish = cone_collapse_trace(apex_cone, apex=w)
     return trace(list(lifted.steps) + list(finish.steps))
-
-
-def _interval_inside(n: int, inner_arc: Arc, outer_arc: Arc) -> bool:
-    from .arcs import _nested_in  # shared nesting test
-
-    return _nested_in(n, inner_arc, outer_arc)
 
 
 def thm_mobius_collapse(n: int) -> Report:

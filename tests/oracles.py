@@ -99,3 +99,80 @@ def floyd_warshall_diameter(n_vertices: int, edges) -> int:
                     di[j] = alt
     best = max(max(row) for row in dist) if n_vertices else 0
     return -1 if best == INF else int(best)
+
+
+def reference_shelling_search(c, budget: int):
+    """The backtracking shelling search that the restriction-face search
+    replaced, kept as its reference: (status, order or None, nodes spent).
+
+    Starts are tried in facet order and candidates in ascending facet index;
+    a candidate is addable when every nonempty intersection with an earlier
+    facet lies inside one of its ridges shared with an earlier facet, which
+    rescans every earlier facet (O(t^3) over a search).  Each call of
+    `extend` with a facet still to place spends one node.  Recursive, so
+    only for complexes of a few hundred facets.
+    """
+    facets = list(c.facets)
+    t = len(facets)
+    d = len(facets[0]) - 1
+    if t == 1 or d <= 0:
+        return "proven", tuple(facets), 0
+
+    index = {v: i for i, v in enumerate(c.vertex_ids)}
+    masks = [0] * t
+    for i, f in enumerate(facets):
+        for v in f:
+            masks[i] |= 1 << index[v]
+
+    def popcount(x: int) -> int:
+        return bin(x).count("1")
+
+    neighbors: list[list[int]] = [[] for _ in range(t)]
+    for i in range(t):
+        for j in range(i + 1, t):
+            if popcount(masks[i] & masks[j]) == d:
+                neighbors[i].append(j)
+                neighbors[j].append(i)
+
+    nodes = 0
+
+    class Budget(Exception):
+        pass
+
+    def addable(i: int, used: list[int]) -> bool:
+        ridges = [masks[i] & masks[j] for j in used if popcount(masks[i] & masks[j]) == d]
+        if not ridges:
+            return False
+        for j in used:
+            x = masks[i] & masks[j]
+            if x and not any(x & ~r == 0 for r in ridges):
+                return False
+        return True
+
+    def extend(used: list[int], used_set: set[int], frontier: set[int]):
+        nonlocal nodes
+        if len(used) == t:
+            return used
+        nodes += 1
+        if nodes >= budget:
+            raise Budget
+        candidates = sorted(i for i in frontier if addable(i, used))
+        for i in candidates:
+            new_frontier = (frontier | set(neighbors[i])) - used_set - {i}
+            used.append(i)
+            used_set.add(i)
+            result = extend(used, used_set, new_frontier)
+            if result is not None:
+                return result
+            used.pop()
+            used_set.discard(i)
+        return None
+
+    for start in range(t):
+        try:
+            found = extend([start], {start}, set(neighbors[start]))
+        except Budget:
+            return "inconclusive", None, nodes
+        if found is not None:
+            return "proven", tuple(facets[i] for i in found), nodes
+    return "disproven", None, nodes

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from arclab import certify as certify_module
 from arclab.certify import (
     PM_BOUNDARY,
     PM_CLOSED,
@@ -14,14 +17,14 @@ from arclab.certify import (
     shelling_search,
     validate_shelling,
 )
-from arclab.collapse import DISPROVEN, PROVEN
+from arclab.collapse import DEFAULT_BUDGET, DISPROVEN, INCONCLUSIVE, PROVEN
 from arclab.simplicial import (
     euler_characteristic,
     link,
     make_complex,
     make_graph,
 )
-from oracles import floyd_warshall_diameter
+from oracles import floyd_warshall_diameter, reference_shelling_search
 
 def labeled(facets):
     ids = {v for f in facets for v in f}
@@ -62,6 +65,61 @@ def test_mobius_complex_is_shellable(n, complex_of):
     assert result.status == PROVEN
     assert validate_shelling(c, result.order)
 
+@pytest.mark.parametrize(
+    "family,n",
+    [("polygon", n) for n in range(4, 10)]
+    + [("crown", n) for n in range(2, 7)]
+    + [("mobius", n) for n in range(2, 6)]
+    + [("inner-mobius", n) for n in range(2, 6)],
+)
+def test_shelling_search_matches_reference(family, n, complex_of):
+    c = complex_of(family, n)
+    result = shelling_search(c)
+    assert (result.status, result.order, result.nodes) == reference_shelling_search(
+        c, DEFAULT_BUDGET
+    )
+
+@st.composite
+def pure_complexes(draw):
+    d = draw(st.integers(min_value=1, max_value=3))
+    facets = draw(
+        st.lists(
+            st.frozensets(st.integers(min_value=0, max_value=7), min_size=d + 1, max_size=d + 1),
+            min_size=1,
+            max_size=14,
+            unique=True,
+        )
+    )
+    return labeled(facets)
+
+@settings(max_examples=300, deadline=None)
+@given(pure_complexes(), st.integers(min_value=1, max_value=400))
+def test_shelling_search_matches_reference_on_random_complexes(c, budget):
+    result = shelling_search(c, budget)
+    assert (result.status, result.order, result.nodes) == reference_shelling_search(c, budget)
+    if result.status == PROVEN:
+        assert validate_shelling(c, result.order)
+
+def test_shelling_budget_exhaustion_is_reported(complex_of, monkeypatch):
+    c = complex_of("polygon", 7)
+    result = shelling_search(c, budget=3)
+    assert result.status == INCONCLUSIVE and result.order is None and result.nodes == 3
+    monkeypatch.setitem(certify_module.EFFORT_BUDGETS, "fast", (3, 5_000))
+    cert = certify(c, "fast")
+    assert cert.verdict == "undetermined"
+    assert cert.notes == ("shelling search: inconclusive after 3 of 3 nodes",)
+
+def test_exhausted_shelling_search_is_reported_as_disproven():
+    # the 7-vertex torus: a closed pseudomanifold that no order shells
+    torus = labeled(
+        [[i, (i + a) % 7, (i + 3) % 7] for i in range(7) for a in (1, 2)]
+    )
+    result = shelling_search(torus)
+    assert result.status == DISPROVEN and 0 < result.nodes < 20_000
+    cert = certify(torus, "fast")
+    assert cert.pseudomanifold == PM_CLOSED and cert.verdict == "undetermined"
+    assert cert.notes == (f"shelling search: disproven after {result.nodes} nodes",)
+
 def test_disjoint_edges_not_shellable():
     result = shelling_search(labeled([[0, 1], [2, 3]]))
     assert result.status == DISPROVEN
@@ -81,18 +139,18 @@ def test_validate_shelling_requires_permutation(complex_of):
 
 # --- certificates ---------------------------------------------------------------------
 
-@pytest.mark.parametrize("n", range(4, 9))
+@pytest.mark.parametrize("n", range(4, 11))
 def test_polygon_certificates_are_spheres(n, complex_of):
     cert = certify(complex_of("polygon", n))
     assert cert.verdict == "sphere" and cert.dim == n - 4
     assert cert.rule == RULE_DANARAJ_KLEE
 
-@pytest.mark.parametrize("n", range(2, 6))
+@pytest.mark.parametrize("n", range(2, 8))
 def test_crown_certificates_are_balls(n, complex_of):
     cert = certify(complex_of("crown", n))
     assert cert.verdict == "ball" and cert.dim == n - 1
 
-@pytest.mark.parametrize("n", range(2, 6))
+@pytest.mark.parametrize("n", range(2, 7))
 def test_mobius_certificates_are_balls(n, complex_of):
     cert = certify(complex_of("mobius", n))
     assert cert.verdict == "ball" and cert.dim == n - 1

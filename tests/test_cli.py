@@ -1,5 +1,6 @@
 import json
 
+import pytest
 
 from arclab.cli import main
 
@@ -75,6 +76,19 @@ def test_check_rejects_malformed_file(tmp_path, capsys):
     code, _, err = run(capsys, "check", "--in", str(bad))
     assert code == 2
     assert "facets[0]" in err
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"vertices": [{"id": true, "label": "a"}], "facets": [[true]]}', "vertices[0]"),
+    ('{"surface": {"family": "strip", "n": 3}, "vertices": [{"id": 0, "label": "a"}],'
+     ' "facets": [[0]]}', "strip needs"),
+])
+def test_check_rejects_coerced_input(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, out, err = run(capsys, "check", "--in", str(bad))
+    assert code == 2 and out == ""
+    assert message in err
 
 
 def test_collapse_search_on_mobius_two(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 
 import pytest
 
@@ -7,6 +9,7 @@ from arclab.build import arc_complex, inner_complex
 from arclab.collapse import (
     CollapseTrace,
     DISPROVEN,
+    INCONCLUSIVE,
     PROVEN,
     apply_collapse,
     cone_collapse_trace,
@@ -237,6 +240,24 @@ def test_zero_sphere_is_disproven():
 
 def test_pentagon_circle_is_disproven(complex_of):
     assert is_collapsible(complex_of("polygon", 5), budget=50_000).status == DISPROVEN
+
+
+def test_search_out_of_budget_is_inconclusive():
+    path = labeled([[i, i + 1] for i in range(5)])
+    assert is_collapsible(path, budget=2).status == INCONCLUSIVE
+
+
+def test_search_depth_is_not_bounded_by_the_interpreter():
+    # a path of 200 edges collapses one leaf per step: 200 nested states
+    path = labeled([[i, i + 1] for i in range(200)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        result = is_collapsible(path)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result.status == PROVEN and len(result.trace) == 200
+    assert verify_trace(path, result.trace).valid
 
 
 def test_small_mobius_complexes_proven_by_search(complex_of):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arclab.arcs import crown, mobius_crown, polygon
+from arclab.arcs import crown, integral_strip, mobius_crown, polygon
 from arclab.build import arc_complex, disjointness_graph, inner_complex
 from arclab.simplicial import (
     complex_from_json,
@@ -29,6 +29,7 @@ from arclab.simplicial import (
     max_cliques,
     point_complex,
     restrict,
+    surface_from_json,
     vertex_deletion,
 )
 from oracles import (
@@ -365,6 +366,21 @@ def test_json_errors_carry_paths():
         complex_from_json(
             {"vertices": [{"id": 0, "label": "a"}, {"id": 0}], "facets": [[0]]}
         )
+
+
+def test_json_rejects_boolean_vertex_ids():
+    with pytest.raises(ValueError, match=r"vertices\[0\]"):
+        complex_from_json({"vertices": [{"id": True, "label": "a"}], "facets": [[True]]})
+    with pytest.raises(ValueError, match=r"facets\[0\]"):
+        complex_from_json({"vertices": [{"id": 1, "label": "a"}], "facets": [[True]]})
+
+
+def test_json_strip_surface_requires_m():
+    with pytest.raises(ValueError, match="strip needs"):
+        surface_from_json({"family": "strip", "n": 3})
+    with pytest.raises(ValueError, match="single vertex count"):
+        surface_from_json({"family": "polygon", "n": 5, "m": 2})
+    assert surface_from_json({"family": "strip", "n": 3, "m": 2}) == integral_strip(2, 3)
 
 
 def test_uncovered_vertex_rejected():
