@@ -31,6 +31,7 @@ from .simplicial import (
     euler_characteristic,
     is_pure,
     link,
+    ridge_table,
 )
 
 RULE_DANARAJ_KLEE = "danaraj-klee"
@@ -81,16 +82,6 @@ class Certificate:
         }
 
 
-def _ridge_table(c: Complex) -> dict[Face, list[int]]:
-    table: dict[Face, list[int]] = {}
-    for idx, facet in enumerate(c.facets):
-        if not facet:
-            table.setdefault(frozenset(), []).append(idx)
-        for v in facet:
-            table.setdefault(facet - {v}, []).append(idx)
-    return table
-
-
 def is_connected(g: Graph) -> bool:
     if not g.vertices:
         return True
@@ -131,7 +122,7 @@ def pseudomanifold_check(c: Complex) -> PseudomanifoldReport:
     """Classify a pure complex as closed / with-boundary / not a pseudomanifold."""
     if not is_pure(c):
         raise ValueError("pseudomanifold check requires a pure complex")
-    table = _ridge_table(c)
+    table = ridge_table(c)
     boundary = tuple(
         sorted(
             (r for r, members in table.items() if len(members) == 1),
@@ -214,7 +205,7 @@ def shelling_search(c: Complex, budget: int = DEFAULT_BUDGET) -> ShellingResult:
         for v in f:
             containing[v] |= 1 << i
     # across[i]: (v, the other facets through the ridge F_i - v) for v in F_i
-    table = _ridge_table(c)
+    table = ridge_table(c)
     across = [
         [(v, sum(1 << j for j in table[f - {v}] if j != i)) for v in f]
         for i, f in enumerate(facets)

@@ -40,14 +40,20 @@ from .theorems import Limits, run_all
 BUDGET_ENV = "ARCLAB_BUDGET"
 
 
-def _default_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV)
+def _budget(flag: str | None) -> int:
+    """The search budget from --budget, else $ARCLAB_BUDGET, else the default."""
+    source, raw = "--budget", flag
+    if flag is None:
+        source, raw = BUDGET_ENV, os.environ.get(BUDGET_ENV)
     if raw is None:
         return DEFAULT_BUDGET
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
-        raise SystemExit(f"invalid {BUDGET_ENV}={raw!r}: expected an integer")
+        budget = 0
+    if budget < 1:
+        raise SystemExit(f"invalid {source}={raw!r}: expected an integer of at least 1")
+    return budget
 
 
 def _surface_from_args(args) -> SurfaceSpec:
@@ -118,9 +124,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_collapse(args) -> int:
+    budget = _budget(args.budget)
     c = _load_complex(args.input)
-    if args.budget is None:
-        args.budget = _default_budget()
     if args.strategy == "greedy":
         steps = []
         current = c
@@ -136,7 +141,7 @@ def cmd_collapse(args) -> int:
         t = make_trace(steps)
         proven = current.n_vertices == 1
     else:
-        result = is_collapsible(c, args.budget)
+        result = is_collapsible(c, budget)
         proven = result.status == PROVEN
         t = result.trace or make_trace([])
     verdict = verify_trace(c, t)
@@ -225,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     coll = sub.add_parser("collapse", help="search for a collapse trace")
     coll.add_argument("--in", dest="input", required=True)
     coll.add_argument("--strategy", choices=["greedy", "search"], default="search")
-    coll.add_argument("--budget", type=int, default=None,
+    coll.add_argument("--budget", default=None,
                       help=f"search node budget (default: ${BUDGET_ENV} or {DEFAULT_BUDGET})")
     coll.add_argument("--out", default=None)
     coll.set_defaults(func=cmd_collapse)

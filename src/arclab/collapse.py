@@ -8,6 +8,7 @@ can be checked independently of how it was constructed.
 
 from __future__ import annotations
 
+import copy
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -15,10 +16,10 @@ from typing import Iterable, Iterator
 from .simplicial import (
     Complex,
     Face,
+    _complex,
     faces,
     is_cone,
     link,
-    make_complex,
 )
 
 PROVEN = "proven"
@@ -84,6 +85,12 @@ class _Replayer:
             for v in f:
                 self.by_vertex[v].add(f)
 
+    def copy(self) -> "_Replayer":
+        other = copy.copy(self)
+        other.facets = set(self.facets)
+        other.by_vertex = defaultdict(set, {v: set(fs) for v, fs in self.by_vertex.items()})
+        return other
+
     def facets_containing(self, face: Face) -> set[Face]:
         if not face:
             return set(self.facets)
@@ -123,9 +130,9 @@ class _Replayer:
         return None
 
     def to_complex(self) -> Complex:
-        used = set().union(*self.facets) if self.facets else set()
-        labels = {v: l for v, l in self.labels.items() if v in used}
-        return make_complex(labels, self.facets, self.surface)
+        # a collapse swaps a facet for pieces of it that no facet contains,
+        # so the facets stay an antichain
+        return _complex(self.labels, self.facets, self.surface)
 
 
 def apply_collapse(c: Complex, free: Iterable[int], coface: Iterable[int]) -> Complex:
@@ -239,7 +246,7 @@ def _is_point(facets: set[Face]) -> bool:
 def _children(rep: _Replayer) -> Iterator[tuple[Pair, _Replayer]]:
     """Each codimension-one collapse of rep, with the state it leads to."""
     for free, coface in _codim1_moves(rep):
-        child = _Replayer(rep.to_complex())
+        child = rep.copy()
         if not child.collapse(free, coface):  # cannot fail for a just-computed move
             yield (free, coface), child
 

@@ -10,7 +10,7 @@ face {} so that joins and links behave uniformly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
 from .arcs import SurfaceSpec
@@ -48,24 +48,16 @@ def make_graph(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> Gra
     return Graph(vs, tuple(sorted(es)))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Complex:
-    """Simplicial complex as canonical vertex ids plus maximal faces."""
+    """Simplicial complex as canonical vertex ids plus maximal faces.
+
+    Built only by `_complex`, so equal complexes have equal fields.
+    """
 
     vertex_labels: tuple[tuple[int, str], ...]  # sorted by id
     facets: tuple[Face, ...]  # canonical order; (frozenset(),) if no faces
-    surface: SurfaceSpec | None = None
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Complex):
-            return NotImplemented
-        return (
-            self.vertex_labels == other.vertex_labels
-            and set(self.facets) == set(other.facets)
-        )
-
-    def __hash__(self) -> int:  # stable enough for small caches
-        return hash((self.vertex_labels, frozenset(self.facets)))
+    surface: SurfaceSpec | None = field(default=None, compare=False)
 
     @property
     def vertex_ids(self) -> tuple[int, ...]:
@@ -89,16 +81,28 @@ class Complex:
         )
 
 
-def _canonical_facets(faces: Iterable[Iterable[int]]) -> tuple[Face, ...]:
-    sets = sorted({frozenset(f) for f in faces}, key=len, reverse=True)
+def _complex(
+    labels: Mapping[int, str],
+    facets: Iterable[Face],
+    surface: SurfaceSpec | None = None,
+) -> Complex:
+    """The complex with maximal faces `facets`, which must be an antichain.
+
+    Every complex is built here, in canonical order; `labels` may name
+    unused vertices.  Only `make_complex` and `face_deletion` prune faces.
+    """
+    ordered = sorted(facets, key=sorted) or [EMPTY_FACE]
+    used = sorted(set().union(*ordered))
+    return Complex(tuple((v, labels[v]) for v in used), tuple(ordered), surface)
+
+
+def _maximal_faces(faces: Iterable[Iterable[int]]) -> list[Face]:
+    """The faces contained in no other face (quadratic in the face count)."""
     kept: list[Face] = []
-    for f in sets:
+    for f in sorted({frozenset(f) for f in faces}, key=len, reverse=True):
         if not any(f <= g for g in kept):
             kept.append(f)
-    if not kept:
-        kept = [EMPTY_FACE]
-    kept.sort(key=lambda f: (tuple(sorted(f))))
-    return tuple(kept)
+    return kept
 
 
 def make_complex(
@@ -106,14 +110,15 @@ def make_complex(
     faces: Iterable[Iterable[int]],
     surface: SurfaceSpec | None = None,
 ) -> Complex:
-    """Build a complex, pruning non-maximal faces.
+    """Build a complex from arbitrary faces, pruning non-maximal ones.
 
-    Every declared vertex must appear in some face; isolated vertices must be
-    passed as singleton faces.
+    This is the one place that prunes a whole input.  Every declared vertex
+    must appear in some face; isolated vertices must be passed as singleton
+    faces.
     """
-    label_map = dict(labels if isinstance(labels, Mapping) else dict(labels))
-    facets = _canonical_facets(faces)
-    used = set().union(*facets) if facets else set()
+    label_map = dict(labels)
+    facets = _maximal_faces(faces)
+    used = set().union(*facets)
     missing = used - set(label_map)
     if missing:
         raise ValueError(f"faces use undeclared vertices {sorted(missing)}")
@@ -123,7 +128,7 @@ def make_complex(
             f"vertices {sorted(uncovered)} appear in no maximal face; "
             "declare them as singleton faces"
         )
-    return Complex(tuple(sorted(label_map.items())), facets, surface)
+    return _complex(label_map, facets, surface)
 
 
 def point_complex(v: int, label: str) -> Complex:
@@ -203,10 +208,8 @@ def link(c: Complex, face: Iterable[int]) -> Complex:
     stars = facets_containing(c, face)
     if not stars:
         raise ValueError(f"{sorted(face)} is not a face of the complex")
-    new_facets = [f - face for f in stars]
-    used = set().union(*new_facets)
-    labels = {v: l for v, l in c.vertex_labels if v in used}
-    return make_complex(labels, new_facets, c.surface)
+    # f - face <= g - face only if f <= g, so the link keeps an antichain
+    return _complex(c.labels, [f - face for f in stars], c.surface)
 
 
 def face_deletion(c: Complex, face: Iterable[int]) -> Complex:
@@ -214,26 +217,19 @@ def face_deletion(c: Complex, face: Iterable[int]) -> Complex:
     face = frozenset(face)
     if not face:
         raise ValueError("cannot delete the empty face")
-    if not contains_face(c, face):
+    rest = [f for f in c.facets if not face <= f]
+    if len(rest) == len(c.facets):
         raise ValueError(f"{sorted(face)} is not a face of the complex")
-    new_faces: list[Face] = []
-    for f in c.facets:
-        if face <= f:
-            new_faces.extend(f - {v} for v in face)
-        else:
-            new_faces.append(f)
-    facets = _canonical_facets(new_faces)
-    used = set().union(*facets)
-    labels = {v: l for v, l in c.vertex_labels if v in used}
-    return Complex(tuple(sorted(labels.items())), facets, c.surface)
+    # The pieces f - u of the star are pairwise incomparable and contain no
+    # facet of the rest, so a piece inside a facet of the rest is the only
+    # face that can fail to be maximal.
+    pieces = [f - {u} for f in c.facets if face <= f for u in face]
+    facets = rest + [p for p in pieces if not any(p <= g for g in rest)]
+    return _complex(c.labels, facets, c.surface)
 
 
 def vertex_deletion(c: Complex, v: int) -> Complex:
     return face_deletion(c, [v])
-
-
-def star_facets(c: Complex, v: int) -> list[Face]:
-    return facets_containing(c, [v])
 
 
 def join(c1: Complex, c2: Complex) -> Complex:
@@ -245,9 +241,7 @@ def join(c1: Complex, c2: Complex) -> Complex:
     shared = set(lab1.values()) & set(lab2.values())
     if shared:
         raise ValueError(f"vertex label collision {sorted(shared)}")
-    labels = {**lab1, **lab2}
-    facets = [f | g for f in c1.facets for g in c2.facets]
-    return make_complex(labels, facets)
+    return _complex({**lab1, **lab2}, [f | g for f in c1.facets for g in c2.facets])
 
 
 def join_all(parts: Iterable[Complex]) -> Complex:
@@ -257,18 +251,23 @@ def join_all(parts: Iterable[Complex]) -> Complex:
     return out
 
 
+def ridge_table(c: Complex) -> dict[Face, list[int]]:
+    """Each codimension-one face of a facet -> indices of the facets containing it."""
+    table: dict[Face, list[int]] = {}
+    for idx, f in enumerate(c.facets):
+        if not f:
+            table.setdefault(EMPTY_FACE, []).append(idx)
+        for v in f:
+            table.setdefault(f - {v}, []).append(idx)
+    return table
+
+
 def dual_graph(c: Complex) -> Graph:
     """Facet adjacency along shared codimension-one faces (pure input)."""
     if not is_pure(c):
         raise ValueError("dual graph requires a pure complex")
-    ridges: dict[Face, list[int]] = {}
-    for idx, f in enumerate(c.facets):
-        for v in f:
-            ridges.setdefault(f - {v}, []).append(idx)
-        if not f:
-            ridges.setdefault(EMPTY_FACE, []).append(idx)
     edges = set()
-    for members in ridges.values():
+    for members in ridge_table(c).values():
         for i in range(len(members)):
             for j in range(i + 1, len(members)):
                 edges.add((members[i], members[j]))
@@ -480,4 +479,5 @@ def flag_complex(g: Graph, labels: Mapping[int, str] | None = None,
     cliques = max_cliques(adj)
     if labels is None:
         labels = {v: str(v) for v in g.vertices}
-    return make_complex(labels, cliques, surface)
+    # Bron-Kerbosch reports each maximal clique once: already an antichain
+    return _complex(labels, cliques, surface)

@@ -65,6 +65,14 @@ def brute_force_faces(facets) -> set[frozenset]:
     return out
 
 
+def maximal_faces(faces) -> set[frozenset]:
+    """The faces of a collection that lie in no other one, by comparing every
+    pair; {frozenset()} when there is no nonempty face (the empty complex)."""
+    faces = {frozenset(f) for f in faces}
+    maximal = {f for f in faces if not any(f < g for g in faces)}
+    return maximal or {frozenset()}
+
+
 def naive_max_cliques(vertices, edges) -> set[frozenset]:
     """Maximal cliques by brute-force subset filtering (tiny graphs only)."""
     vertices = sorted(vertices)

@@ -203,3 +203,22 @@ def test_budget_env_var_sets_search_default(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ARCLAB_BUDGET", "not-a-number")
     code, _, err = run(capsys, "collapse", "--in", str(src))
     assert code == 2 and "ARCLAB_BUDGET" in err
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_collapse_rejects_a_budget_flag_below_one(tmp_path, capsys, budget):
+    src = tmp_path / "m2.json"
+    run(capsys, "gen", "--surface", "mobius", "--n", "2", "--out", str(src))
+    code, out, err = run(capsys, "collapse", "--in", str(src), "--budget", budget)
+    assert code == 2 and out == ""
+    assert "at least 1" in err
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_collapse_rejects_a_budget_variable_below_one(tmp_path, capsys, monkeypatch, budget):
+    src = tmp_path / "m2.json"
+    run(capsys, "gen", "--surface", "mobius", "--n", "2", "--out", str(src))
+    monkeypatch.setenv("ARCLAB_BUDGET", budget)
+    code, out, err = run(capsys, "collapse", "--in", str(src))
+    assert code == 2 and out == ""
+    assert "ARCLAB_BUDGET" in err and "at least 1" in err

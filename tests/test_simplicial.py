@@ -36,6 +36,7 @@ from oracles import (
     brute_force_faces,
     catalan,
     euler_by_inclusion_exclusion,
+    maximal_faces,
     naive_max_cliques,
 )
 
@@ -241,6 +242,91 @@ def test_vertex_deletion_star_round_trip(facets, v):
     rebuilt_faces = list(d.facets) + list(star)
     rebuilt = make_complex(c.labels, rebuilt_faces)
     assert rebuilt == c
+
+
+# --- facets stay an antichain without re-pruning ------------------------------------
+
+
+@st.composite
+def graphs(draw, offset=0):
+    """A random graph on 1..7 vertices numbered from offset."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    pairs = list(itertools.combinations(range(offset, offset + n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return make_graph(range(offset, offset + n), [p for p, k in zip(pairs, keep) if k])
+
+
+def assert_prunes_to(c, labels, faces):
+    """c is the complex of the maximal faces among faces, in canonical order."""
+    expected = maximal_faces(faces)
+    assert list(c.facets) == sorted(expected, key=sorted)
+    used = set().union(*expected)
+    assert c.vertex_labels == tuple((v, labels[v]) for v in sorted(used))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(), graphs(offset=10), st.data())
+def test_operations_match_oracle_pruning(g, h, data):
+    from arclab.collapse import verify_trace
+    from arclab.strong import core, strong_to_elementary
+
+    c = flag_complex(g)
+    labels = c.labels
+    adj = g.adjacency()
+    cliques = [
+        k
+        for r in range(1, len(g.vertices) + 1)
+        for k in itertools.combinations(g.vertices, r)
+        if all(b in adj[a] for a, b in itertools.combinations(k, 2))
+    ]
+    assert_prunes_to(c, labels, cliques)
+
+    faces_c = brute_force_faces(c.facets)
+    facet = data.draw(st.sampled_from(c.facets))
+    sigma = frozenset(data.draw(st.sets(st.sampled_from(sorted(facet)), min_size=1)))
+    assert_prunes_to(link(c, sigma), labels, [f - sigma for f in faces_c if sigma <= f])
+    assert_prunes_to(face_deletion(c, sigma), labels, [f for f in faces_c if not sigma <= f])
+    v = data.draw(st.sampled_from(c.vertex_ids))
+    assert_prunes_to(vertex_deletion(c, v), labels, [f for f in faces_c if v not in f])
+    keep = data.draw(st.sets(st.integers(min_value=0, max_value=8)))
+    assert_prunes_to(restrict(c, keep), labels, [f for f in faces_c if f <= keep])
+
+    d = flag_complex(h, {v: f"w{v}" for v in h.vertices})
+    both = {**labels, **d.labels}
+    faces_d = brute_force_faces(d.facets)
+    joined = [f | e for f in faces_c | {frozenset()} for e in faces_d | {frozenset()}]
+    assert_prunes_to(join(c, d), both, joined)
+
+    terminal, strong = core(c)
+    removed = {u for u, _ in strong.steps}
+    verdict = verify_trace(c, strong_to_elementary(c, strong))
+    assert verdict.valid and verdict.terminal == terminal
+    assert_prunes_to(verdict.terminal, labels, [f for f in faces_c if not f & removed])
+
+
+def test_antichain_operations_never_prune(monkeypatch):
+    """Flag complexes, links, joins and collapse replays skip the pruning pass."""
+    from arclab import simplicial
+    from arclab.collapse import cone_collapse_trace, verify_trace
+    from arclab.strong import core, strong_to_elementary
+
+    apex = point_complex(1000, "apex")
+
+    def no_pruning(faces):
+        raise AssertionError("pruned faces that are already an antichain")
+
+    monkeypatch.setattr(simplicial, "_maximal_faces", no_pruning)
+    with pytest.raises(AssertionError):
+        make_complex({0: "a"}, [[0]])  # the patch is in force
+
+    c = arc_complex(mobius_crown(4))
+    lk = link(c, [c.vertex_ids[0]])
+    cone = join(lk, apex)
+    verdict = verify_trace(cone, cone_collapse_trace(cone))
+    assert verdict.valid and verdict.terminal.vertex_ids == (1000,)
+    terminal, strong = core(c)
+    verdict = verify_trace(c, strong_to_elementary(c, strong))
+    assert verdict.valid and verdict.terminal == terminal
 
 
 # --- numeric invariants ----------------------------------------------------------

@@ -178,3 +178,25 @@ def test_run_all_zero_limits_is_empty():
     limits = Limits(polygon=3, crown=0, mobius=0, inner_mobius=0, strip=1)
     report = run_all(limits)
     assert report.claims == []
+
+
+def test_run_all_passes_the_crown_limit_to_every_crown_suite(monkeypatch):
+    from arclab import theorems
+
+    seen = {}
+
+    def recorder(name):
+        def suite(n):
+            seen.setdefault(name, []).append(n)
+            return theorems.Report()
+
+        return suite
+
+    for name in ("thm_crown_strong", "crown_ball_certificates", "crown_flip_diameters"):
+        monkeypatch.setattr(theorems, name, recorder(name))
+    run_all(Limits(polygon=3, crown=7, mobius=0, inner_mobius=0, strip=1))
+    assert seen == {
+        "thm_crown_strong": [1, 2, 3, 4, 5, 6, 7],
+        "crown_ball_certificates": [7],
+        "crown_flip_diameters": [7],
+    }
