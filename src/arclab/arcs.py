@@ -158,10 +158,6 @@ def b_arc_from_wrap(p: int, w: int, n: int) -> Arc:
     return Arc(B_ARC, p, q)
 
 
-def is_loop(arc: Arc) -> bool:
-    return arc.kind in (B_ARC, CC_ARC) and arc.a == arc.b
-
-
 def validate_arc(s: SurfaceSpec, arc: Arc) -> None:
     """Raise ValueError unless arc is a nontrivial arc class of s."""
     n = s.n

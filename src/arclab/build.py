@@ -34,12 +34,15 @@ def arc_complex(s: SurfaceSpec) -> Complex:
     return flag_complex(disjointness_graph(s), _labels(enumerate_arcs(s)), s)
 
 
-def _sub_arc_complex(s: SurfaceSpec, keep) -> Complex:
-    arcs = enumerate_arcs(s)
+def inner_complex(s: SurfaceSpec) -> Complex:
+    """Subcomplex generated by the c-arcs (crown or non-orientable crown)."""
+    if s.family not in ("crown", "mobius"):
+        raise ValueError("inner complexes are defined for crowns")
     ids = arc_ids(s)
-    kept = [a for a in arcs if keep(a)]
+    kept = [a for a in enumerate_arcs(s) if a.kind != B_ARC]
     kept_ids = [ids[a] for a in kept]
     labels = {ids[a]: a.label() for a in kept}
+    # testing only the kept pairs is cheaper than restricting the full graph
     edges = [
         (kept_ids[i], kept_ids[j])
         for i in range(len(kept))
@@ -49,27 +52,16 @@ def _sub_arc_complex(s: SurfaceSpec, keep) -> Complex:
     return flag_complex(make_graph(kept_ids, edges), labels, s)
 
 
-def inner_complex(s: SurfaceSpec) -> Complex:
-    """Subcomplex generated by the c-arcs (crown or non-orientable crown)."""
-    if s.family not in ("crown", "mobius"):
-        raise ValueError("inner complexes are defined for crowns")
-    return _sub_arc_complex(s, lambda a: a.kind != B_ARC)
-
-
-def boundary_complex(s: SurfaceSpec) -> Complex:
-    """Subcomplex generated by the b-arcs."""
-    if s.family not in ("crown", "mobius"):
-        raise ValueError("boundary complexes are defined for crowns")
-    return _sub_arc_complex(s, lambda a: a.kind == B_ARC)
-
-
-def induced_arc_complex(s: SurfaceSpec, removed_ids) -> Complex:
+def induced_arc_complex(s: SurfaceSpec, graph: Graph, removed_ids) -> Complex:
     """Arc complex of s with the given vertex ids deleted.
 
-    Vertex deletions of a flag complex are the flag complex of the induced
-    graph, so this is equivalent to iterated `vertex_deletion` but is built
-    directly from the disjointness predicate.
+    `graph` is `disjointness_graph(s)`.  Vertex deletions of a flag complex
+    are the flag complex of the induced graph, so this is equivalent to
+    iterated `vertex_deletion` but is built from the restricted graph.
     """
     removed = frozenset(removed_ids)
-    ids = arc_ids(s)
-    return _sub_arc_complex(s, lambda a: ids[a] not in removed)
+    induced = Graph(
+        tuple(v for v in graph.vertices if v not in removed),
+        tuple((u, v) for u, v in graph.edges if u not in removed and v not in removed),
+    )
+    return flag_complex(induced, _labels(enumerate_arcs(s)), s)

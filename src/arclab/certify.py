@@ -199,11 +199,7 @@ def shelling_search(c: Complex, budget: int = DEFAULT_BUDGET) -> ShellingResult:
         # any order of points shells by convention
         return ShellingResult(PROVEN, tuple(facets))
 
-    # containing[v]: facets that contain vertex v
-    containing: dict[int, int] = {v: 0 for v in c.vertex_ids}
-    for i, f in enumerate(facets):
-        for v in f:
-            containing[v] |= 1 << i
+    stars = c.stars
     # across[i]: (v, the other facets through the ridge F_i - v) for v in F_i
     table = ridge_table(c)
     across = [
@@ -221,7 +217,7 @@ def shelling_search(c: Complex, budget: int = DEFAULT_BUDGET) -> ShellingResult:
             for v, nb in across[i]:
                 if nb & placed:
                     restricted = True
-                    common &= containing[v]
+                    common &= stars[v]
             if restricted and not common:
                 return 1 << i
         return 0
@@ -350,8 +346,12 @@ def certify(
                     RULE_WHITEHEAD,
                     tuple(notes),
                 )
+        elif coll.status == INCONCLUSIVE:
+            notes.append(
+                f"collapsibility search: inconclusive after {coll.nodes} of {collapse_budget} nodes"
+            )
         else:
-            notes.append(f"collapsibility search: {coll.status}")
+            notes.append(f"collapsibility search: disproven after {coll.nodes} nodes")
 
     return Certificate(
         pm.status, pm.strongly_connected, shelling, "undetermined", None, None, tuple(notes)

@@ -40,6 +40,17 @@ from .theorems import Limits, run_all
 BUDGET_ENV = "ARCLAB_BUDGET"
 
 
+def _at_least(source: str, raw, minimum: int) -> int:
+    """raw as an integer; exits 2 with a message unless it is one >= minimum."""
+    try:
+        value = int(raw)
+    except ValueError:
+        value = minimum - 1
+    if value < minimum:
+        raise SystemExit(f"invalid {source}={raw!r}: expected an integer of at least {minimum}")
+    return value
+
+
 def _budget(flag: str | None) -> int:
     """The search budget from --budget, else $ARCLAB_BUDGET, else the default."""
     source, raw = "--budget", flag
@@ -47,13 +58,7 @@ def _budget(flag: str | None) -> int:
         source, raw = BUDGET_ENV, os.environ.get(BUDGET_ENV)
     if raw is None:
         return DEFAULT_BUDGET
-    try:
-        budget = int(raw)
-    except ValueError:
-        budget = 0
-    if budget < 1:
-        raise SystemExit(f"invalid {source}={raw!r}: expected an integer of at least 1")
-    return budget
+    return _at_least(source, raw, 1)
 
 
 def _surface_from_args(args) -> SurfaceSpec:
@@ -189,13 +194,14 @@ def cmd_flip(args) -> int:
 
 def cmd_theorems(args) -> int:
     limits = Limits(
-        polygon=args.max_polygon,
-        crown=args.max_crown,
-        mobius=args.max_mobius,
-        inner_mobius=args.max_inner_mobius,
-        strip=args.max_strip,
+        polygon=_at_least("--max-polygon", args.max_polygon, 0),
+        crown=_at_least("--max-crown", args.max_crown, 0),
+        mobius=_at_least("--max-mobius", args.max_mobius, 0),
+        inner_mobius=_at_least("--max-inner-mobius", args.max_inner_mobius, 0),
+        strip=_at_least("--max-strip", args.max_strip, 0),
     )
-    report = run_all(limits, seed=args.seed, jobs=args.jobs, evidence_dir=args.evidence_dir)
+    jobs = _at_least("--jobs", args.jobs, 1)
+    report = run_all(limits, seed=args.seed, jobs=jobs, evidence_dir=args.evidence_dir)
     _write(args.out, report.dumps())
     if args.out not in (None, "-"):
         counts = {"pass": 0, "fail": 0, "info": 0}

@@ -8,15 +8,13 @@ can be checked independently of how it was constructed.
 
 from __future__ import annotations
 
-import copy
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .simplicial import (
     Complex,
     Face,
-    _complex,
+    FacetEditor,
     faces,
     is_cone,
     link,
@@ -71,100 +69,55 @@ class TraceVerdict:
 class SearchResult:
     status: str  # proven | disproven | inconclusive
     trace: CollapseTrace | None = None
+    nodes: int = 0  # search nodes spent; equals the budget when inconclusive
 
 
-class _Replayer:
-    """Mutable facet set supporting fast star removal."""
-
-    def __init__(self, c: Complex):
-        self.labels = c.labels
-        self.surface = c.surface
-        self.facets: set[Face] = set(c.facets)
-        self.by_vertex: dict[int, set[Face]] = defaultdict(set)
-        for f in self.facets:
-            for v in f:
-                self.by_vertex[v].add(f)
-
-    def copy(self) -> "_Replayer":
-        other = copy.copy(self)
-        other.facets = set(self.facets)
-        other.by_vertex = defaultdict(set, {v: set(fs) for v, fs in self.by_vertex.items()})
-        return other
-
-    def facets_containing(self, face: Face) -> set[Face]:
-        if not face:
-            return set(self.facets)
-        it = iter(face)
-        acc = set(self.by_vertex.get(next(it), ()))
-        for v in it:
-            acc &= self.by_vertex.get(v, set())
-            if not acc:
-                break
-        return acc
-
-    def _remove(self, f: Face) -> None:
-        self.facets.discard(f)
-        for v in f:
-            self.by_vertex[v].discard(f)
-
-    def _add(self, f: Face) -> None:
-        self.facets.add(f)
-        for v in f:
-            self.by_vertex[v].add(f)
-
-    def collapse(self, free: Face, coface: Face) -> str | None:
-        """Apply one step; returns an error message or None."""
-        if not free or not free < coface:
-            return "free face must be a nonempty proper subset of its coface"
-        stars = self.facets_containing(free)
-        if stars != {coface}:
-            return (
-                f"{sorted(free)} is not free with coface {sorted(coface)}; "
-                f"containing facets: {sorted(map(sorted, stars))}"
-            )
-        self._remove(coface)
-        for v in free:
-            cand = coface - {v}
-            if not self.facets_containing(cand):
-                self._add(cand)
-        return None
-
-    def to_complex(self) -> Complex:
-        # a collapse swaps a facet for pieces of it that no facet contains,
-        # so the facets stay an antichain
-        return _complex(self.labels, self.facets, self.surface)
+def _collapse(editor: FacetEditor, free: Face, coface: Face) -> str | None:
+    """Apply one step to editor; returns an error message or None."""
+    if not free or not free < coface:
+        return "free face must be a nonempty proper subset of its coface"
+    stars = editor.containing(free)
+    if stars != [coface]:
+        return (
+            f"{sorted(free)} is not free with coface {sorted(coface)}; "
+            f"containing facets: {sorted(map(sorted, stars))}"
+        )
+    editor.delete(free)
+    return None
 
 
 def apply_collapse(c: Complex, free: Iterable[int], coface: Iterable[int]) -> Complex:
-    rep = _Replayer(c)
-    err = rep.collapse(frozenset(free), frozenset(coface))
+    editor = FacetEditor(c)
+    err = _collapse(editor, frozenset(free), frozenset(coface))
     if err:
         raise ValueError(err)
-    return rep.to_complex()
+    return editor.to_complex()
 
 
 def verify_trace(c: Complex, t: CollapseTrace) -> TraceVerdict:
     """Replay t on c, confirming freeness at every step."""
-    rep = _Replayer(c)
+    editor = FacetEditor(c)
     for i, (free, coface) in enumerate(t.steps):
-        err = rep.collapse(free, coface)
+        err = _collapse(editor, free, coface)
         if err:
             return TraceVerdict(False, None, i, err)
-    return TraceVerdict(True, rep.to_complex())
+    return TraceVerdict(True, editor.to_complex())
+
+
+def _sort_pairs(pairs: list[Pair]) -> list[Pair]:
+    return sorted(pairs, key=lambda p: (-len(p[0]), tuple(sorted(p[0])), tuple(sorted(p[1]))))
 
 
 def free_pairs(c: Complex) -> list[Pair]:
     """All (face, facet) pairs where the face lies in exactly that one facet."""
-    rep = _Replayer(c)
     out: list[Pair] = []
-    for facet in c.facets:
+    for i, facet in enumerate(c.facets):
         elems = sorted(facet)
         for mask in range(1, (1 << len(elems)) - 1):
-            face = frozenset(elems[i] for i in range(len(elems)) if mask >> i & 1)
-            if rep.facets_containing(face) == {facet}:
+            face = frozenset(elems[j] for j in range(len(elems)) if mask >> j & 1)
+            if c.star_mask(face) == 1 << i:
                 out.append((face, facet))
-    out.sort(key=lambda p: (-len(p[0]), tuple(sorted(p[0])), tuple(sorted(p[1]))))
-    return out
+    return _sort_pairs(out)
 
 
 def _sorted_faces(fs: Iterable[Face]) -> list[Face]:
@@ -182,7 +135,7 @@ def cone_collapse_trace(c: Complex, apex: int | None = None) -> CollapseTrace:
         raise ValueError("complex is not a cone")
     if apex is None:
         apex = found
-    elif not all(apex in f for f in c.facets):
+    elif c.star_mask([apex]) != c.star_mask([]):
         raise ValueError(f"vertex {apex} is not an apex")
     base = [f for f in faces(c) if apex not in f]
     return trace((f, f | {apex}) for f in _sorted_faces(base))
@@ -222,33 +175,32 @@ def welker_expand(c: Complex, face: Iterable[int], link_trace: CollapseTrace) ->
     return trace(steps)
 
 
-def _canonical_state(facets: set[Face]) -> tuple:
+def _canonical_state(facets: list[Face]) -> tuple:
     return tuple(sorted(tuple(sorted(f)) for f in facets))
 
 
-def _codim1_moves(rep: _Replayer) -> list[Pair]:
+def _codim1_moves(editor: FacetEditor) -> list[Pair]:
     moves: list[Pair] = []
-    for facet in rep.facets:
-        if len(facet) < 2:
+    for i, facet in enumerate(editor.slots):
+        if facet is None or len(facet) < 2:
             continue
-        for v in sorted(facet):
+        for v in facet:
             face = facet - {v}
-            if rep.facets_containing(face) == {facet}:
+            if editor.star_mask(face) == 1 << i:
                 moves.append((face, facet))
-    moves.sort(key=lambda p: (-len(p[0]), tuple(sorted(p[0])), tuple(sorted(p[1]))))
-    return moves
+    return _sort_pairs(moves)
 
 
-def _is_point(facets: set[Face]) -> bool:
-    return len(facets) == 1 and len(next(iter(facets))) == 1
+def _is_point(facets: list[Face]) -> bool:
+    return len(facets) == 1 and len(facets[0]) == 1
 
 
-def _children(rep: _Replayer) -> Iterator[tuple[Pair, _Replayer]]:
-    """Each codimension-one collapse of rep, with the state it leads to."""
-    for free, coface in _codim1_moves(rep):
-        child = rep.copy()
-        if not child.collapse(free, coface):  # cannot fail for a just-computed move
-            yield (free, coface), child
+def _children(editor: FacetEditor) -> Iterator[tuple[Pair, FacetEditor]]:
+    """Each codimension-one collapse of editor's state, with the state it leads to."""
+    for free, coface in _codim1_moves(editor):
+        child = editor.copy()
+        child.delete(free)  # free lies in coface alone, so this is the collapse
+        yield (free, coface), child
 
 
 def is_collapsible(c: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult:
@@ -267,24 +219,25 @@ def is_collapsible(c: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult:
     if is_cone(c) is not None:
         return SearchResult(PROVEN, cone_collapse_trace(c))
 
-    root = _Replayer(c)
-    seen = {_canonical_state(root.facets)}
+    root = FacetEditor(c)
+    seen = {_canonical_state(root.facets())}
     nodes = 1
     if nodes >= budget:
-        return SearchResult(INCONCLUSIVE)
+        return SearchResult(INCONCLUSIVE, nodes=nodes)
     path: list[Pair] = []  # path[k] leads from stack[k]'s state to stack[k + 1]'s
     stack = [_children(root)]
     while stack:
         for move, child in stack[-1]:
-            if _is_point(child.facets):
-                return SearchResult(PROVEN, trace(path + [move]))
-            key = _canonical_state(child.facets)
+            facets = child.facets()
+            if _is_point(facets):
+                return SearchResult(PROVEN, trace(path + [move]), nodes)
+            key = _canonical_state(facets)
             if key in seen:
                 continue
             seen.add(key)
             nodes += 1
             if nodes >= budget:
-                return SearchResult(INCONCLUSIVE)
+                return SearchResult(INCONCLUSIVE, nodes=nodes)
             path.append(move)
             stack.append(_children(child))
             break
@@ -292,4 +245,4 @@ def is_collapsible(c: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult:
             stack.pop()
             if path:
                 path.pop()
-    return SearchResult(DISPROVEN)
+    return SearchResult(DISPROVEN, nodes=nodes)

@@ -1,16 +1,20 @@
 """Finite simplicial complexes stored by their maximal faces.
 
 A `Complex` is an immutable snapshot: a vertex table (dense integer ids with
-text labels) plus the antichain of maximal faces.  All other face queries
-enumerate on demand; at desk scale this is affordable and keeps one source
-of truth.  The complex with no vertices is represented by the single maximal
-face {} so that joins and links behave uniformly.
+text labels) plus the antichain of maximal faces.  Star queries go through
+one index, `Complex.stars`, built on first use: each vertex maps to the
+bitset of the facets that contain it.  `FacetEditor` is the one mutable
+form, used for face deletions and collapse replays.  Other face queries
+enumerate on demand.  The complex with no vertices is represented by the
+single maximal face {} so that joins and links behave uniformly.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from .arcs import SurfaceSpec
@@ -80,6 +84,31 @@ class Complex:
             f"dim {dimension(self)})"
         )
 
+    @cached_property
+    def stars(self) -> dict[int, int]:
+        """Vertex -> bitset of the indices of the facets that contain it.
+
+        Not a field, so equality, hashing and JSON ignore it.
+        """
+        stars = {v: 0 for v, _ in self.vertex_labels}
+        for i, f in enumerate(self.facets):
+            for v in f:
+                stars[v] |= 1 << i
+        return stars
+
+    def star_mask(self, face: Iterable[int]) -> int:
+        """Bitset of the indices of the facets that contain `face`."""
+        return _star_mask(self.stars, (1 << len(self.facets)) - 1, face)
+
+
+def _star_mask(stars: Mapping[int, int], mask: int, face: Iterable[int]) -> int:
+    """`mask` restricted to the facets through every vertex of `face`."""
+    for v in face:
+        mask &= stars.get(v, 0)
+        if not mask:
+            break
+    return mask
+
 
 def _complex(
     labels: Mapping[int, str],
@@ -89,7 +118,7 @@ def _complex(
     """The complex with maximal faces `facets`, which must be an antichain.
 
     Every complex is built here, in canonical order; `labels` may name
-    unused vertices.  Only `make_complex` and `face_deletion` prune faces.
+    unused vertices.  Only `make_complex` and `FacetEditor.delete` prune faces.
     """
     ordered = sorted(facets, key=sorted) or [EMPTY_FACE]
     used = sorted(set().union(*ordered))
@@ -147,13 +176,11 @@ def restrict(c: Complex, keep: Iterable[int]) -> Complex:
 
 
 def facets_containing(c: Complex, face: Iterable[int]) -> list[Face]:
-    face = frozenset(face)
-    return [f for f in c.facets if face <= f]
+    return [c.facets[i] for i in _bits(c.star_mask(face))]
 
 
 def contains_face(c: Complex, face: Iterable[int]) -> bool:
-    face = frozenset(face)
-    return any(face <= f for f in c.facets)
+    return c.star_mask(face) != 0
 
 
 def faces(c: Complex, include_empty: bool = False) -> Iterator[Face]:
@@ -195,12 +222,8 @@ def euler_characteristic(c: Complex) -> int:
 
 def is_cone(c: Complex) -> int | None:
     """A vertex contained in every maximal face (lowest id), if any."""
-    apexes = set(c.facets[0])
-    for f in c.facets[1:]:
-        apexes &= f
-        if not apexes:
-            return None
-    return min(apexes) if apexes else None
+    everywhere = (1 << len(c.facets)) - 1
+    return next((v for v, star in c.stars.items() if star == everywhere), None)
 
 
 def link(c: Complex, face: Iterable[int]) -> Complex:
@@ -212,20 +235,83 @@ def link(c: Complex, face: Iterable[int]) -> Complex:
     return _complex(c.labels, [f - face for f in stars], c.surface)
 
 
+class FacetEditor:
+    """A mutable copy of a complex's facets and its `stars` index.
+
+    Facets sit in slots, and `stars` maps each vertex to the bitset of the
+    slots whose facet contains it.  A deleted facet frees its slot for the
+    next added one, so `slots` is never longer than the largest number of
+    facets live at once.
+    """
+
+    def __init__(self, c: Complex):
+        self.labels = c.labels
+        self.surface = c.surface
+        self.slots: list[Face | None] = list(c.facets)
+        self.stars = dict(c.stars)
+        self.live = (1 << len(self.slots)) - 1
+        self.free: list[int] = []
+
+    def copy(self) -> "FacetEditor":
+        other = copy.copy(self)
+        other.slots, other.stars, other.free = list(self.slots), dict(self.stars), list(self.free)
+        return other
+
+    def star_mask(self, face: Iterable[int]) -> int:
+        return _star_mask(self.stars, self.live, face)
+
+    def containing(self, face: Iterable[int]) -> list[Face]:
+        """The facets that contain `face`, in slot order."""
+        return [self.slots[i] for i in _bits(self.star_mask(face))]
+
+    def delete(self, face: Face) -> None:
+        """Remove every face containing the nonempty `face`.
+
+        The star's facets go, and each piece f - u (f in the star, u in
+        `face`) that no remaining facet contains comes in.  The pieces are
+        pairwise incomparable and contain no remaining facet, so the facets
+        stay an antichain.
+        """
+        star = self.star_mask(face)
+        if not star:
+            raise ValueError(f"{sorted(face)} is not a face of the complex")
+        pieces = []
+        for i in _bits(star):
+            f = self.slots[i]
+            pieces.extend(f - {u} for u in face)
+            for v in f:
+                self.stars[v] ^= 1 << i
+            self.slots[i] = None
+            self.free.append(i)
+        self.live &= ~star
+        for p in pieces:
+            if self.star_mask(p):
+                continue
+            if self.free:
+                i = self.free.pop()
+                self.slots[i] = p
+            else:
+                i = len(self.slots)
+                self.slots.append(p)
+            for v in p:
+                self.stars[v] |= 1 << i
+            self.live |= 1 << i
+
+    def facets(self) -> list[Face]:
+        return [f for f in self.slots if f is not None]
+
+    def to_complex(self) -> Complex:
+        return _complex(self.labels, self.facets(), self.surface)
+
+
 def face_deletion(c: Complex, face: Iterable[int]) -> Complex:
     """All faces of c not containing the given face."""
     face = frozenset(face)
     if not face:
         raise ValueError("cannot delete the empty face")
-    rest = [f for f in c.facets if not face <= f]
-    if len(rest) == len(c.facets):
-        raise ValueError(f"{sorted(face)} is not a face of the complex")
-    # The pieces f - u of the star are pairwise incomparable and contain no
-    # facet of the rest, so a piece inside a facet of the rest is the only
-    # face that can fail to be maximal.
-    pieces = [f - {u} for f in c.facets if face <= f for u in face]
-    facets = rest + [p for p in pieces if not any(p <= g for g in rest)]
-    return _complex(c.labels, facets, c.surface)
+    editor = FacetEditor(c)
+    editor.delete(face)
+    return editor.to_complex()
 
 
 def vertex_deletion(c: Complex, v: int) -> Complex:
@@ -280,11 +366,7 @@ _ISO_GATE = 25
 
 
 def _vertex_signature(c: Complex) -> dict[int, tuple]:
-    sig: dict[int, list[int]] = {v: [] for v in c.vertex_ids}
-    for f in c.facets:
-        for v in f:
-            sig[v].append(len(f))
-    return {v: tuple(sorted(s)) for v, s in sig.items()}
+    return {v: tuple(sorted(len(c.facets[i]) for i in _bits(star))) for v, star in c.stars.items()}
 
 
 def isomorphic(c1: Complex, c2: Complex) -> bool:
@@ -310,7 +392,7 @@ def isomorphic(c1: Complex, c2: Complex) -> bool:
     candidates = {
         v: [w for w in c2.vertex_ids if sig2[w] == sig1[v]] for v in vs1
     }
-    incident1 = {v: [f for f in c1.facets if v in f] for v in c1.vertex_ids}
+    incident1 = {v: facets_containing(c1, [v]) for v in c1.vertex_ids}
 
     mapping: dict[int, int] = {}
     used: set[int] = set()

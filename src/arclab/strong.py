@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 from .collapse import CollapseTrace, trace
 from .simplicial import (
     Complex,
     faces,
-    facets_containing,
     vertex_deletion,
 )
 
@@ -43,17 +43,16 @@ class StrongTrace:
 
 
 def dominating_set(c: Complex, v: int) -> set[int]:
-    """Vertices other than v contained in every maximal face containing v."""
-    stars = facets_containing(c, [v])
-    if not stars:
+    """Vertices other than v contained in every maximal face containing v.
+
+    w dominates v iff the star of v lies in the star of w, and any such w
+    lies in the first facet through v.
+    """
+    star = c.stars.get(v, 0)
+    if not star:
         raise ValueError(f"vertex {v} is not in the complex")
-    acc = set(stars[0])
-    for f in stars[1:]:
-        acc &= f
-        if len(acc) <= 1:
-            break
-    acc.discard(v)
-    return acc
+    first = c.facets[(star & -star).bit_length() - 1]
+    return {w for w in first if w != v and not star & ~c.stars[w]}
 
 
 def dominated_vertices(c: Complex) -> list[tuple[int, int]]:
@@ -100,18 +99,28 @@ def is_strongly_collapsible(c: Complex) -> tuple[bool, StrongTrace]:
     return terminal.n_vertices == 1, t
 
 
-def verify_strong_trace(c: Complex, t: StrongTrace) -> Complex:
-    """Replay t, checking each witness; returns the terminal complex."""
-    current = c
+def _replay(c: Complex, t: StrongTrace) -> Iterator[tuple[Complex, int, int, Complex]]:
+    """(complex, v, w, complex without v) for each step (v, w) of t from c.
+
+    Raises ValueError at the first step whose witness does not dominate v.
+    """
     for i, (v, w) in enumerate(t.steps):
-        dom = dominating_set(current, v)
+        dom = dominating_set(c, v)
         if w not in dom:
             raise ValueError(
                 f"step {i}: vertex {v} is not dominated by {w} "
                 f"(dominating set {sorted(dom)})"
             )
-        current = vertex_deletion(current, v)
-    return current
+        after = vertex_deletion(c, v)
+        yield c, v, w, after
+        c = after
+
+
+def verify_strong_trace(c: Complex, t: StrongTrace) -> Complex:
+    """Replay t, checking each witness; returns the terminal complex."""
+    for _, _, _, c in _replay(c, t):
+        pass
+    return c
 
 
 def strong_to_elementary(c: Complex, t: StrongTrace) -> CollapseTrace:
@@ -121,17 +130,9 @@ def strong_to_elementary(c: Complex, t: StrongTrace) -> CollapseTrace:
     that face plus w, in decreasing dimension; the result realizes the same
     vertex deletions and passes `verify_trace`.
     """
-    current = c
     steps = []
-    for i, (v, w) in enumerate(t.steps):
-        dom = dominating_set(current, v)
-        if w not in dom:
-            raise ValueError(
-                f"step {i}: vertex {v} is not dominated by {w} "
-                f"(dominating set {sorted(dom)})"
-            )
+    for current, v, w, _ in _replay(c, t):
         with_v = [f for f in faces(current) if v in f and w not in f]
         with_v.sort(key=lambda f: (-len(f), tuple(sorted(f))))
         steps.extend((f, f | {w}) for f in with_v)
-        current = vertex_deletion(current, v)
     return trace(steps)

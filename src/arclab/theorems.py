@@ -35,7 +35,7 @@ from .arcs import (
     strip_arc,
     wrap_length,
 )
-from .build import arc_complex, induced_arc_complex, inner_complex
+from .build import arc_complex, disjointness_graph, induced_arc_complex, inner_complex
 from .certify import certify, flip_graph, graph_diameter, is_connected
 from .collapse import CollapseTrace, cone_collapse_trace, join_lift_trace, trace, verify_trace, welker_expand
 from .simplicial import (
@@ -43,6 +43,7 @@ from .simplicial import (
     contains_face,
     dimension,
     euler_characteristic,
+    facets_containing,
     is_cone,
     isomorphic,
     join_all,
@@ -107,6 +108,11 @@ class Report:
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
+
+
+def _one_claim(claim: str, paper_ref: str, n: object, status: str = "pass", **details) -> Report:
+    """The report of a single claim."""
+    return Report([ClaimResult(claim, paper_ref, n, status, details=details)])
 
 
 def _require(cond: bool, claim: str, message: str, **details) -> None:
@@ -175,21 +181,14 @@ def thm_crown_strong(n: int) -> Report:
     )
     terminal, _ = core(full)
     _require(terminal.n_vertices == 1, CROWN_CLAIM, "order-free core is not a point", n=n)
-    report = Report()
-    report.claims.append(
-        ClaimResult(
-            CROWN_CLAIM,
-            "crown-strong-collapsibility",
-            n,
-            "pass",
-            details={
-                "vertices": full.n_vertices,
-                "rounds": rounds,
-                "schedule": StrongTrace(tuple(steps)).to_json(),
-            },
-        )
+    return _one_claim(
+        CROWN_CLAIM,
+        "crown-strong-collapsibility",
+        n,
+        vertices=full.n_vertices,
+        rounds=rounds,
+        schedule=StrongTrace(tuple(steps)).to_json(),
     )
-    return report
 
 
 # --- inner mobius ---------------------------------------------------------------
@@ -211,7 +210,7 @@ def thm_inner_mobius(n: int) -> Report:
     steps: list[tuple[int, int]] = []
     for np_ in range(n, 1, -1):
         v = ids[loop_c(np_)]
-        stars = [f for f in current.facets if v in f]
+        stars = facets_containing(current, [v])
         fan_face = frozenset(ids[cc_arc(i, np_)] for i in range(1, np_ + 1))
         _require(
             stars == [fan_face],
@@ -244,20 +243,13 @@ def thm_inner_mobius(n: int) -> Report:
     )
     ok, _ = is_strongly_collapsible(inner)
     _require(ok, INNER_CLAIM, "order-free core disagrees with schedule", n=n)
-    report = Report()
-    report.claims.append(
-        ClaimResult(
-            INNER_CLAIM,
-            "inner-mobius-strong-collapsibility",
-            n,
-            "pass",
-            details={
-                "vertices": inner.n_vertices,
-                "schedule": StrongTrace(tuple(steps)).to_json(),
-            },
-        )
+    return _one_claim(
+        INNER_CLAIM,
+        "inner-mobius-strong-collapsibility",
+        n,
+        vertices=inner.n_vertices,
+        schedule=StrongTrace(tuple(steps)).to_json(),
     )
-    return report
 
 
 # --- mobius collapse --------------------------------------------------------------
@@ -412,22 +404,15 @@ def thm_mobius_collapse(n: int) -> Report:
         n=n,
         reason=verdict.reason,
     )
-    report = Report()
-    report.claims.append(
-        ClaimResult(
-            MOBIUS_COLLAPSE_CLAIM,
-            "mobius-collapse-to-point",
-            n,
-            "pass",
-            details={
-                "vertices": full.n_vertices,
-                "facets": len(full.facets),
-                "rounds": round_sizes,
-                "trace_length": len(full_trace),
-            },
-        )
+    return _one_claim(
+        MOBIUS_COLLAPSE_CLAIM,
+        "mobius-collapse-to-point",
+        n,
+        vertices=full.n_vertices,
+        facets=len(full.facets),
+        rounds=round_sizes,
+        trace_length=len(full_trace),
     )
-    return report
 
 
 # --- mobius non-strong-collapsibility ----------------------------------------------
@@ -508,6 +493,7 @@ def thm_mobius_not_strong(n: int) -> Report:
         check_stage(vertex_deletion(full, loops[j0]), frozenset([j0]), frozenset())
 
     stage_count = 2 + n
+    graph = disjointness_graph(s)
     for size in range(2, n + 1):
         for I in itertools.combinations(range(1, n + 1), size):
             I = frozenset(I)
@@ -516,7 +502,7 @@ def thm_mobius_not_strong(n: int) -> Report:
                 for J in itertools.combinations(inside, r):
                     J = frozenset(J)
                     removed = [loops[j] for j in I] + [ridge[p] for p in J]
-                    X = induced_arc_complex(s, removed)
+                    X = induced_arc_complex(s, graph, removed)
                     check_stage(X, I, J)
                     stage_count += 1
 
@@ -547,21 +533,14 @@ def thm_mobius_not_strong(n: int) -> Report:
             f"random removal order (seed {seed}) reached a different terminal",
             n=n,
         )
-    report = Report()
-    report.claims.append(
-        ClaimResult(
-            MOBIUS_CORE_CLAIM,
-            "mobius-core-obstruction",
-            n,
-            "pass",
-            details={
-                "stages_checked": stage_count,
-                "core_vertices": terminal.n_vertices,
-                "removed": 2 * n,
-            },
-        )
+    return _one_claim(
+        MOBIUS_CORE_CLAIM,
+        "mobius-core-obstruction",
+        n,
+        stages_checked=stage_count,
+        core_vertices=terminal.n_vertices,
+        removed=2 * n,
     )
-    return report
 
 
 # --- integral strips ------------------------------------------------------------
@@ -582,7 +561,6 @@ def thm_strip_strong(m: int, n: int) -> Report:
     s = integral_strip(m, n)
     full = arc_complex(s)
     ids = arc_ids(s)
-    report = Report()
     base_details = {"vertices": full.n_vertices, "facets": len(full.facets)}
 
     if m == 1 or n == 1:
@@ -596,21 +574,15 @@ def thm_strip_strong(m: int, n: int) -> Report:
         dim = dimension(full)
         expected = max((m if n == 1 else n) - 2, 0) - 1
         _require(dim == expected, STRIP_CLAIM, "unexpected simplex dimension", m=m, n=n)
-        status = "pass" if full.n_vertices >= 1 else "info"
-        report.claims.append(
-            ClaimResult(
-                STRIP_CLAIM,
-                "strip-simplex-case",
-                [m, n],
-                status,
-                details={
-                    **base_details,
-                    "dimension": dim,
-                    "note": "corner-arc convention gives dimension m-3 / n-3",
-                },
-            )
+        return _one_claim(
+            STRIP_CLAIM,
+            "strip-simplex-case",
+            [m, n],
+            "pass" if full.n_vertices >= 1 else "info",
+            **base_details,
+            dimension=dim,
+            note="corner-arc convention gives dimension m-3 / n-3",
         )
-        return report
 
     if m + n < 5:
         ok, _ = is_strongly_collapsible(full)
@@ -622,19 +594,14 @@ def thm_strip_strong(m: int, n: int) -> Report:
             m=m,
             n=n,
         )
-        report.claims.append(
-            ClaimResult(
-                STRIP_CLAIM,
-                "strip-22-outside-hypothesis",
-                [m, n],
-                "info",
-                details={
-                    **base_details,
-                    "note": "0-sphere; the strong-collapsibility claim needs m+n >= 5",
-                },
-            )
+        return _one_claim(
+            STRIP_CLAIM,
+            "strip-22-outside-hypothesis",
+            [m, n],
+            "info",
+            **base_details,
+            note="0-sphere; the strong-collapsibility claim needs m+n >= 5",
         )
-        return report
 
     current = full
     steps: list[tuple[int, int]] = []
@@ -681,16 +648,13 @@ def thm_strip_strong(m: int, n: int) -> Report:
         current = vertex_deletion(current, v)
     terminal, _ = core(full)
     _require(terminal.n_vertices == 1, STRIP_CLAIM, "order-free core is not a point", m=m, n=n)
-    report.claims.append(
-        ClaimResult(
-            STRIP_CLAIM,
-            "strip-strong-collapsibility",
-            [m, n],
-            "pass",
-            details={**base_details, "schedule": StrongTrace(tuple(steps)).to_json()},
-        )
+    return _one_claim(
+        STRIP_CLAIM,
+        "strip-strong-collapsibility",
+        [m, n],
+        **base_details,
+        schedule=StrongTrace(tuple(steps)).to_json(),
     )
-    return report
 
 
 # --- certificates, flips, structural propositions -------------------------------

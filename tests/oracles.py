@@ -184,3 +184,149 @@ def reference_shelling_search(c, budget: int):
         if found is not None:
             return "proven", tuple(facets[i] for i in found), nodes
     return "disproven", None, nodes
+
+
+# --- scans and the set-indexed replayer that the facet-bitset index replaced ---
+
+
+def scan_facets_containing(c, face) -> list:
+    """The facets of c containing face, in facet order, by testing each one."""
+    face = frozenset(face)
+    return [f for f in c.facets if face <= f]
+
+
+def scan_is_cone(c):
+    """The lowest vertex lying in every facet, or None, by intersecting them."""
+    apexes = set.intersection(*map(set, c.facets))
+    return min(apexes) if apexes else None
+
+
+def scan_dominating_set(c, v) -> set:
+    """The vertices other than v in every facet through v, by intersection."""
+    stars = scan_facets_containing(c, [v])
+    if not stars:
+        raise ValueError(f"vertex {v} is not in the complex")
+    return set.intersection(*map(set, stars)) - {v}
+
+
+def scan_free_pairs(c) -> list:
+    """Every (face, facet) with the nonempty face proper in that facet alone,
+    sorted as `free_pairs` sorts them."""
+    out = []
+    for facet in c.facets:
+        for r in range(1, len(facet)):
+            for face in map(frozenset, itertools.combinations(sorted(facet), r)):
+                if scan_facets_containing(c, face) == [facet]:
+                    out.append((face, facet))
+    return sorted(out, key=lambda p: (-len(p[0]), sorted(p[0]), sorted(p[1])))
+
+
+class SetReplayer:
+    """Facets in a set and a vertex -> set-of-facets index, copied in full
+    per search child: the replayer that `FacetEditor` replaced."""
+
+    def __init__(self, facets):
+        self.facets = set(facets)
+        self.by_vertex: dict = {}
+        for f in self.facets:
+            for v in f:
+                self.by_vertex.setdefault(v, set()).add(f)
+
+    def copy(self) -> "SetReplayer":
+        return SetReplayer(self.facets)
+
+    def containing(self, face) -> set:
+        if not face:
+            return set(self.facets)
+        return set.intersection(*(self.by_vertex.get(v, set()) for v in face))
+
+    def collapse(self, free, coface):
+        """Apply one step; returns an error message or None."""
+        if not free or not free < coface:
+            return "free face must be a nonempty proper subset of its coface"
+        stars = self.containing(free)
+        if stars != {coface}:
+            return (
+                f"{sorted(free)} is not free with coface {sorted(coface)}; "
+                f"containing facets: {sorted(map(sorted, stars))}"
+            )
+        self.facets.discard(coface)
+        for v in coface:
+            self.by_vertex[v].discard(coface)
+        for v in free:
+            piece = coface - {v}
+            if not self.containing(piece):
+                self.facets.add(piece)
+                for u in piece:
+                    self.by_vertex[u].add(piece)
+        return None
+
+    def codim1_moves(self) -> list:
+        moves = [
+            (facet - {v}, facet)
+            for facet in self.facets
+            if len(facet) >= 2
+            for v in facet
+            if self.containing(facet - {v}) == {facet}
+        ]
+        return sorted(moves, key=lambda p: (-len(p[0]), sorted(p[0]), sorted(p[1])))
+
+
+def reference_verify_trace(c, steps):
+    """Replay steps on c's facets: (valid, failed step, reason, final facets)."""
+    rep = SetReplayer(c.facets)
+    for i, (free, coface) in enumerate(steps):
+        err = rep.collapse(free, coface)
+        if err:
+            return False, i, err, None
+    return True, None, None, rep.facets
+
+
+def reference_is_collapsible(c, budget: int):
+    """The depth-first collapsibility search on `SetReplayer` states:
+    (status, steps or None, nodes spent).  A cone gives ("proven", "cone",
+    0), since the search proper never runs on one.  Each state reached for
+    the first time spends one node, the start included."""
+    if c.n_vertices == 0:
+        return "disproven", None, 0
+    if c.n_vertices == 1:
+        return "proven", [], 0
+    if scan_is_cone(c) is not None:
+        return "proven", "cone", 0
+
+    def state(rep):
+        return tuple(sorted(tuple(sorted(f)) for f in rep.facets))
+
+    root = SetReplayer(c.facets)
+    seen = {state(root)}
+    nodes = 1
+    if nodes >= budget:
+        return "inconclusive", None, nodes
+    path: list = []
+
+    def children(rep):
+        for free, coface in rep.codim1_moves():
+            child = rep.copy()
+            child.collapse(free, coface)
+            yield (free, coface), child
+
+    stack = [children(root)]
+    while stack:
+        for move, child in stack[-1]:
+            if len(child.facets) == 1 and len(next(iter(child.facets))) == 1:
+                return "proven", path + [move], nodes
+            key = state(child)
+            if key in seen:
+                continue
+            seen.add(key)
+            nodes += 1
+            if nodes >= budget:
+                return "inconclusive", None, nodes
+            path.append(move)
+            stack.append(children(child))
+            break
+        else:
+            stack.pop()
+            if path:
+                path.pop()
+    return "disproven", None, nodes

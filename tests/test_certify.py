@@ -17,7 +17,7 @@ from arclab.certify import (
     shelling_search,
     validate_shelling,
 )
-from arclab.collapse import DEFAULT_BUDGET, DISPROVEN, INCONCLUSIVE, PROVEN
+from arclab.collapse import DEFAULT_BUDGET, DISPROVEN, INCONCLUSIVE, PROVEN, is_collapsible
 from arclab.simplicial import (
     euler_characteristic,
     link,
@@ -119,6 +119,24 @@ def test_exhausted_shelling_search_is_reported_as_disproven():
     cert = certify(torus, "fast")
     assert cert.pseudomanifold == PM_CLOSED and cert.verdict == "undetermined"
     assert cert.notes == (f"shelling search: disproven after {result.nodes} nodes",)
+
+def test_certify_says_why_the_collapsibility_search_stopped(complex_of, monkeypatch):
+    # a disk with boundary, not a cone: both searches run out of budget
+    c = complex_of("mobius", 3)
+    monkeypatch.setitem(certify_module.EFFORT_BUDGETS, "fast", (1, 3))
+    cert = certify(c, "fast")
+    assert cert.pseudomanifold == PM_BOUNDARY and cert.verdict == "undetermined"
+    assert cert.notes == (
+        "shelling search: inconclusive after 1 of 1 nodes",
+        "collapsibility search: inconclusive after 3 of 3 nodes",
+    )
+    # an annulus: the collapsibility search exhausts its space
+    annulus = labeled([[0, 1, 3], [1, 3, 4], [1, 2, 4], [2, 4, 5], [0, 2, 5], [0, 3, 5]])
+    monkeypatch.setitem(certify_module.EFFORT_BUDGETS, "fast", (1, 5_000))
+    result = is_collapsible(annulus, 5_000)
+    assert result.status == DISPROVEN and 1 < result.nodes < 5_000
+    cert = certify(annulus, "fast")
+    assert cert.notes[-1] == f"collapsibility search: disproven after {result.nodes} nodes"
 
 def test_disjoint_edges_not_shellable():
     result = shelling_search(labeled([[0, 1], [2, 3]]))

@@ -222,3 +222,19 @@ def test_collapse_rejects_a_budget_variable_below_one(tmp_path, capsys, monkeypa
     code, out, err = run(capsys, "collapse", "--in", str(src))
     assert code == 2 and out == ""
     assert "ARCLAB_BUDGET" in err and "at least 1" in err
+
+
+@pytest.mark.parametrize("flag, value, minimum", [
+    ("--jobs", "0", 1),
+    ("--jobs", "-4", 1),
+    ("--max-polygon", "-1", 0),
+    ("--max-crown", "-3", 0),
+    ("--max-mobius", "-2", 0),
+    ("--max-inner-mobius", "-1", 0),
+    ("--max-strip", "-5", 0),
+])
+def test_theorems_rejects_limits_below_their_minimum(tmp_path, capsys, flag, value, minimum):
+    out = tmp_path / "report.json"
+    code, _, err = run(capsys, "theorems", flag, value, "--out", str(out))
+    assert code == 2 and not out.exists()
+    assert f"invalid {flag}={value}: expected an integer of at least {minimum}" in err

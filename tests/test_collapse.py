@@ -289,3 +289,27 @@ def test_euler_characteristic_preserved_along_steps():
         for step in t.steps:
             current = apply_collapse(current, *step)
             assert euler_characteristic(current) == chi
+
+
+def test_replaying_the_mobius_master_trace_reuses_freed_slots(monkeypatch):
+    """The editor's slot table, the width of its star bitsets, never grows
+    past the most facets live at once over the master trace."""
+    from arclab import theorems
+    from arclab.simplicial import FacetEditor
+
+    replays = []
+
+    def recording(c, t):
+        replays.append((c, t))
+        return verify_trace(c, t)
+
+    monkeypatch.setattr(theorems, "verify_trace", recording)
+    theorems.thm_mobius_collapse(4)
+    full, master = replays[-1]  # the suite replays the master trace last
+    editor = FacetEditor(full)
+    most_live = len(full.facets)
+    for free, _ in master.steps:
+        editor.delete(free)
+        most_live = max(most_live, len(editor.facets()))
+        assert len(editor.slots) <= most_live
+    assert len(master) > 100 and len(editor.facets()) == 1

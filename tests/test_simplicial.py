@@ -10,6 +10,7 @@ from arclab.build import arc_complex, disjointness_graph, inner_complex
 from arclab.simplicial import (
     complex_from_json,
     complex_to_json,
+    contains_face,
     dimension,
     dual_graph,
     dumps_canonical,
@@ -36,8 +37,15 @@ from oracles import (
     brute_force_faces,
     catalan,
     euler_by_inclusion_exclusion,
+    SetReplayer,
     maximal_faces,
     naive_max_cliques,
+    reference_is_collapsible,
+    reference_verify_trace,
+    scan_dominating_set,
+    scan_facets_containing,
+    scan_free_pairs,
+    scan_is_cone,
 )
 
 
@@ -302,6 +310,84 @@ def test_operations_match_oracle_pruning(g, h, data):
     verdict = verify_trace(c, strong_to_elementary(c, strong))
     assert verdict.valid and verdict.terminal == terminal
     assert_prunes_to(verdict.terminal, labels, [f for f in faces_c if not f & removed])
+
+
+# --- the facet-bitset index against the scans it replaced ------------------------
+
+
+def trace_steps(data, c, count):
+    """A random trace for c.  Each step is a free pair of the state the steps
+    so far reach, a facet of that state with a proper part of it that may
+    lie in other facets too, or an arbitrary pair of vertex sets."""
+    rep = SetReplayer(c.facets)
+    vertex = st.integers(min_value=0, max_value=8)
+    steps = []
+    for _ in range(count):
+        kind = data.draw(st.integers(min_value=0, max_value=3))
+        facets = sorted(rep.facets, key=sorted)
+        moves = rep.codim1_moves()
+        if kind >= 2 and moves:
+            free, coface = data.draw(st.sampled_from(moves))
+        elif kind == 1 and facets:
+            coface = data.draw(st.sampled_from(facets))
+            free = frozenset(data.draw(st.sets(st.sampled_from(sorted(coface)), min_size=1)))
+        else:
+            free = frozenset(data.draw(st.sets(vertex, max_size=3)))
+            coface = free | data.draw(st.sets(vertex, max_size=2))
+        rep.collapse(free, coface)
+        steps.append((free, coface))
+    return steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sets(st.integers(min_value=0, max_value=7), min_size=1, max_size=4), min_size=1, max_size=9),
+    st.data(),
+)
+def test_star_index_matches_the_scans(facets, data):
+    """Star queries, deletions, replays and the collapsibility search on the
+    index give what the scans and the set-indexed replayer give, on random
+    complexes that need not be flag complexes."""
+    from arclab.collapse import cone_collapse_trace, free_pairs, is_collapsible, trace, verify_trace
+    from arclab.strong import dominating_set
+
+    c = complex_from_facets(facets)
+    faces_c = brute_force_faces(c.facets)
+    others = data.draw(st.lists(st.sets(st.integers(min_value=0, max_value=8), max_size=3)))
+    for face in sorted(faces_c, key=sorted) + [frozenset(f) for f in others]:
+        expected = scan_facets_containing(c, face)
+        assert c.star_mask(face) == sum(1 << i for i, f in enumerate(c.facets) if f in expected)
+        assert facets_containing(c, face) == expected
+        assert contains_face(c, face) == bool(expected)
+    assert is_cone(c) == scan_is_cone(c)
+    for v in c.vertex_ids:
+        assert dominating_set(c, v) == scan_dominating_set(c, v)
+    assert free_pairs(c) == scan_free_pairs(c)
+
+    sigma = data.draw(st.sampled_from(sorted(faces_c, key=sorted)))
+    assert_prunes_to(face_deletion(c, sigma), c.labels, [f for f in faces_c if not sigma <= f])
+    missing = frozenset(data.draw(st.sets(st.integers(min_value=0, max_value=8), min_size=1)))
+    if missing not in faces_c:
+        with pytest.raises(ValueError):
+            face_deletion(c, missing)
+
+    steps = trace_steps(data, c, data.draw(st.integers(min_value=1, max_value=8)))
+    verdict = verify_trace(c, trace(steps))
+    valid, failed_step, reason, terminal = reference_verify_trace(c, steps)
+    assert (verdict.valid, verdict.failed_step, verdict.reason) == (valid, failed_step, reason)
+    if valid:
+        assert_prunes_to(verdict.terminal, c.labels, terminal)
+
+    budget = data.draw(st.sampled_from([1, 2, 5, 20, 1000]))
+    result = is_collapsible(c, budget)
+    status, expected_steps, nodes = reference_is_collapsible(c, budget)
+    assert (result.status, result.nodes) == (status, nodes)
+    if expected_steps == "cone":
+        assert result.trace == cone_collapse_trace(c)
+    elif expected_steps is None:
+        assert result.trace is None
+    else:
+        assert result.trace == trace(expected_steps)
 
 
 def test_antichain_operations_never_prune(monkeypatch):

@@ -9,7 +9,7 @@ from arclab.arcs import (
     loop_c,
     mobius_crown,
 )
-from arclab.build import induced_arc_complex
+from arclab.build import disjointness_graph, induced_arc_complex
 from arclab.strong import StrongTrace, dominated_vertices
 from arclab.theorems import (
     Limits,
@@ -107,7 +107,7 @@ def test_ridge_arc_dominated_after_removing_two_adjacent_loops():
     # removing M_1 and M_2 makes the b-arc joining 1 and 2 dominated by (1,2)
     s = mobius_crown(4)
     ids = arc_ids(s)
-    X = induced_arc_complex(s, [ids[loop_b(1)], ids[loop_b(2)]])
+    X = induced_arc_complex(s, disjointness_graph(s), [ids[loop_b(1)], ids[loop_b(2)]])
     dom = dict(dominated_vertices(X))
     ridge = ids[b_arc(2, 1)]
     assert ridge in dom and dom[ridge] == ids[cc_arc(1, 2)]
