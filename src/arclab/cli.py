@@ -10,6 +10,7 @@ or input error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -193,13 +194,10 @@ def cmd_flip(args) -> int:
 
 
 def cmd_theorems(args) -> int:
-    limits = Limits(
-        polygon=_at_least("--max-polygon", args.max_polygon, 0),
-        crown=_at_least("--max-crown", args.max_crown, 0),
-        mobius=_at_least("--max-mobius", args.max_mobius, 0),
-        inner_mobius=_at_least("--max-inner-mobius", args.max_inner_mobius, 0),
-        strip=_at_least("--max-strip", args.max_strip, 0),
-    )
+    limits = Limits(**{
+        f.name: _at_least(_limit_flag(f.name), getattr(args, f"max_{f.name}"), 0)
+        for f in dataclasses.fields(Limits)
+    })
     jobs = _at_least("--jobs", args.jobs, 1)
     report = run_all(limits, seed=args.seed, jobs=jobs, evidence_dir=args.evidence_dir)
     _write(args.out, report.dumps())
@@ -209,6 +207,10 @@ def cmd_theorems(args) -> int:
             counts[claim.status] = counts.get(claim.status, 0) + 1
         print(f"claims: {counts}")
     return 0 if report.all_passed else 1
+
+
+def _limit_flag(field: str) -> str:
+    return "--max-" + field.replace("_", "-")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -256,11 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     flip.set_defaults(func=cmd_flip)
 
     thms = sub.add_parser("theorems", help="run the verification suites")
-    thms.add_argument("--max-polygon", type=int, default=9)
-    thms.add_argument("--max-crown", type=int, default=6)
-    thms.add_argument("--max-mobius", type=int, default=5)
-    thms.add_argument("--max-inner-mobius", type=int, default=7)
-    thms.add_argument("--max-strip", type=int, default=10)
+    for f in dataclasses.fields(Limits):
+        thms.add_argument(_limit_flag(f.name), type=int, default=f.default)
     thms.add_argument("--seed", type=int, default=0)
     thms.add_argument("--jobs", type=int, default=1)
     thms.add_argument("--out", default=None)

@@ -104,8 +104,9 @@ def verify_trace(c: Complex, t: CollapseTrace) -> TraceVerdict:
     return TraceVerdict(True, editor.to_complex())
 
 
-def _sort_pairs(pairs: list[Pair]) -> list[Pair]:
-    return sorted(pairs, key=lambda p: (-len(p[0]), tuple(sorted(p[0])), tuple(sorted(p[1]))))
+def face_order(f: Face) -> tuple:
+    """Sort key of every emitted trace: larger faces first, then by sorted ids."""
+    return (-len(f), tuple(sorted(f)))
 
 
 def free_pairs(c: Complex) -> list[Pair]:
@@ -117,11 +118,8 @@ def free_pairs(c: Complex) -> list[Pair]:
             face = frozenset(elems[j] for j in range(len(elems)) if mask >> j & 1)
             if c.star_mask(face) == 1 << i:
                 out.append((face, facet))
-    return _sort_pairs(out)
-
-
-def _sorted_faces(fs: Iterable[Face]) -> list[Face]:
-    return sorted(fs, key=lambda f: (-len(f), tuple(sorted(f))))
+    # a free face lies in one facet only, so its order decides
+    return sorted(out, key=lambda p: face_order(p[0]))
 
 
 def cone_collapse_trace(c: Complex, apex: int | None = None) -> CollapseTrace:
@@ -138,7 +136,7 @@ def cone_collapse_trace(c: Complex, apex: int | None = None) -> CollapseTrace:
     elif c.star_mask([apex]) != c.star_mask([]):
         raise ValueError(f"vertex {apex} is not an apex")
     base = [f for f in faces(c) if apex not in f]
-    return trace((f, f | {apex}) for f in _sorted_faces(base))
+    return trace((f, f | {apex}) for f in sorted(base, key=face_order))
 
 
 def join_lift_trace(x: Complex, t: CollapseTrace) -> CollapseTrace:
@@ -147,7 +145,7 @@ def join_lift_trace(x: Complex, t: CollapseTrace) -> CollapseTrace:
     Each step (s, c) of t becomes the steps (f | s, f | c) over all faces f
     of x, the empty face included, in decreasing dimension of f.
     """
-    xfaces = _sorted_faces(faces(x, include_empty=True))
+    xfaces = sorted(faces(x, include_empty=True), key=face_order)
     steps: list[Pair] = []
     for free, coface in t.steps:
         steps.extend((f | free, f | coface) for f in xfaces)
@@ -188,7 +186,7 @@ def _codim1_moves(editor: FacetEditor) -> list[Pair]:
             face = facet - {v}
             if editor.star_mask(face) == 1 << i:
                 moves.append((face, facet))
-    return _sort_pairs(moves)
+    return sorted(moves, key=lambda p: face_order(p[0]))
 
 
 def _is_point(facets: list[Face]) -> bool:

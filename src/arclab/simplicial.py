@@ -531,7 +531,7 @@ def max_cliques(adj: Mapping[int, set[int]]) -> list[frozenset[int]]:
             out.append(unpack(r))
             return
         pool = p | x
-        pivot = max(_bits(pool), key=lambda i: _popcount(nbr[i] & p))
+        pivot = max(_bits(pool), key=lambda i: (nbr[i] & p).bit_count())
         for i in _bits(p & ~nbr[pivot]):
             bit = 1 << i
             bk(r | bit, p & nbr[i], x & nbr[i])
@@ -548,10 +548,6 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
 
 
 def flag_complex(g: Graph, labels: Mapping[int, str] | None = None,

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .collapse import CollapseTrace, trace
+from .collapse import CollapseTrace, face_order, trace
 from .simplicial import (
     Complex,
     faces,
@@ -133,6 +133,6 @@ def strong_to_elementary(c: Complex, t: StrongTrace) -> CollapseTrace:
     steps = []
     for current, v, w, _ in _replay(c, t):
         with_v = [f for f in faces(current) if v in f and w not in f]
-        with_v.sort(key=lambda f: (-len(f), tuple(sorted(f))))
+        with_v.sort(key=face_order)
         steps.extend((f, f | {w}) for f in with_v)
     return trace(steps)

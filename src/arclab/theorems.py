@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 
@@ -25,6 +27,7 @@ from .arcs import (
     c_arc,
     cc_arc,
     crown,
+    disjoint,
     enumerate_arcs,
     integral_strip,
     loop_b,
@@ -58,6 +61,7 @@ from .strong import (
     dominating_set,
     is_strongly_collapsible,
     strong_to_elementary,
+    verify_strong_trace,
 )
 
 
@@ -90,6 +94,11 @@ class Report:
     seed: int = 0
     limits: dict = field(default_factory=dict)
 
+    def add(self, claim: str, paper_ref: str, n: object, status: str = "pass", **details) -> "Report":
+        """Append one claim; returns the report, so `Report().add(...)` reports a single claim."""
+        self.claims.append(ClaimResult(claim, paper_ref, n, status, details=details))
+        return self
+
     def extend(self, other: "Report") -> None:
         self.claims.extend(other.claims)
 
@@ -110,14 +119,21 @@ class Report:
         return json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
 
 
-def _one_claim(claim: str, paper_ref: str, n: object, status: str = "pass", **details) -> Report:
-    """The report of a single claim."""
-    return Report([ClaimResult(claim, paper_ref, n, status, details=details)])
-
-
 def _require(cond: bool, claim: str, message: str, **details) -> None:
     if not cond:
         raise TheoremError(claim, message, **details)
+
+
+def _replay(c: Complex, steps, claim: str, **details) -> Complex:
+    """The terminal of the strong collapse `steps` from c.
+
+    A witness that does not dominate its vertex fails `claim`; the message
+    names the step and the actual dominating set.
+    """
+    try:
+        return verify_strong_trace(c, StrongTrace(tuple(steps)))
+    except ValueError as exc:
+        raise TheoremError(claim, str(exc), **details) from exc
 
 
 # --- crowns -------------------------------------------------------------------
@@ -141,12 +157,9 @@ def thm_crown_strong(n: int) -> Report:
     steps: list[tuple[int, int]] = []
     rounds: list[int] = []
     for k in range(1, n):
-        w = n - k + 1
-        batch = [b_arc_from_wrap(p, w, n) for p in range(1, n + 1)]
-        _require(len(batch) == n, CROWN_CLAIM, "round size mismatch", n=n, k=k)
+        batch = [b_arc_from_wrap(p, n - k + 1, n) for p in range(1, n + 1)]
         for beta in batch:
-            v = ids[beta]
-            dom = dominating_set(current, v)
+            dom = dominating_set(current, ids[beta])
             for witness_vertex in {beta.a, beta.b}:
                 _require(
                     c_ids[witness_vertex] in dom,
@@ -155,17 +168,9 @@ def thm_crown_strong(n: int) -> Report:
                     n=n,
                     dominating=sorted(current.label(u) for u in dom),
                 )
-        for beta in batch:
-            v = ids[beta]
-            witness = c_ids[beta.b]
-            _require(
-                witness in dominating_set(current, v),
-                CROWN_CLAIM,
-                f"{beta.label()} lost domination mid-round",
-                n=n,
-            )
-            steps.append((v, witness))
-            current = vertex_deletion(current, v)
+        round_steps = [(ids[beta], c_ids[beta.b]) for beta in batch]
+        current = _replay(current, round_steps, CROWN_CLAIM, n=n, round=k)
+        steps += round_steps
         rounds.append(len(batch))
     _require(
         set(current.vertex_ids) == set(c_ids.values()),
@@ -181,7 +186,7 @@ def thm_crown_strong(n: int) -> Report:
     )
     terminal, _ = core(full)
     _require(terminal.n_vertices == 1, CROWN_CLAIM, "order-free core is not a point", n=n)
-    return _one_claim(
+    return Report().add(
         CROWN_CLAIM,
         "crown-strong-collapsibility",
         n,
@@ -219,22 +224,10 @@ def thm_inner_mobius(n: int) -> Report:
             n=n,
             stars=[sorted(f) for f in stars],
         )
-        witness = ids[cc_arc(1, np_)]
-        steps.append((v, witness))
-        current = vertex_deletion(current, v)
-        for i in range(np_ - 1, 0, -1):
-            v = ids[cc_arc(i, np_)]
-            w = ids[cc_arc(1, i)]
-            dom = dominating_set(current, v)
-            _require(
-                w in dom,
-                INNER_CLAIM,
-                f"cc:{i}-{np_} is not dominated by the witness cc:1-{i}",
-                n=n,
-                dominating=sorted(current.label(u) for u in dom),
-            )
-            steps.append((v, w))
-            current = vertex_deletion(current, v)
+        round_steps = [(v, ids[cc_arc(1, np_)])]
+        round_steps += [(ids[cc_arc(i, np_)], ids[cc_arc(1, i)]) for i in range(np_ - 1, 0, -1)]
+        current = _replay(current, round_steps, INNER_CLAIM, n=n, fan=np_)
+        steps += round_steps
     _require(
         set(current.vertex_ids) == {ids[loop_c(1)]},
         INNER_CLAIM,
@@ -243,7 +236,7 @@ def thm_inner_mobius(n: int) -> Report:
     )
     ok, _ = is_strongly_collapsible(inner)
     _require(ok, INNER_CLAIM, "order-free core disagrees with schedule", n=n)
-    return _one_claim(
+    return Report().add(
         INNER_CLAIM,
         "inner-mobius-strong-collapsibility",
         n,
@@ -404,7 +397,7 @@ def thm_mobius_collapse(n: int) -> Report:
         n=n,
         reason=verdict.reason,
     )
-    return _one_claim(
+    return Report().add(
         MOBIUS_COLLAPSE_CLAIM,
         "mobius-collapse-to-point",
         n,
@@ -533,7 +526,7 @@ def thm_mobius_not_strong(n: int) -> Report:
             f"random removal order (seed {seed}) reached a different terminal",
             n=n,
         )
-    return _one_claim(
+    return Report().add(
         MOBIUS_CORE_CLAIM,
         "mobius-core-obstruction",
         n,
@@ -574,7 +567,7 @@ def thm_strip_strong(m: int, n: int) -> Report:
         dim = dimension(full)
         expected = max((m if n == 1 else n) - 2, 0) - 1
         _require(dim == expected, STRIP_CLAIM, "unexpected simplex dimension", m=m, n=n)
-        return _one_claim(
+        return Report().add(
             STRIP_CLAIM,
             "strip-simplex-case",
             [m, n],
@@ -594,7 +587,7 @@ def thm_strip_strong(m: int, n: int) -> Report:
             m=m,
             n=n,
         )
-        return _one_claim(
+        return Report().add(
             STRIP_CLAIM,
             "strip-22-outside-hypothesis",
             [m, n],
@@ -606,31 +599,19 @@ def thm_strip_strong(m: int, n: int) -> Report:
     current = full
     steps: list[tuple[int, int]] = []
     for j in range(n, 1, -1):
-        for i in range(1, m):
-            v = ids[strip_arc(i, j)]
-            if i == 1:
-                lk = link(current, [v])
-                _require(
-                    len(lk.facets) == 1 and lk.n_vertices >= 1,
-                    STRIP_CLAIM,
-                    f"link of (1,{j}) is not a nonempty simplex",
-                    m=m,
-                    n=n,
-                )
-                witness = is_cone(lk)
-            else:
-                witness = ids[strip_arc(i, j - 1)]
-                dom = dominating_set(current, v)
-                _require(
-                    witness in dom,
-                    STRIP_CLAIM,
-                    f"({i},{j}) is not dominated by the witness ({i},{j-1})",
-                    m=m,
-                    n=n,
-                    dominating=sorted(current.label(u) for u in dom),
-                )
-            steps.append((v, witness))
-            current = vertex_deletion(current, v)
+        v = ids[strip_arc(1, j)]
+        lk = link(current, [v])
+        _require(
+            len(lk.facets) == 1 and lk.n_vertices >= 1,
+            STRIP_CLAIM,
+            f"link of (1,{j}) is not a nonempty simplex",
+            m=m,
+            n=n,
+        )
+        round_steps = [(v, is_cone(lk))]
+        round_steps += [(ids[strip_arc(i, j)], ids[strip_arc(i, j - 1)]) for i in range(2, m)]
+        current = _replay(current, round_steps, STRIP_CLAIM, m=m, n=n, row=j)
+        steps += round_steps
     expected_simplex = {ids[strip_arc(i, 1)] for i in range(2, m)} | {
         ids[strip_arc(m, j)] for j in range(1, n)
     }
@@ -641,14 +622,13 @@ def thm_strip_strong(m: int, n: int) -> Report:
         m=m,
         n=n,
     )
-    while current.n_vertices > 1:
-        v = min(current.vertex_ids)
-        w = min(dominating_set(current, v))
-        steps.append((v, w))
-        current = vertex_deletion(current, v)
+    simplex = sorted(current.vertex_ids)
+    tail = list(zip(simplex, simplex[1:]))
+    _replay(current, tail, STRIP_CLAIM, m=m, n=n)
+    steps += tail
     terminal, _ = core(full)
     _require(terminal.n_vertices == 1, STRIP_CLAIM, "order-free core is not a point", m=m, n=n)
-    return _one_claim(
+    return Report().add(
         STRIP_CLAIM,
         "strip-strong-collapsibility",
         [m, n],
@@ -660,91 +640,52 @@ def thm_strip_strong(m: int, n: int) -> Report:
 # --- certificates, flips, structural propositions -------------------------------
 
 
-def _catalan(k: int) -> int:
-    cats = [1]
-    for i in range(k):
-        cats.append(sum(cats[j] * cats[i - j] for j in range(i + 1)))
-    return cats[k]
-
-
 def polygon_certificates(n_max: int, effort: str = "full") -> Report:
     report = Report()
     for n in range(4, n_max + 1):
         c = arc_complex(polygon(n))
         cert = certify(c, effort)
-        expected = _catalan(n - 2)
+        catalan = math.comb(2 * n - 4, n - 2) // (n - 1)
         ok = (
             cert.verdict == "sphere"
             and cert.dim == n - 4
-            and len(c.facets) == expected
+            and len(c.facets) == catalan
             and euler_characteristic(c) == 1 + (-1) ** (n - 4)
         )
-        report.claims.append(
-            ClaimResult(
-                "polygon-sphere-certificate",
-                "polygon-shellable-sphere",
-                n,
-                "pass" if ok else "fail",
-                details={
-                    "verdict": cert.verdict,
-                    "dim": cert.dim,
-                    "rule": cert.rule,
-                    "facets": len(c.facets),
-                    "catalan": expected,
-                },
-            )
-        )
+        report.add("polygon-sphere-certificate", "polygon-shellable-sphere", n,
+                   "pass" if ok else "fail", verdict=cert.verdict, dim=cert.dim,
+                   rule=cert.rule, facets=len(c.facets), catalan=catalan)
     return report
+
+
+def _add_ball(report: Report, claim: str, paper_ref: str, n: int, c: Complex, effort: str) -> None:
+    """Claim that c is an (n-1)-ball, certified at the given effort."""
+    cert = certify(c, effort)
+    ok = cert.verdict == "ball" and cert.dim == n - 1 and euler_characteristic(c) == 1
+    report.add(claim, paper_ref, n, "pass" if ok else "fail",
+               verdict=cert.verdict, dim=cert.dim, rule=cert.rule)
 
 
 def crown_ball_certificates(n_max: int, effort: str = "full") -> Report:
     report = Report()
     for n in range(2, n_max + 1):
-        c = arc_complex(crown(n))
-        cert = certify(c, effort)
-        ok = cert.verdict == "ball" and cert.dim == n - 1 and euler_characteristic(c) == 1
-        report.claims.append(
-            ClaimResult(
-                "crown-ball-certificate",
-                "crown-combinatorial-ball",
-                n,
-                "pass" if ok else "fail",
-                details={"verdict": cert.verdict, "dim": cert.dim, "rule": cert.rule},
-            )
-        )
+        _add_ball(report, "crown-ball-certificate", "crown-combinatorial-ball", n,
+                  arc_complex(crown(n)), effort)
     return report
 
 
 def mobius_ball_certificates(n_max: int, effort: str = "full") -> Report:
     report = Report()
     for n in range(2, n_max + 1):
-        c = arc_complex(mobius_crown(n))
-        cert = certify(c, effort)
-        ok = cert.verdict == "ball" and cert.dim == n - 1 and euler_characteristic(c) == 1
-        report.claims.append(
-            ClaimResult(
-                "mobius-ball-certificate",
-                "mobius-combinatorial-ball",
-                n,
-                "pass" if ok else "fail",
-                details={"verdict": cert.verdict, "dim": cert.dim, "rule": cert.rule},
-            )
-        )
-        inner = inner_complex(mobius_crown(n))
+        s = mobius_crown(n)
+        _add_ball(report, "mobius-ball-certificate", "mobius-combinatorial-ball", n,
+                  arc_complex(s), effort)
+        inner = inner_complex(s)
         inner_cert = certify(inner, effort)
-        shellable = inner_cert.shelling is not None
-        report.claims.append(
-            ClaimResult(
-                "inner-mobius-shellable",
-                "inner-mobius-shellable-pseudomanifold",
-                n,
-                "pass" if shellable and dimension(inner) == n - 1 else "fail",
-                details={
-                    "pseudomanifold": inner_cert.pseudomanifold,
-                    "dim": dimension(inner),
-                },
-            )
-        )
+        dim = dimension(inner)
+        ok = inner_cert.shelling is not None and dim == n - 1
+        report.add("inner-mobius-shellable", "inner-mobius-shellable-pseudomanifold", n,
+                   "pass" if ok else "fail", pseudomanifold=inner_cert.pseudomanifold, dim=dim)
     return report
 
 
@@ -755,15 +696,8 @@ def crown_flip_diameters(n_max: int) -> Report:
         g = flip_graph(c)
         diameter = graph_diameter(g)
         ok = is_connected(g) and diameter == 2 * n - 2
-        report.claims.append(
-            ClaimResult(
-                "crown-flip-diameter",
-                "crown-flip-graph-diameter",
-                n,
-                "pass" if ok else "fail",
-                details={"facets": len(c.facets), "diameter": diameter, "expected": 2 * n - 2},
-            )
-        )
+        report.add("crown-flip-diameter", "crown-flip-graph-diameter", n, "pass" if ok else "fail",
+                   facets=len(c.facets), diameter=diameter, expected=2 * n - 2)
     return report
 
 
@@ -771,66 +705,36 @@ def structural_propositions() -> Report:
     """Order-free structural facts feeding the core obstruction."""
     report = Report()
     for n in range(4, 7):
-        inner = inner_complex(mobius_crown(n))
-        apex = is_cone(inner)
-        report.claims.append(
-            ClaimResult(
-                "inner-mobius-not-a-cone",
-                "inner-mobius-no-apex",
-                n,
-                "pass" if apex is None else "fail",
-                details={"apex": apex},
-            )
-        )
+        apex = is_cone(inner_complex(mobius_crown(n)))
+        report.add("inner-mobius-not-a-cone", "inner-mobius-no-apex", n,
+                   "pass" if apex is None else "fail", apex=apex)
     for n in range(2, 7):
         s = mobius_crown(n)
         arcs = enumerate_arcs(s)
-        from .arcs import disjoint
-
-        barcs = [a for a in arcs if a.kind == "b"]
         carcs = [a for a in arcs if a.kind == "cc"]
         offenders = [
             b.label()
-            for b in barcs
-            if all(disjoint(s, b, carc) for carc in carcs)
+            for b in arcs
+            if b.kind == "b" and all(disjoint(s, b, carc) for carc in carcs)
         ]
-        report.claims.append(
-            ClaimResult(
-                "no-barc-avoids-all-carcs",
-                "barcs-meet-carcs",
-                n,
-                "pass" if not offenders else "fail",
-                details={"offenders": offenders},
-            )
-        )
+        report.add("no-barc-avoids-all-carcs", "barcs-meet-carcs", n,
+                   "pass" if not offenders else "fail", offenders=offenders)
     # strong collapsibility of the n=3 full complex is not covered by the
     # core obstruction (which needs n >= 4); computed and reported only
     ok, _ = is_strongly_collapsible(arc_complex(mobius_crown(3)))
-    report.claims.append(
-        ClaimResult(
-            "mobius-3-strong-collapsibility",
-            "not-a-paper-claim",
-            3,
-            "info",
-            details={"strongly_collapsible": ok},
-        )
+    report.add("mobius-3-strong-collapsibility", "not-a-paper-claim", 3, "info",
+               strongly_collapsible=ok)
+    return report.add(
+        "strip-row-dimension-convention",
+        "strip-simplex-dimension-discrepancy",
+        None,
+        "info",
+        note=(
+            "with corner arcs excluded the row/column complexes are "
+            "simplices of dimension m-3 and n-3; the claimed m-1/n-1 "
+            "would require the trivial corner arcs"
+        ),
     )
-    report.claims.append(
-        ClaimResult(
-            "strip-row-dimension-convention",
-            "strip-simplex-dimension-discrepancy",
-            None,
-            "info",
-            details={
-                "note": (
-                    "with corner arcs excluded the row/column complexes are "
-                    "simplices of dimension m-3 and n-3; the claimed m-1/n-1 "
-                    "would require the trivial corner arcs"
-                )
-            },
-        )
-    )
-    return report
 
 
 # --- aggregate runner -------------------------------------------------------------
@@ -891,18 +795,9 @@ def run_all(
         try:
             return fn(*args)
         except TheoremError as exc:
-            failed = Report()
-            failed.claims.append(
-                ClaimResult(exc.claim, "schedule-assertion", name, "fail",
-                            details={"message": str(exc)})
-            )
-            return failed
+            return Report().add(exc.claim, "schedule-assertion", name, "fail", message=str(exc))
         except Exception as exc:  # unexpected breakage is still a recorded failure
-            failed = Report()
-            failed.claims.append(
-                ClaimResult(name, "suite-error", name, "fail", details={"message": repr(exc)})
-            )
-            return failed
+            return Report().add(name, "suite-error", name, "fail", message=repr(exc))
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -918,8 +813,6 @@ def run_all(
 
 
 def _write_evidence(report: Report, evidence_dir: str) -> None:
-    import os
-
     os.makedirs(evidence_dir, exist_ok=True)
     for claim in report.claims:
         if not claim.details:

@@ -238,3 +238,14 @@ def test_theorems_rejects_limits_below_their_minimum(tmp_path, capsys, flag, val
     code, _, err = run(capsys, "theorems", flag, value, "--out", str(out))
     assert code == 2 and not out.exists()
     assert f"invalid {flag}={value}: expected an integer of at least {minimum}" in err
+
+
+def test_theorems_limit_flags_default_to_the_limits():
+    import dataclasses
+
+    from arclab.cli import build_parser
+    from arclab.theorems import Limits
+
+    args = build_parser().parse_args(["theorems"])
+    defaults = dataclasses.asdict(Limits())
+    assert {name: getattr(args, f"max_{name}") for name in defaults} == defaults

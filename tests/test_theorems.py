@@ -1,16 +1,20 @@
 import pytest
 
+from arclab import theorems
 from arclab.arcs import (
     arc_ids,
     b_arc,
+    c_arc,
     cc_arc,
     crown,
+    integral_strip,
     loop_b,
     loop_c,
     mobius_crown,
 )
-from arclab.build import disjointness_graph, induced_arc_complex
-from arclab.strong import StrongTrace, dominated_vertices
+from arclab.build import arc_complex, disjointness_graph, induced_arc_complex, inner_complex
+from arclab.simplicial import make_complex
+from arclab.strong import StrongTrace, dominated_vertices, verify_strong_trace
 from arclab.theorems import (
     Limits,
     TheoremError,
@@ -21,6 +25,20 @@ from arclab.theorems import (
     thm_mobius_not_strong,
     thm_strip_strong,
 )
+
+
+def replayed(report, c):
+    """The terminal of the claim's schedule, replayed from c by the strong checker."""
+    return verify_strong_trace(c, StrongTrace.from_json(report.claims[0].details["schedule"]))
+
+
+def test_replay_failure_names_the_claim_the_step_and_the_dominating_set():
+    path = make_complex({v: f"v{v}" for v in range(3)}, [[0, 1], [1, 2]])
+    with pytest.raises(TheoremError) as caught:
+        theorems._replay(path, [(1, 0)], "some-claim", n=2)
+    assert caught.value.claim == "some-claim"
+    assert "step 0: vertex 1 is not dominated by 0" in str(caught.value)
+    assert "dominating set []" in str(caught.value)
 
 
 # --- crown schedule -----------------------------------------------------------------
@@ -35,8 +53,6 @@ def test_crown_four_rounds_and_terminal():
     # loops leave first, each with its own c-arc as witness
     first_batch = schedule.steps[:4]
     assert {v for v, _ in first_batch} == {ids[loop_b(i)] for i in range(1, 5)}
-    from arclab.arcs import c_arc
-
     for v, w in first_batch:
         loop_vertex = next(i for i in range(1, 5) if ids[loop_b(i)] == v)
         assert w == ids[c_arc(loop_vertex)]
@@ -48,7 +64,13 @@ def test_crown_one_is_trivial():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_crown_schedule_passes(n):
-    assert thm_crown_strong(n).all_passed
+    report = thm_crown_strong(n)
+    assert report.all_passed
+    s = crown(n)
+    ids = arc_ids(s)
+    terminal = replayed(report, arc_complex(s))
+    assert set(terminal.vertex_ids) == {ids[c_arc(i)] for i in range(1, n + 1)}
+    assert len(terminal.facets) == 1
 
 
 # --- inner mobius schedule -------------------------------------------------------------
@@ -70,7 +92,11 @@ def test_inner_mobius_three_removal_order_and_witnesses():
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_inner_mobius_schedule_passes(n):
-    assert thm_inner_mobius(n).all_passed
+    report = thm_inner_mobius(n)
+    assert report.all_passed
+    s = mobius_crown(n)
+    terminal = replayed(report, inner_complex(s))
+    assert list(terminal.vertex_ids) == [arc_ids(s)[loop_c(1)]]
 
 
 # --- mobius collapse ---------------------------------------------------------------------
@@ -147,7 +173,9 @@ def test_strip_two_two_is_reported_outside_hypothesis():
 
 @pytest.mark.parametrize("m,n", [(4, 4), (2, 7), (7, 2), (3, 5)])
 def test_strip_schedule_passes(m, n):
-    assert thm_strip_strong(m, n).all_passed
+    report = thm_strip_strong(m, n)
+    assert report.all_passed
+    assert replayed(report, arc_complex(integral_strip(m, n))).n_vertices == 1
 
 
 # --- runner -----------------------------------------------------------------------------
