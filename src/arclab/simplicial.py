@@ -28,8 +28,22 @@ EMPTY_FACE: Face = frozenset()
 class Graph:
     """Simple undirected graph on integer vertex ids."""
 
-    vertices: tuple[int, ...]
+    vertices: tuple[int, ...]  # sorted
     edges: tuple[tuple[int, int], ...]  # each sorted, no loops, no repeats
+
+    @cached_property
+    def closed_neighbourhoods(self) -> tuple[int, ...]:
+        """Position i -> bitset of the positions of vertices[i] and its neighbours.
+
+        Bits index positions in `vertices`, so any integer ids work.  Not a
+        field, so equality and hashing ignore it.
+        """
+        position = {v: i for i, v in enumerate(self.vertices)}
+        nbhds = [1 << i for i in range(len(self.vertices))]
+        for u, v in self.edges:
+            nbhds[position[u]] |= 1 << position[v]
+            nbhds[position[v]] |= 1 << position[u]
+        return tuple(nbhds)
 
     def adjacency(self) -> dict[int, set[int]]:
         adj: dict[int, set[int]] = {v: set() for v in self.vertices}

@@ -4,17 +4,24 @@ A vertex v is dominated by w when every maximal face containing v contains
 w, i.e. the intersection of those facets has a vertex other than v.  Cores
 are fixpoints of dominated-vertex removal; they are unique up to
 isomorphism, which makes the greedy decision procedure complete.
+
+In a flag complex w dominates v iff the closed neighbourhood N[v] lies in
+N[w] (Barmak-Minian 2012; Boissonnat-Pritam 2020), so `graph_dominating_set`
+and `graph_core` read domination off the graph's neighbourhood bitsets,
+with no facets built.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .collapse import CollapseTrace, face_order, trace
 from .simplicial import (
     Complex,
+    Graph,
+    _bits,
     faces,
     vertex_deletion,
 )
@@ -71,6 +78,13 @@ def remove_dominated(c: Complex, v: int) -> Complex:
     return vertex_deletion(c, v)
 
 
+def _picker(order: str, seed: int) -> Callable[[list[tuple[int, int]]], tuple[int, int]]:
+    """The step a core takes from its sorted (vertex, lowest witness) list."""
+    if order not in ("canonical", "random"):
+        raise ValueError("order must be 'canonical' or 'random'")
+    return (lambda dom: dom[0]) if order == "canonical" else random.Random(seed).choice
+
+
 def core(
     c: Complex, order: str = "canonical", seed: int = 0
 ) -> tuple[Complex, StrongTrace]:
@@ -79,18 +93,54 @@ def core(
     order="canonical" removes the lowest-id dominated vertex each round;
     order="random" picks uniformly using the given seed.
     """
-    if order not in ("canonical", "random"):
-        raise ValueError("order must be 'canonical' or 'random'")
-    rng = random.Random(seed)
+    pick = _picker(order, seed)
     current = c
     steps: list[tuple[int, int]] = []
-    while True:
-        dom = dominated_vertices(current)
-        if not dom:
-            return current, StrongTrace(tuple(steps))
-        v, w = dom[0] if order == "canonical" else rng.choice(dom)
+    while dom := dominated_vertices(current):
+        v, w = pick(dom)
         steps.append((v, w))
         current = vertex_deletion(current, v)
+    return current, StrongTrace(tuple(steps))
+
+
+def graph_dominating_set(g: Graph, alive: int, i: int) -> int:
+    """Bitset of the vertices dominating vertex i in the flag complex of g on `alive`.
+
+    Vertices, `alive` and the result index positions in `g.vertices`.  w
+    dominates i iff N[i] & alive lies in N[w]; any such w is a neighbour of i.
+    """
+    if not alive >> i & 1:
+        raise ValueError(f"vertex position {i} is not alive")
+    nbhds = g.closed_neighbourhoods
+    mine = nbhds[i] & alive
+    dom = 0
+    for w in _bits(mine & ~(1 << i)):
+        if not mine & ~nbhds[w]:
+            dom |= 1 << w
+    return dom
+
+
+def graph_core(g: Graph, order: str = "canonical", seed: int = 0) -> tuple[int, StrongTrace]:
+    """`core` of the flag complex of g, computed on the graph.
+
+    Returns the bitset of the positions left and, by vertex id, the same
+    trace step for step as `core(flag_complex(g), order, seed)`: positions
+    follow the sorted ids, so both pick from the same sorted list.
+    """
+    pick = _picker(order, seed)
+    alive = (1 << len(g.vertices)) - 1
+    steps: list[tuple[int, int]] = []
+    while True:
+        dom = []
+        for i in _bits(alive):
+            d = graph_dominating_set(g, alive, i)
+            if d:
+                dom.append((i, (d & -d).bit_length() - 1))
+        if not dom:
+            return alive, StrongTrace(tuple(steps))
+        i, w = pick(dom)
+        steps.append((g.vertices[i], g.vertices[w]))
+        alive &= ~(1 << i)
 
 
 def is_strongly_collapsible(c: Complex) -> tuple[bool, StrongTrace]:

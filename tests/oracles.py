@@ -9,6 +9,9 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
+from arclab.build import induced_arc_complex
+from arclab.strong import dominated_vertices, dominating_set
+
 
 @lru_cache(maxsize=None)
 def catalan(k: int) -> int:
@@ -184,6 +187,14 @@ def reference_shelling_search(c, budget: int):
         if found is not None:
             return "proven", tuple(facets[i] for i in found), nodes
     return "disproven", None, nodes
+
+
+def facet_stage_domination(s, graph, removed) -> dict[int, set]:
+    """Each dominated vertex of the arc complex of s without `removed`, with
+    its dominating set, read from the facets of that complex: the
+    Moebius-core stage check that the graph check replaced."""
+    X = induced_arc_complex(s, graph, removed)
+    return {v: dominating_set(X, v) for v, _ in dominated_vertices(X)}
 
 
 # --- scans and the set-indexed replayer that the facet-bitset index replaced ---

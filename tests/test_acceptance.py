@@ -76,12 +76,12 @@ def test_criterion_3_mobius_collapse_traces():
 
 
 def test_criterion_4_mobius_core_obstruction():
-    for n in (4, 5):
+    for n in (4, 5, 6):
         report = thm_mobius_not_strong(n)
         assert report.all_passed
         details = report.claims[0].details
         assert details["removed"] == 2 * n
-    _report(4, "dominated-set predictions and cores for n=4,5; 20 orders agree")
+    _report(4, "dominated-set predictions and cores for n=4,5,6; 20 orders agree")
 
 
 def test_criterion_5_strip_strong_collapsibility():

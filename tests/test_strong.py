@@ -1,25 +1,32 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arclab.arcs import arc_ids, loop_b, loop_c, mobius_crown
 
 from arclab.collapse import verify_trace
 from arclab.simplicial import (
     euler_characteristic,
+    flag_complex,
     isomorphic,
     make_complex,
+    make_graph,
 )
 from arclab.strong import (
     StrongTrace,
     core,
     dominated_vertices,
     dominating_set,
+    graph_core,
+    graph_dominating_set,
     is_strongly_collapsible,
     remove_dominated,
     strong_to_elementary,
     verify_strong_trace,
 )
+from test_simplicial import graphs
 
 def labeled(facets):
     ids = {v for f in facets for v in f}
@@ -103,6 +110,34 @@ def test_mobius_random_orders_agree_exactly(complex_of):
     for seed in range(20):
         shuffled, _ = core(c, order="random", seed=seed)
         assert set(shuffled.vertex_ids) == set(canonical.vertex_ids)
+
+# --- flag complexes: domination read off the graph ------------------------------------
+
+def members(g, mask):
+    return {v for i, v in enumerate(g.vertices) if mask >> i & 1}
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(offset=3), st.data())
+def test_graph_domination_and_cores_match_facets(g, data):
+    alive = data.draw(st.integers(min_value=1, max_value=(1 << len(g.vertices)) - 1))
+    kept = members(g, alive)
+    induced = flag_complex(make_graph(kept, [e for e in g.edges if set(e) <= kept]))
+    for i, v in enumerate(g.vertices):
+        if alive >> i & 1:
+            assert members(g, graph_dominating_set(g, alive, i)) == dominating_set(induced, v)
+    full = flag_complex(g)
+    for order, seed in [("canonical", 0)] + [("random", seed) for seed in range(3)]:
+        left, t = graph_core(g, order, seed)
+        terminal, facet_t = core(full, order, seed)
+        assert t == facet_t
+        assert verify_strong_trace(full, t) == terminal
+        assert members(g, left) == set(terminal.vertex_ids)
+
+def test_graph_dominating_set_rejects_a_dead_vertex():
+    g = make_graph(range(3), [(0, 1), (1, 2)])
+    assert graph_dominating_set(g, 0b111, 0) == 0b010
+    with pytest.raises(ValueError):
+        graph_dominating_set(g, 0b110, 0)
 
 # --- strong collapsibility decisions ---------------------------------------------------
 

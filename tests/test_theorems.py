@@ -14,7 +14,7 @@ from arclab.arcs import (
 )
 from arclab.build import arc_complex, disjointness_graph, induced_arc_complex, inner_complex
 from arclab.simplicial import make_complex
-from arclab.strong import StrongTrace, dominated_vertices, verify_strong_trace
+from arclab.strong import StrongTrace, dominated_vertices, graph_dominating_set, verify_strong_trace
 from arclab.theorems import (
     Limits,
     TheoremError,
@@ -25,6 +25,7 @@ from arclab.theorems import (
     thm_mobius_not_strong,
     thm_strip_strong,
 )
+from oracles import facet_stage_domination
 
 
 def replayed(report, c):
@@ -127,6 +128,23 @@ def test_mobius_four_stage_predictions():
     details = report.claims[0].details
     assert details["core_vertices"] == 14
     assert details["removed"] == 8
+
+
+@pytest.mark.parametrize("n", (4, 5))
+def test_mobius_core_graph_stages_match_the_facet_stage_check(n):
+    s = mobius_crown(n)
+    graph = disjointness_graph(s)
+    stages = 0
+    for _, _, removed in theorems._mobius_stages(n, arc_ids(s)):
+        alive = (1 << len(graph.vertices)) - 1 & ~sum(1 << v for v in removed)
+        dom = {}
+        for v in graph.vertices:
+            if alive >> v & 1 and (d := graph_dominating_set(graph, alive, v)):
+                dom[v] = {w for w in graph.vertices if d >> w & 1}
+        assert dom == facet_stage_domination(s, graph, removed)
+        stages += 1
+    # the report counts one more than the stages enumerated
+    assert stages + 1 == thm_mobius_not_strong(n).claims[0].details["stages_checked"]
 
 
 def test_ridge_arc_dominated_after_removing_two_adjacent_loops():
