@@ -94,13 +94,25 @@ def apply_collapse(c: Complex, free: Iterable[int], coface: Iterable[int]) -> Co
     return editor.to_complex()
 
 
-def verify_trace(c: Complex, t: CollapseTrace) -> TraceVerdict:
-    """Replay t on c, confirming freeness at every step."""
-    editor = FacetEditor(c)
+def replay(editor: FacetEditor, t: CollapseTrace) -> tuple[int, str] | None:
+    """Apply t to editor in place, confirming freeness at every step.
+
+    Returns the index and reason of the first step that is not a collapse,
+    with editor left in the state before it, or None if every step is.
+    """
     for i, (free, coface) in enumerate(t.steps):
         err = _collapse(editor, free, coface)
         if err:
-            return TraceVerdict(False, None, i, err)
+            return i, err
+    return None
+
+
+def verify_trace(c: Complex, t: CollapseTrace) -> TraceVerdict:
+    """Replay t on c, confirming freeness at every step."""
+    editor = FacetEditor(c)
+    failed = replay(editor, t)
+    if failed:
+        return TraceVerdict(False, None, *failed)
     return TraceVerdict(True, editor.to_complex())
 
 

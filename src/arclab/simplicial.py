@@ -193,10 +193,6 @@ def facets_containing(c: Complex, face: Iterable[int]) -> list[Face]:
     return [c.facets[i] for i in _bits(c.star_mask(face))]
 
 
-def contains_face(c: Complex, face: Iterable[int]) -> bool:
-    return c.star_mask(face) != 0
-
-
 def faces(c: Complex, include_empty: bool = False) -> Iterator[Face]:
     """All faces of c, enumerated from the maximal faces (deduplicated)."""
     seen: set[Face] = set()
@@ -277,6 +273,10 @@ class FacetEditor:
     def containing(self, face: Iterable[int]) -> list[Face]:
         """The facets that contain `face`, in slot order."""
         return [self.slots[i] for i in _bits(self.star_mask(face))]
+
+    def closed_star(self, face: Iterable[int]) -> Complex:
+        """The subcomplex generated by the facets that contain `face`."""
+        return _complex(self.labels, self.containing(face), self.surface)
 
     def delete(self, face: Face) -> None:
         """Remove every face containing the nonempty `face`.

@@ -107,17 +107,19 @@ def graph_dominating_set(g: Graph, alive: int, i: int) -> int:
     """Bitset of the vertices dominating vertex i in the flag complex of g on `alive`.
 
     Vertices, `alive` and the result index positions in `g.vertices`.  w
-    dominates i iff N[i] & alive lies in N[w]; any such w is a neighbour of i.
+    dominates i iff N[i] & alive lies in N[w], that is, iff w lies in N[u]
+    for every u in N[i] & alive: the intersection of those N[u], without i.
     """
     if not alive >> i & 1:
         raise ValueError(f"vertex position {i} is not alive")
     nbhds = g.closed_neighbourhoods
     mine = nbhds[i] & alive
-    dom = 0
-    for w in _bits(mine & ~(1 << i)):
-        if not mine & ~nbhds[w]:
-            dom |= 1 << w
-    return dom
+    dom = mine
+    for u in _bits(mine):
+        dom &= nbhds[u]
+        if dom == 1 << i:
+            break
+    return dom & ~(1 << i)
 
 
 def graph_core(g: Graph, order: str = "canonical", seed: int = 0) -> tuple[int, StrongTrace]:

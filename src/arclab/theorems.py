@@ -21,7 +21,7 @@ from . import __version__
 from .arcs import (
     Arc,
     SurfaceSpec,
-    _nested_in,
+    _strictly_inside,
     arc_ids,
     b_arc,
     b_arc_from_wrap,
@@ -41,17 +41,15 @@ from .arcs import (
 )
 from .build import arc_complex, disjointness_graph, induced_arc_complex, inner_complex
 from .certify import certify, flip_graph, graph_diameter, is_connected
-from .collapse import CollapseTrace, cone_collapse_trace, join_lift_trace, trace, verify_trace, welker_expand
+from .collapse import CollapseTrace, cone_collapse_trace, join_lift_trace, replay, trace, welker_expand
 from .simplicial import (
     Complex,
+    FacetEditor,
     _bits,
-    contains_face,
     dimension,
     euler_characteristic,
     facets_containing,
     is_cone,
-    isomorphic,
-    join_all,
     link,
     restrict,
 )
@@ -254,69 +252,52 @@ MOBIUS_COLLAPSE_CLAIM = "mobius-collapse"
 
 
 def _sapling_link_trace(
-    s: SurfaceSpec, Y: Complex, sap: tuple[Arc, ...], ids: dict[Arc, int], claim: str
+    s: SurfaceSpec, L: Complex, sap: tuple[Arc, ...], ids: dict[Arc, int], claim: str
 ) -> CollapseTrace:
-    """Collapse trace for the link of a sapling, built from its tile structure.
+    """Collapse trace for the link L of a sapling, built from its tile structure.
 
-    The link must decompose as the join of the polygon-tile complexes with
-    the c-arc complex of the trunk; the trunk factor is strongly collapsed
-    to a point, lifted through the join, and finished by the cone collapse.
+    L must be the join of the polygon-tile complexes with the c-arc complex
+    of the trunk, under the arc maps that place them in the surface.  The
+    tile under a sapling arc b spans W = wrap_length(b) boundary edges from
+    p = b.a, and its diagonal d:i-j of polygon(W+1) is the b-arc from p+i-1
+    spanning j-i edges.  The trunk's boundary vertices o_1 < ... < o_deg are
+    those strictly inside no sapling arc, and cc:i-j of its inner complex is
+    cc(o_i, o_j).  The trunk factor is strongly collapsed to a point, lifted
+    through the join, and finished by the cone collapse.
     """
     n = s.n
-    deg = n + sum(1 - wrap_length(b, n) for b in sap)
-    sap_ids = frozenset(ids[b] for b in sap)
-    L = link(Y, sap_ids)
-    id_arc = {i: a for a, i in ids.items()}
-
-    groups: dict[Arc, list[int]] = {b: [] for b in sap}
-    c_vertices: list[int] = []
-    for v in L.vertex_ids:
-        arc = id_arc[v]
-        if arc.kind != "b":
-            c_vertices.append(v)
-            continue
-        hosts = [b for b in sap if _nested_in(n, arc, b)]
-        _require(
-            len(hosts) == 1,
-            claim,
-            f"link b-arc {arc.label()} is not nested in exactly one branch",
-            sapling=[b.label() for b in sap],
-        )
-        groups[hosts[0]].append(v)
-
-    factors = []
+    sapling = [b.label() for b in sap]
+    maps: list[tuple[Complex, dict[int, int]]] = []  # (model, model vertex -> arc id), trunk last
     for b in sap:
-        factor = restrict(L, groups[b])
-        model = arc_complex(polygon(wrap_length(b, n) + 1))
-        _require(
-            isomorphic(factor, model),
-            claim,
-            f"polygon factor at {b.label()} does not match its tile complex",
-        )
-        factors.append(factor)
-    trunk_factor = restrict(L, c_vertices)
+        tile = polygon(wrap_length(b, n) + 1)
+        maps.append((arc_complex(tile), {
+            v: ids[b_arc_from_wrap((b.a + d.a - 2) % n + 1, d.b - d.a, n)]
+            for v, d in enumerate(enumerate_arcs(tile))
+        }))
+    o = [v for v in range(1, n + 1) if not any(_strictly_inside(n, v, b) for b in sap)]
+    trunk = mobius_crown(len(o))
+    maps.append((inner_complex(trunk), {
+        v: ids[cc_arc(o[c.a - 1], o[c.b - 1])]
+        for v, c in enumerate(enumerate_arcs(trunk))
+        if c.kind == "cc"
+    }))
+    placed = [i for _, m in maps for i in m.values()]
+    _require(len(set(placed)) == len(placed), claim, "tile maps are not injective", sapling=sapling)
+    images = [[frozenset(m[v] for v in f) for f in model.facets] for model, m in maps]
     _require(
-        isomorphic(trunk_factor, inner_complex(mobius_crown(deg))),
+        {frozenset().union(*parts) for parts in itertools.product(*images)} == set(L.facets),
         claim,
-        "trunk factor does not match the inner complex of the trunk",
-        degree=deg,
-    )
-    J = join_all(factors)
-    _require(
-        join_all([J, trunk_factor]) == L,
-        claim,
-        "link does not split as the join of its tile factors",
-        sapling=[b.label() for b in sap],
+        "link is not the join of its tile complexes under the arc maps",
+        sapling=sapling,
     )
 
-    ok, strong = is_strongly_collapsible(trunk_factor)
-    _require(ok, claim, "trunk inner complex is not strongly collapsible", degree=deg)
-    t_trunk = strong_to_elementary(trunk_factor, strong)
-    verdict = verify_trace(trunk_factor, t_trunk)
-    (w,) = verdict.terminal.vertex_ids
-    lifted = join_lift_trace(J, t_trunk)
-    apex_cone = join_all([J, restrict(L, [w])])
-    finish = cone_collapse_trace(apex_cone, apex=w)
+    tile_ids = [i for _, m in maps[:-1] for i in m.values()]
+    trunk_factor = restrict(L, maps[-1][1].values())
+    terminal, strong = core(trunk_factor)
+    _require(terminal.n_vertices == 1, claim, "trunk inner complex is not strongly collapsible", sapling=sapling)
+    (w,) = terminal.vertex_ids
+    lifted = join_lift_trace(restrict(L, tile_ids), strong_to_elementary(trunk_factor, strong))
+    finish = cone_collapse_trace(restrict(L, tile_ids + [w]), apex=w)
     return trace(list(lifted.steps) + list(finish.steps))
 
 
@@ -324,15 +305,16 @@ def thm_mobius_collapse(n: int) -> Report:
     """Elementary collapse of the full Moebius-crown complex to a point.
 
     Round d face-deletes every sapling of degree d via its link collapse;
-    no face may contain two saplings of the same round, the terminal after
-    round n-1 must equal the inner complex exactly, and the concatenated
-    trace must replay from the full complex to a single vertex.
+    no face may contain two saplings of the same round, and the terminal
+    after round n-1 must equal the inner complex exactly.  Every step, the
+    strong collapse of the inner complex included, is replayed once, on one
+    editor that starts at the full complex and must end at a single vertex.
     """
     s = mobius_crown(n)
     full = arc_complex(s)
     ids = arc_ids(s)
-    Y = full
-    master: list = []
+    Y = FacetEditor(full)
+    replayed = 0
     round_sizes: list[int] = []
     for deg in range(1, n):
         saps = saplings_of_degree(s, deg)
@@ -340,7 +322,7 @@ def thm_mobius_collapse(n: int) -> Report:
         for s1, s2 in itertools.combinations(saps, 2):
             union = frozenset(ids[a] for a in s1) | frozenset(ids[a] for a in s2)
             _require(
-                not contains_face(Y, union),
+                not Y.star_mask(union),
                 MOBIUS_COLLAPSE_CLAIM,
                 "two same-round saplings span a common face",
                 n=n,
@@ -349,56 +331,57 @@ def thm_mobius_collapse(n: int) -> Report:
             )
         for sap in saps:
             sap_ids = frozenset(ids[a] for a in sap)
+            sapling = [a.label() for a in sap]
             _require(
-                contains_face(Y, sap_ids),
+                Y.star_mask(sap_ids),
                 MOBIUS_COLLAPSE_CLAIM,
                 "predicted sapling is not a face",
                 n=n,
                 degree=deg,
-                sapling=[a.label() for a in sap],
+                sapling=sapling,
             )
-            link_trace = _sapling_link_trace(s, Y, sap, ids, MOBIUS_COLLAPSE_CLAIM)
-            expansion = welker_expand(Y, sap_ids, link_trace)
-            verdict = verify_trace(Y, expansion)
+            star = Y.closed_star(sap_ids)  # the sapling's link in its star is its link in Y
+            link_trace = _sapling_link_trace(s, link(star, sap_ids), sap, ids, MOBIUS_COLLAPSE_CLAIM)
+            expansion = welker_expand(star, sap_ids, link_trace)
+            failed = replay(Y, expansion)
             _require(
-                verdict.valid,
+                not failed,
                 MOBIUS_COLLAPSE_CLAIM,
-                f"expansion failed to replay: {verdict.reason}",
+                f"expansion failed to replay: {failed and failed[1]}",
                 n=n,
-                sapling=[a.label() for a in sap],
+                sapling=sapling,
             )
-            Y = verdict.terminal
-            master.extend(expansion.steps)
-        survivors = {
-            a
-            for a in enumerate_arcs(s)
-            if a.kind == "b" and ids[a] in set(Y.vertex_ids)
-        }
+            replayed += len(expansion)
         _require(
-            all(wrap_length(a, n) <= n - deg for a in survivors),
+            all(
+                wrap_length(a, n) <= n - deg
+                for a in enumerate_arcs(s)
+                if a.kind == "b" and Y.star_mask([ids[a]])
+            ),
             MOBIUS_COLLAPSE_CLAIM,
             "a b-arc scheduled for this round survived it",
             n=n,
             degree=deg,
         )
-    inner = inner_complex(s)
+    terminal = Y.to_complex()
     _require(
-        Y == inner,
+        terminal == inner_complex(s),
         MOBIUS_COLLAPSE_CLAIM,
         "terminal of the sapling rounds is not the inner complex",
         n=n,
     )
-    ok, strong = is_strongly_collapsible(Y)
+    ok, strong = is_strongly_collapsible(terminal)
     _require(ok, MOBIUS_COLLAPSE_CLAIM, "inner complex failed to strong-collapse", n=n)
-    master.extend(strong_to_elementary(Y, strong).steps)
-    full_trace = trace(master)
-    verdict = verify_trace(full, full_trace)
+    tail = strong_to_elementary(terminal, strong)
+    failed = replay(Y, tail)
+    replayed += len(tail)
+    facets = Y.facets()
     _require(
-        verdict.valid and verdict.terminal.n_vertices == 1,
+        not failed and len(facets) == 1 and len(facets[0]) == 1,
         MOBIUS_COLLAPSE_CLAIM,
-        "master trace does not collapse the full complex to a point",
+        "the replayed steps do not collapse the full complex to a point",
         n=n,
-        reason=verdict.reason,
+        reason=failed and failed[1],
     )
     return Report().add(
         MOBIUS_COLLAPSE_CLAIM,
@@ -407,7 +390,7 @@ def thm_mobius_collapse(n: int) -> Report:
         vertices=full.n_vertices,
         facets=len(full.facets),
         rounds=round_sizes,
-        trace_length=len(full_trace),
+        trace_length=replayed,
     )
 
 
@@ -556,9 +539,7 @@ def thm_mobius_not_strong(n: int) -> Report:
         MOBIUS_CORE_CLAIM,
         "mobius-core-obstruction",
         n,
-        # one more than the stages checked, as this figure has always been
-        # reported; kept so that reports stay comparable across versions
-        stages_checked=stages + 1,
+        stages_checked=stages,
         core_vertices=terminal.n_vertices,
         removed=2 * n,
     )

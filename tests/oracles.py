@@ -9,7 +9,9 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from arclab.build import induced_arc_complex
+from arclab.arcs import _nested_in, mobius_crown, polygon, wrap_length
+from arclab.build import arc_complex, induced_arc_complex, inner_complex
+from arclab.simplicial import isomorphic, join_all, restrict
 from arclab.strong import dominated_vertices, dominating_set
 
 
@@ -195,6 +197,42 @@ def facet_stage_domination(s, graph, removed) -> dict[int, set]:
     Moebius-core stage check that the graph check replaced."""
     X = induced_arc_complex(s, graph, removed)
     return {v: dominating_set(X, v) for v, _ in dominated_vertices(X)}
+
+
+def factorwise_sapling_link_check(s, L, sap, ids) -> bool:
+    """Whether the link L of the sapling `sap` splits into its tile factors,
+    found by search: the Moebius-collapse check that the explicit tile maps
+    replaced.
+
+    Each b-arc of L must nest in exactly one sapling arc; each group must be
+    isomorphic to the arc complex of its polygon tile, the c-arcs of L to the
+    inner complex of the trunk, and L must be the join of all of them.
+    `isomorphic` is a backtracking search gated to 25 vertices.
+    """
+    n = s.n
+    arc_of = {i: a for a, i in ids.items()}
+    groups = {b: [] for b in sap}
+    c_vertices = []
+    for v in L.vertex_ids:
+        arc = arc_of[v]
+        if arc.kind != "b":
+            c_vertices.append(v)
+            continue
+        hosts = [b for b in sap if _nested_in(n, arc, b)]
+        if len(hosts) != 1:
+            return False
+        groups[hosts[0]].append(v)
+    factors = [restrict(L, groups[b]) for b in sap]
+    trunk = restrict(L, c_vertices)
+    deg = n + sum(1 - wrap_length(b, n) for b in sap)
+    return (
+        all(
+            isomorphic(f, arc_complex(polygon(wrap_length(b, n) + 1)))
+            for f, b in zip(factors, sap)
+        )
+        and isomorphic(trunk, inner_complex(mobius_crown(deg)))
+        and join_all(factors + [trunk]) == L
+    )
 
 
 # --- scans and the set-indexed replayer that the facet-bitset index replaced ---

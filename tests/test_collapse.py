@@ -291,21 +291,30 @@ def test_euler_characteristic_preserved_along_steps():
             assert euler_characteristic(current) == chi
 
 
+def suite_replays(monkeypatch, n):
+    """The editors and the steps thm_mobius_collapse(n) replays, in order, and its report."""
+    from arclab import theorems
+    from arclab.collapse import replay
+
+    editors, steps = [], []
+
+    def recording(editor, t):
+        editors.append(editor)
+        steps.extend(t.steps)
+        return replay(editor, t)
+
+    monkeypatch.setattr(theorems, "replay", recording)
+    report = theorems.thm_mobius_collapse(n)
+    return editors, trace(steps), report
+
+
 def test_replaying_the_mobius_master_trace_reuses_freed_slots(monkeypatch):
     """The editor's slot table, the width of its star bitsets, never grows
-    past the most facets live at once over the master trace."""
-    from arclab import theorems
+    past the most facets live at once over the steps the suite replays."""
     from arclab.simplicial import FacetEditor
 
-    replays = []
-
-    def recording(c, t):
-        replays.append((c, t))
-        return verify_trace(c, t)
-
-    monkeypatch.setattr(theorems, "verify_trace", recording)
-    theorems.thm_mobius_collapse(4)
-    full, master = replays[-1]  # the suite replays the master trace last
+    editors, master, _ = suite_replays(monkeypatch, 4)
+    full = arc_complex(mobius_crown(4))
     editor = FacetEditor(full)
     most_live = len(full.facets)
     for free, _ in master.steps:
@@ -313,3 +322,14 @@ def test_replaying_the_mobius_master_trace_reuses_freed_slots(monkeypatch):
         most_live = max(most_live, len(editor.facets()))
         assert len(editor.slots) <= most_live
     assert len(master) > 100 and len(editor.facets()) == 1
+    # the suite replays every step on one editor, which ends where this one does
+    assert all(e is editors[0] for e in editors)
+    assert editors[0].slots == editor.slots
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_the_steps_the_mobius_collapse_replays_collapse_the_full_complex_to_a_point(monkeypatch, n):
+    _, master, report = suite_replays(monkeypatch, n)
+    verdict = verify_trace(arc_complex(mobius_crown(n)), master)
+    assert verdict.valid and verdict.terminal.n_vertices == 1
+    assert len(master) == report.claims[0].details["trace_length"]

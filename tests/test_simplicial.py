@@ -10,7 +10,6 @@ from arclab.build import arc_complex, disjointness_graph, inner_complex
 from arclab.simplicial import (
     complex_from_json,
     complex_to_json,
-    contains_face,
     dimension,
     dual_graph,
     dumps_canonical,
@@ -358,7 +357,6 @@ def test_star_index_matches_the_scans(facets, data):
         expected = scan_facets_containing(c, face)
         assert c.star_mask(face) == sum(1 << i for i, f in enumerate(c.facets) if f in expected)
         assert facets_containing(c, face) == expected
-        assert contains_face(c, face) == bool(expected)
     assert is_cone(c) == scan_is_cone(c)
     for v in c.vertex_ids:
         assert dominating_set(c, v) == scan_dominating_set(c, v)

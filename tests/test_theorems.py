@@ -25,7 +25,7 @@ from arclab.theorems import (
     thm_mobius_not_strong,
     thm_strip_strong,
 )
-from oracles import facet_stage_domination
+from oracles import facet_stage_domination, factorwise_sapling_link_check
 
 
 def replayed(report, c):
@@ -120,6 +120,63 @@ def test_mobius_collapse_passes(n):
     assert thm_mobius_collapse(n).all_passed
 
 
+def sapling_links(monkeypatch, n):
+    """(surface, link, sapling, ids) for every sapling thm_mobius_collapse(n)
+    deletes, as the suite finds them, after each has passed the suite's check."""
+    seen = []
+    check = theorems._sapling_link_trace
+
+    def recording(s, L, sap, ids, claim):
+        link_trace = check(s, L, sap, ids, claim)
+        seen.append((s, L, sap, ids))
+        return link_trace
+
+    monkeypatch.setattr(theorems, "_sapling_link_trace", recording)
+    report = thm_mobius_collapse(n)
+    monkeypatch.undo()
+    assert len(seen) == sum(report.claims[0].details["rounds"])
+    return seen
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_every_sapling_link_passes_the_tile_maps_and_the_factorwise_isomorphism_oracle(monkeypatch, n):
+    for s, L, sap, ids in sapling_links(monkeypatch, n):
+        assert factorwise_sapling_link_check(s, L, sap, ids)
+
+
+def two_arc_sapling_link(monkeypatch):
+    """A sapling of two arcs, and its link, as the suite meets them at n = 4."""
+    links = [x for x in sapling_links(monkeypatch, 4) if len(x[2]) == 2]
+    assert links
+    return links[0]
+
+
+def test_a_link_with_a_facet_dropped_or_added_fails_naming_the_sapling(monkeypatch):
+    s, L, sap, ids = two_arc_sapling_link(monkeypatch)
+    labels = L.labels
+    kept = L.facets[1:]
+    dropped = make_complex({v: labels[v] for v in set().union(*kept)}, kept)
+    stray = min(set(ids.values()) - set(labels))  # an arc outside the link
+    added = make_complex({**labels, stray: "stray"}, [*L.facets, [stray]])
+    for changed in (dropped, added):
+        with pytest.raises(TheoremError) as caught:
+            theorems._sapling_link_trace(s, changed, sap, ids, "claim")
+        assert "link is not the join" in str(caught.value)
+        assert caught.value.details["sapling"] == [b.label() for b in sap]
+        assert not factorwise_sapling_link_check(s, changed, sap, ids)
+
+
+def test_a_trunk_map_shifted_by_one_fails_naming_the_sapling(monkeypatch):
+    s, L, sap, ids = two_arc_sapling_link(monkeypatch)
+    theorems._sapling_link_trace(s, L, sap, ids, "claim")
+    # every trunk arc cc(o_i, o_j) lands on cc(o_i + 1, o_j + 1) instead
+    monkeypatch.setattr(theorems, "cc_arc", lambda i, j: cc_arc(i % s.n + 1, j % s.n + 1))
+    with pytest.raises(TheoremError) as caught:
+        theorems._sapling_link_trace(s, L, sap, ids, "claim")
+    assert "link is not the join" in str(caught.value)
+    assert caught.value.details["sapling"] == [b.label() for b in sap]
+
+
 # --- non-strong-collapsibility ---------------------------------------------------------
 
 
@@ -143,8 +200,7 @@ def test_mobius_core_graph_stages_match_the_facet_stage_check(n):
                 dom[v] = {w for w in graph.vertices if d >> w & 1}
         assert dom == facet_stage_domination(s, graph, removed)
         stages += 1
-    # the report counts one more than the stages enumerated
-    assert stages + 1 == thm_mobius_not_strong(n).claims[0].details["stages_checked"]
+    assert stages == thm_mobius_not_strong(n).claims[0].details["stages_checked"]
 
 
 def test_ridge_arc_dominated_after_removing_two_adjacent_loops():
