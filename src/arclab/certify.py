@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 from typing import Iterable
 
 from .collapse import (
@@ -26,12 +28,12 @@ from .simplicial import (
     Face,
     Graph,
     _bits,
+    _star_mask,
     dimension,
     dual_graph,
     euler_characteristic,
     is_pure,
     link,
-    ridge_table,
 )
 
 RULE_DANARAJ_KLEE = "danaraj-klee"
@@ -98,31 +100,32 @@ def is_connected(g: Graph) -> bool:
 
 
 def graph_diameter(g: Graph) -> int:
-    """Largest BFS eccentricity; -1 for a disconnected graph."""
-    if not g.vertices:
-        return 0
-    adj = g.adjacency()
-    best = 0
-    for start in g.vertices:
-        dist = {start: 0}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        if len(dist) != len(g.vertices):
+    """Largest distance between two vertices; -1 for a disconnected graph.
+
+    One breadth-first search from every source at once, on bitsets:
+    reach[i] is the set of sources within r steps of vertex i, and each
+    round ORs in the neighbours' reach.  The diameter is the number of
+    rounds until every reach is full.  A round that changes nothing before
+    then leaves some pair unreachable.
+    """
+    rows = [list(_bits(nbhd)) for nbhd in g.closed_neighbourhoods]
+    full = (1 << len(rows)) - 1
+    reach = [1 << i for i in range(len(rows))]
+    rounds = 0
+    while any(r != full for r in reach):
+        grown = [reduce(or_, [reach[j] for j in row]) for row in rows]
+        if grown == reach:
             return -1
-        best = max(best, max(dist.values()))
-    return best
+        reach = grown
+        rounds += 1
+    return rounds
 
 
 def pseudomanifold_check(c: Complex) -> PseudomanifoldReport:
     """Classify a pure complex as closed / with-boundary / not a pseudomanifold."""
     if not is_pure(c):
         raise ValueError("pseudomanifold check requires a pure complex")
-    table = ridge_table(c)
+    table = c.ridges
     boundary = tuple(
         sorted(
             (r for r, members in table.items() if len(members) == 1),
@@ -151,27 +154,41 @@ def flip_graph(c: Complex) -> Graph:
 def validate_shelling(c: Complex, order: Iterable[Face]) -> bool:
     """Independent step-by-step check of the shelling condition.
 
-    For each k >= 2 the intersection of facet k with the union of the first
-    k-1 facets must be a pure nonempty complex of codimension one (for
-    one-point facets the empty intersection is allowed).
+    `order` must list the facets of c, and for each k >= 1 the intersection
+    of F_k with the union of F_0..F_{k-1} must be a nonempty pure complex of
+    codimension one, that is of dimension d - 1 for d = dimension(c) (for
+    one-point facets the empty intersection is allowed).  Its faces are the
+    nonempty subsets of the pieces F_k & F_j, j < k.  So it is pure of
+    dimension d - 1 iff every nonempty piece lies in a piece of size d, and
+    for d >= 1 it must also have a piece.  The check reads this off the
+    facet bitsets of `Complex.stars`, with no piece built:
+
+    - A piece is a proper subset of F_k, so a piece of size d needs
+      |F_k| = d + 1.  Then the pieces of size d are the ridges F_k - v for
+      v in R = {v in F_k : star_mask(F_k - v) meets the earlier facets}.
+    - A piece p lies in some F_k - v with v in R iff R is not inside p.
+    - The pieces containing R are F_k & F_j for the earlier F_j through R,
+      so no piece contains R iff star_mask(R) meets no earlier facet.  For
+      d >= 1 that also rules out R = {} (no ridge shared, so no piece of
+      size d), since star_mask({}) is every facet.  For d = 0, F_k - v is
+      {} and R = F_k.
+
+    That is d + 2 star masks per facet, not a filter over all pairs of pieces.
     """
     order = [frozenset(f) for f in order]
     if sorted(order, key=lambda f: tuple(sorted(f))) != list(c.facets):
         return False
+    index = {f: i for i, f in enumerate(c.facets)}
     d = dimension(c)
-    earlier: list[Face] = []
+    earlier = 0  # bitset of the facets placed so far
     for k, facet in enumerate(order):
         if k:
-            pieces = {facet & g for g in earlier}
-            pieces.discard(frozenset())
-            maximal = [
-                p for p in pieces if not any(p < q for q in pieces)
-            ]
-            if d >= 1 and not maximal:
+            if len(facet) != d + 1:
                 return False
-            if any(len(p) != d for p in maximal):
+            restriction = [v for v in facet if _star_mask(c.stars, earlier, facet - {v})]
+            if _star_mask(c.stars, earlier, restriction):
                 return False
-        earlier.append(facet)
+        earlier |= 1 << index[facet]
     return True
 
 
@@ -201,7 +218,7 @@ def shelling_search(c: Complex, budget: int = DEFAULT_BUDGET) -> ShellingResult:
 
     stars = c.stars
     # across[i]: (v, the other facets through the ridge F_i - v) for v in F_i
-    table = ridge_table(c)
+    table = c.ridges
     across = [
         [(v, sum(1 << j for j in table[f - {v}] if j != i)) for v in f]
         for i, f in enumerate(facets)

@@ -3,10 +3,12 @@
 A `Complex` is an immutable snapshot: a vertex table (dense integer ids with
 text labels) plus the antichain of maximal faces.  Star queries go through
 one index, `Complex.stars`, built on first use: each vertex maps to the
-bitset of the facets that contain it.  `FacetEditor` is the one mutable
-form, used for face deletions and collapse replays.  Other face queries
-enumerate on demand.  The complex with no vertices is represented by the
-single maximal face {} so that joins and links behave uniformly.
+bitset of the facets that contain it.  The f-vector is counted on that
+index and, with the ridge table, cached on the complex as well.
+`FacetEditor` is the one mutable form, used for face deletions and
+collapse replays.  Other face queries enumerate on demand.  The complex
+with no vertices is represented by the single maximal face {} so that
+joins and links behave uniformly.
 """
 
 from __future__ import annotations
@@ -114,6 +116,43 @@ class Complex:
         """Bitset of the indices of the facets that contain `face`."""
         return _star_mask(self.stars, (1 << len(self.facets)) - 1, face)
 
+    @cached_property
+    def f_vector(self) -> tuple[int, ...]:
+        """Number of faces with k + 1 vertices at position k, read off `stars`.
+
+        Each face is counted once, at the lowest-index facet F_i containing
+        it: a subset of F_i counts iff no facet below i contains it.  The
+        subsets of F_i are masks over its vertices, and the facets below i
+        through a subset come from those through the subset without its
+        lowest vertex, so no face is built.  Not a field, so equality,
+        hashing and JSON ignore it.
+        """
+        counts = [0] * (max(map(len, self.facets)) + 1)
+        for i, f in enumerate(self.facets):
+            star_of_bit = {1 << j: self.stars[v] for j, v in enumerate(f)}
+            below = [(1 << i) - 1]  # subset mask -> the facets below i through it
+            for m in range(1, 1 << len(f)):
+                low = m & -m
+                through = below[m ^ low] & star_of_bit[low]
+                below.append(through)
+                if not through:
+                    counts[m.bit_count()] += 1
+        return tuple(counts[1:])
+
+    @cached_property
+    def ridges(self) -> dict[Face, list[int]]:
+        """Each codimension-one face of a facet -> indices of the facets containing it.
+
+        Not a field, so equality, hashing and JSON ignore it.
+        """
+        table: dict[Face, list[int]] = {}
+        for idx, f in enumerate(self.facets):
+            if not f:
+                table.setdefault(EMPTY_FACE, []).append(idx)
+            for v in f:
+                table.setdefault(f - {v}, []).append(idx)
+        return table
+
 
 def _star_mask(stars: Mapping[int, int], mask: int, face: Iterable[int]) -> int:
     """`mask` restricted to the facets through every vertex of `face`."""
@@ -220,14 +259,11 @@ def is_pure(c: Complex) -> bool:
 
 
 def f_vector(c: Complex) -> list[int]:
-    counts: dict[int, int] = {}
-    for f in faces(c):
-        counts[len(f)] = counts.get(len(f), 0) + 1
-    return [counts.get(k, 0) for k in range(1, max(counts, default=0) + 1)]
+    return list(c.f_vector)
 
 
 def euler_characteristic(c: Complex) -> int:
-    return sum((-1) ** k * fk for k, fk in enumerate(f_vector(c)))
+    return sum((-1) ** k * fk for k, fk in enumerate(c.f_vector))
 
 
 def is_cone(c: Complex) -> int | None:
@@ -351,23 +387,12 @@ def join_all(parts: Iterable[Complex]) -> Complex:
     return out
 
 
-def ridge_table(c: Complex) -> dict[Face, list[int]]:
-    """Each codimension-one face of a facet -> indices of the facets containing it."""
-    table: dict[Face, list[int]] = {}
-    for idx, f in enumerate(c.facets):
-        if not f:
-            table.setdefault(EMPTY_FACE, []).append(idx)
-        for v in f:
-            table.setdefault(f - {v}, []).append(idx)
-    return table
-
-
 def dual_graph(c: Complex) -> Graph:
     """Facet adjacency along shared codimension-one faces (pure input)."""
     if not is_pure(c):
         raise ValueError("dual graph requires a pure complex")
     edges = set()
-    for members in ridge_table(c).values():
+    for members in c.ridges.values():
         for i in range(len(members)):
             for j in range(i + 1, len(members)):
                 edges.add((members[i], members[j]))

@@ -114,6 +114,30 @@ def floyd_warshall_diameter(n_vertices: int, edges) -> int:
     return -1 if best == INF else int(best)
 
 
+def pairwise_validate_shelling(c, order) -> bool:
+    """The shelling check that the star-mask validator replaced, by pairs.
+
+    `order` must list the facets of c.  For each k >= 1 the pieces
+    F_k & F_j, j < k, are intersected pairwise, the maximal nonempty ones
+    kept, and each must have d vertices (d the dimension of c); for d >= 1
+    at least one must exist.  O(t^3) over an order of t facets.
+    """
+    order = [frozenset(f) for f in order]
+    if sorted(order, key=sorted) != sorted(c.facets, key=sorted):
+        return False
+    d = max(len(f) for f in c.facets) - 1
+    for k, facet in enumerate(order):
+        if k == 0:
+            continue
+        pieces = {facet & g for g in order[:k]} - {frozenset()}
+        maximal = [p for p in pieces if not any(p < q for q in pieces)]
+        if d >= 1 and not maximal:
+            return False
+        if any(len(p) != d for p in maximal):
+            return False
+    return True
+
+
 def reference_shelling_search(c, budget: int):
     """The backtracking shelling search that the restriction-face search
     replaced, kept as its reference: (status, order or None, nodes spent).

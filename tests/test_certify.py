@@ -24,7 +24,7 @@ from arclab.simplicial import (
     make_complex,
     make_graph,
 )
-from oracles import floyd_warshall_diameter, reference_shelling_search
+from oracles import floyd_warshall_diameter, pairwise_validate_shelling, reference_shelling_search
 
 def labeled(facets):
     ids = {v for f in facets for v in f}
@@ -155,6 +155,49 @@ def test_validate_shelling_requires_permutation(complex_of):
     c = complex_of("polygon", 5)
     assert not validate_shelling(c, list(c.facets)[:-1])
 
+@st.composite
+def complexes_with_orders(draw):
+    """A random complex, pure or not, and an order of its facets: a shelling
+    the search found (pure input) or the canonical order, then shuffled by a
+    few adjacent swaps, or by a random permutation."""
+    if draw(st.booleans()):
+        c = draw(pure_complexes())
+    else:
+        facets = draw(st.lists(st.frozensets(st.integers(0, 7), min_size=1, max_size=4),
+                               min_size=1, max_size=10))
+        c = labeled(facets)
+    order = list(c.facets)
+    if len({len(f) for f in order}) == 1:
+        result = shelling_search(c, 2_000)
+        if result.status == PROVEN:
+            order = list(result.order)
+    if draw(st.booleans()):
+        return c, draw(st.permutations(order))
+    for i in draw(st.lists(st.integers(0, max(len(order) - 2, 0)), max_size=3)):
+        order[i:i + 2] = order[i:i + 2][::-1]
+    return c, order
+
+@settings(max_examples=400, deadline=None)
+@given(complexes_with_orders())
+def test_validate_shelling_matches_the_pairwise_oracle(case):
+    c, order = case
+    assert validate_shelling(c, order) == pairwise_validate_shelling(c, order)
+
+@pytest.mark.parametrize("family,n", [("polygon", 7), ("crown", 4), ("mobius", 4), ("inner-mobius", 4)])
+def test_validate_shelling_matches_the_pairwise_oracle_on_arc_complexes(family, n, complex_of):
+    c = complex_of(family, n)
+    order = list(shelling_search(c).order)
+    assert validate_shelling(c, order) and pairwise_validate_shelling(c, order)
+    for k in range(1, len(order)):
+        swapped = order[:k - 1] + [order[k], order[k - 1]] + order[k + 1:]
+        assert validate_shelling(c, swapped) == pairwise_validate_shelling(c, swapped)
+
+def test_validate_shelling_on_points_and_the_empty_complex():
+    points = labeled([[0], [1], [2]])
+    assert validate_shelling(points, [[2], [0], [1]])
+    empty = make_complex({}, [])
+    assert validate_shelling(empty, empty.facets)
+
 # --- certificates ---------------------------------------------------------------------
 
 @pytest.mark.parametrize("n", range(4, 11))
@@ -246,6 +289,18 @@ def test_disconnected_graph_diameter_is_minus_one():
     g = make_graph(range(4), [(0, 1), (2, 3)])
     assert not is_connected(g)
     assert graph_diameter(g) == -1
+
+@st.composite
+def graphs(draw):
+    """A random graph on 0..9 vertices, often disconnected."""
+    n = draw(st.integers(min_value=0, max_value=9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return make_graph(range(n), draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+
+@settings(max_examples=300, deadline=None)
+@given(graphs())
+def test_graph_diameter_matches_floyd_warshall(g):
+    assert graph_diameter(g) == floyd_warshall_diameter(len(g.vertices), g.edges)
 
 def test_flip_graph_requires_pure():
     with pytest.raises(ValueError):

@@ -451,6 +451,33 @@ def test_f_vector_matches_brute_force_faces(facets):
         assert count == sum(1 for f in brute if len(f) == k + 1)
 
 
+def brute_force_f_vector(c):
+    brute = brute_force_faces(c.facets)
+    return [sum(1 for f in brute if len(f) == k) for k in range(1, max(map(len, brute), default=0) + 1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sets(st.integers(min_value=0, max_value=9), min_size=1, max_size=7),
+                min_size=1, max_size=12))
+def test_the_cached_f_vector_matches_brute_force_faces_on_wide_facets(facets):
+    c = complex_from_facets(facets)
+    fv = f_vector(c)
+    assert fv == brute_force_f_vector(c)
+    fv.append(0)  # a copy: the cached counts and equality are untouched
+    assert f_vector(c) == brute_force_f_vector(c)
+    assert c == complex_from_facets(facets)
+
+
+@pytest.mark.parametrize("family,n", [("polygon", 8), ("crown", 5), ("mobius", 4), ("inner-mobius", 5)])
+def test_f_vector_of_arc_complexes_matches_brute_force_faces(family, n, complex_of):
+    assert f_vector(complex_of(family, n)) == brute_force_f_vector(complex_of(family, n))
+
+
+def test_the_empty_complex_has_no_faces():
+    c = make_complex({}, [])
+    assert f_vector(c) == [] and euler_characteristic(c) == 0
+
+
 # --- cones ------------------------------------------------------------------------
 
 

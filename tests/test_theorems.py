@@ -126,8 +126,8 @@ def sapling_links(monkeypatch, n):
     seen = []
     check = theorems._sapling_link_trace
 
-    def recording(s, L, sap, ids, claim):
-        link_trace = check(s, L, sap, ids, claim)
+    def recording(s, L, sap, ids, claim, models):
+        link_trace = check(s, L, sap, ids, claim, models)
         seen.append((s, L, sap, ids))
         return link_trace
 
@@ -142,6 +142,17 @@ def sapling_links(monkeypatch, n):
 def test_every_sapling_link_passes_the_tile_maps_and_the_factorwise_isomorphism_oracle(monkeypatch, n):
     for s, L, sap, ids in sapling_links(monkeypatch, n):
         assert factorwise_sapling_link_check(s, L, sap, ids)
+
+
+def test_each_sapling_model_is_built_once_per_call(monkeypatch):
+    built = []
+    for name in ("arc_complex", "inner_complex"):
+        build = getattr(theorems, name)
+        monkeypatch.setattr(theorems, name, lambda s, b=build: built.append((b, s)) or b(s))
+    for _ in range(2):  # the models do not outlive a call
+        built.clear()
+        assert thm_mobius_collapse(5).all_passed
+        assert len(built) == len(set(built)) > 2
 
 
 def two_arc_sapling_link(monkeypatch):
@@ -160,7 +171,7 @@ def test_a_link_with_a_facet_dropped_or_added_fails_naming_the_sapling(monkeypat
     added = make_complex({**labels, stray: "stray"}, [*L.facets, [stray]])
     for changed in (dropped, added):
         with pytest.raises(TheoremError) as caught:
-            theorems._sapling_link_trace(s, changed, sap, ids, "claim")
+            theorems._sapling_link_trace(s, changed, sap, ids, "claim", {})
         assert "link is not the join" in str(caught.value)
         assert caught.value.details["sapling"] == [b.label() for b in sap]
         assert not factorwise_sapling_link_check(s, changed, sap, ids)
@@ -168,11 +179,11 @@ def test_a_link_with_a_facet_dropped_or_added_fails_naming_the_sapling(monkeypat
 
 def test_a_trunk_map_shifted_by_one_fails_naming_the_sapling(monkeypatch):
     s, L, sap, ids = two_arc_sapling_link(monkeypatch)
-    theorems._sapling_link_trace(s, L, sap, ids, "claim")
+    theorems._sapling_link_trace(s, L, sap, ids, "claim", {})
     # every trunk arc cc(o_i, o_j) lands on cc(o_i + 1, o_j + 1) instead
     monkeypatch.setattr(theorems, "cc_arc", lambda i, j: cc_arc(i % s.n + 1, j % s.n + 1))
     with pytest.raises(TheoremError) as caught:
-        theorems._sapling_link_trace(s, L, sap, ids, "claim")
+        theorems._sapling_link_trace(s, L, sap, ids, "claim", {})
     assert "link is not the join" in str(caught.value)
     assert caught.value.details["sapling"] == [b.label() for b in sap]
 
