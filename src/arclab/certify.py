@@ -290,7 +290,6 @@ def certify(
     c: Complex,
     effort: str = "full",
     rules: tuple[str, ...] = (RULE_DANARAJ_KLEE, RULE_WHITEHEAD),
-    _depth: int = 0,
 ) -> Certificate:
     """Assemble a ball/sphere certificate for a pure complex.
 
@@ -337,14 +336,15 @@ def certify(
         else:
             notes.append(f"shelling search: disproven after {result.nodes} nodes")
 
-    if RULE_WHITEHEAD in rules and pm.status == PM_BOUNDARY and _depth <= 4:
+    if RULE_WHITEHEAD in rules and pm.status == PM_BOUNDARY:
         coll = is_collapsible(c, collapse_budget)
         if coll.status == PROVEN:
             links_ok = True
             saw_ball = False
             for v in c.vertex_ids:
-                # manifold evidence may use any rule, whatever the top level
-                sub = certify(link(c, [v]), effort, _depth=_depth + 1)
+                # manifold evidence may use any rule, whatever the top level;
+                # each link is one dimension down, and d = 0 returns above
+                sub = certify(link(c, [v]), effort)
                 if sub.verdict == "ball" and sub.dim == d - 1:
                     saw_ball = True
                 elif not (sub.verdict == "sphere" and sub.dim == d - 1):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 from . import __version__
@@ -38,8 +37,6 @@ from .simplicial import (
 from .strong import core
 from .theorems import Limits, run_all
 
-BUDGET_ENV = "ARCLAB_BUDGET"
-
 
 def _at_least(source: str, raw, minimum: int) -> int:
     """raw as an integer; exits 2 with a message unless it is one >= minimum."""
@@ -50,16 +47,6 @@ def _at_least(source: str, raw, minimum: int) -> int:
     if value < minimum:
         raise SystemExit(f"invalid {source}={raw!r}: expected an integer of at least {minimum}")
     return value
-
-
-def _budget(flag: str | None) -> int:
-    """The search budget from --budget, else $ARCLAB_BUDGET, else the default."""
-    source, raw = "--budget", flag
-    if flag is None:
-        source, raw = BUDGET_ENV, os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_BUDGET
-    return _at_least(source, raw, 1)
 
 
 def _surface_from_args(args) -> SurfaceSpec:
@@ -130,7 +117,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_collapse(args) -> int:
-    budget = _budget(args.budget)
+    budget = _at_least("--budget", args.budget, 1)
     c = _load_complex(args.input)
     if args.strategy == "greedy":
         steps = []
@@ -238,8 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     coll = sub.add_parser("collapse", help="search for a collapse trace")
     coll.add_argument("--in", dest="input", required=True)
     coll.add_argument("--strategy", choices=["greedy", "search"], default="search")
-    coll.add_argument("--budget", default=None,
-                      help=f"search node budget (default: ${BUDGET_ENV} or {DEFAULT_BUDGET})")
+    coll.add_argument("--budget", default=DEFAULT_BUDGET,
+                      help=f"search node budget (default: {DEFAULT_BUDGET})")
     coll.add_argument("--out", default=None)
     coll.set_defaults(func=cmd_collapse)
 

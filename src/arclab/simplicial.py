@@ -552,14 +552,14 @@ def graph_to_dot(g: Graph, labels: Mapping[int, str] | None = None, name: str = 
 # --- flag complexes -----------------------------------------------------------
 
 
-def max_cliques(adj: Mapping[int, set[int]]) -> list[frozenset[int]]:
-    """All maximal cliques (Bron-Kerbosch with pivoting, bitmask sets)."""
-    vs = sorted(adj)
-    index = {v: i for i, v in enumerate(vs)}
-    nbr = [0] * len(vs)
-    for v, ws in adj.items():
-        for w in ws:
-            nbr[index[v]] |= 1 << index[w]
+def max_cliques(g: Graph) -> list[frozenset[int]]:
+    """All maximal cliques (Bron-Kerbosch with pivoting, bitmask sets).
+
+    Sets are bitsets over positions in `g.vertices`; a vertex's neighbours
+    are its closed neighbourhood without itself.
+    """
+    vs = g.vertices
+    nbr = [nbhd & ~(1 << i) for i, nbhd in enumerate(g.closed_neighbourhoods)]
     out: list[frozenset[int]] = []
 
     def unpack(mask: int) -> frozenset[int]:
@@ -592,8 +592,7 @@ def _bits(mask: int):
 def flag_complex(g: Graph, labels: Mapping[int, str] | None = None,
                  surface: SurfaceSpec | None = None) -> Complex:
     """Complex whose maximal faces are the maximal cliques of g."""
-    adj = g.adjacency()
-    cliques = max_cliques(adj)
+    cliques = max_cliques(g)
     if labels is None:
         labels = {v: str(v) for v in g.vertices}
     # Bron-Kerbosch reports each maximal clique once: already an antichain

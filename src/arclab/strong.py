@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Iterator
 
 from .collapse import CollapseTrace, face_order, trace
@@ -22,7 +23,7 @@ from .simplicial import (
     Complex,
     Graph,
     _bits,
-    faces,
+    facets_containing,
     vertex_deletion,
 )
 
@@ -180,11 +181,16 @@ def strong_to_elementary(c: Complex, t: StrongTrace) -> CollapseTrace:
 
     For each removal (v, w) every face containing v but not w is paired with
     that face plus w, in decreasing dimension; the result realizes the same
-    vertex deletions and passes `verify_trace`.
+    vertex deletions and passes `verify_trace`.  Every facet through v
+    contains w, so those faces are v + S for S a subset of f - {v, w}, f a
+    facet through v, and are read off the star of v.
     """
     steps = []
     for current, v, w, _ in _replay(c, t):
-        with_v = [f for f in faces(current) if v in f and w not in f]
-        with_v.sort(key=face_order)
-        steps.extend((f, f | {w}) for f in with_v)
+        with_v = set()
+        for f in facets_containing(current, [v]):
+            rest = f - {v, w}
+            for k in range(len(rest) + 1):
+                with_v.update(frozenset((v, *s)) for s in combinations(rest, k))
+        steps.extend((f, f | {w}) for f in sorted(with_v, key=face_order))
     return trace(steps)

@@ -41,7 +41,7 @@ from .arcs import (
 )
 from .build import arc_complex, disjointness_graph, induced_arc_complex, inner_complex
 from .certify import certify, flip_graph, graph_diameter
-from .collapse import CollapseTrace, cone_collapse_trace, join_lift_trace, replay, trace, welker_expand
+from .collapse import CollapseTrace, replay, welker_expand
 from .simplicial import (
     Complex,
     FacetEditor,
@@ -51,7 +51,6 @@ from .simplicial import (
     facets_containing,
     is_cone,
     link,
-    restrict,
 )
 from .strong import (
     StrongTrace,
@@ -252,8 +251,7 @@ MOBIUS_COLLAPSE_CLAIM = "mobius-collapse"
 
 
 def _sapling_link_trace(
-    s: SurfaceSpec, L: Complex, sap: tuple[Arc, ...], ids: dict[Arc, int], claim: str,
-    models: dict,
+    s: SurfaceSpec, L: Complex, sap: tuple[Arc, ...], ids: dict[Arc, int], models: dict,
 ) -> CollapseTrace:
     """Collapse trace for the link L of a sapling, built from its tile structure.
 
@@ -263,14 +261,15 @@ def _sapling_link_trace(
     p = b.a, and its diagonal d:i-j of polygon(W+1) is the b-arc from p+i-1
     spanning j-i edges.  The trunk's boundary vertices o_1 < ... < o_deg are
     those strictly inside no sapling arc, and cc:i-j of its inner complex is
-    cc(o_i, o_j).  The trunk factor is strongly collapsed to a point, lifted
-    through the join, and finished by the cone collapse.
+    cc(o_i, o_j).
 
-    The models depend only on W and deg, so each is built once per
-    `models` dict, the trunk model with its core.  The trunk map keeps the
-    lexicographic order of the c-arcs, and so their id order, so it carries
-    that core onto the canonical core of the trunk factor;
-    `strong_to_elementary` re-checks every mapped witness on the factor.
+    L = X * T, X the join of the tiles and T the trunk, collapses strongly,
+    and the trace is that collapse converted on L.  A vertex that u
+    dominates in T is dominated by u in X * T, since every facet of the
+    join through it is x + t with t through it; so the trunk model's core,
+    mapped into L, leaves the cone X * w, and each tile vertex then goes
+    with witness w.  `strong_to_elementary` re-checks every witness on L.  The models depend only on W and deg, so each is
+    built once per `models` dict, the trunk model with its core.
     """
     n = s.n
     sapling = [b.label() for b in sap]
@@ -295,23 +294,21 @@ def _sapling_link_trace(
     trunk_map = {v: ids[cc_arc(o[c.a - 1], o[c.b - 1])] for v, c in c_arcs}
     maps.append((model, trunk_map))
     placed = [i for _, m in maps for i in m.values()]
-    _require(len(set(placed)) == len(placed), claim, "tile maps are not injective", sapling=sapling)
+    _require(len(set(placed)) == len(placed), MOBIUS_COLLAPSE_CLAIM,
+             "tile maps are not injective", sapling=sapling)
     images = [[frozenset(m[v] for v in f) for f in model.facets] for model, m in maps]
     _require(
         {frozenset().union(*parts) for parts in itertools.product(*images)} == set(L.facets),
-        claim,
+        MOBIUS_COLLAPSE_CLAIM,
         "link is not the join of its tile complexes under the arc maps",
         sapling=sapling,
     )
-
-    tile_ids = [i for _, m in maps[:-1] for i in m.values()]
-    trunk_factor = restrict(L, trunk_map.values())
-    _require(terminal.n_vertices == 1, claim, "trunk inner complex is not strongly collapsible", sapling=sapling)
+    _require(terminal.n_vertices == 1, MOBIUS_COLLAPSE_CLAIM,
+             "trunk inner complex is not strongly collapsible", sapling=sapling)
     w = trunk_map[terminal.vertex_ids[0]]
-    strong = StrongTrace(tuple((trunk_map[v], trunk_map[u]) for v, u in strong.steps))
-    lifted = join_lift_trace(restrict(L, tile_ids), strong_to_elementary(trunk_factor, strong))
-    finish = cone_collapse_trace(restrict(L, tile_ids + [w]), apex=w)
-    return trace(list(lifted.steps) + list(finish.steps))
+    steps = [(trunk_map[v], trunk_map[u]) for v, u in strong.steps]
+    steps += [(x, w) for _, m in maps[:-1] for x in m.values()]
+    return strong_to_elementary(L, StrongTrace(tuple(steps)))
 
 
 def thm_mobius_collapse(n: int) -> Report:
@@ -355,9 +352,7 @@ def thm_mobius_collapse(n: int) -> Report:
                 sapling=sapling,
             )
             star = Y.closed_star(sap_ids)  # the sapling's link in its star is its link in Y
-            link_trace = _sapling_link_trace(
-                s, link(star, sap_ids), sap, ids, MOBIUS_COLLAPSE_CLAIM, models
-            )
+            link_trace = _sapling_link_trace(s, link(star, sap_ids), sap, ids, models)
             expansion = welker_expand(star, sap_ids, link_trace)
             failed = replay(Y, expansion)
             _require(
@@ -665,11 +660,11 @@ def thm_strip_strong(m: int, n: int) -> Report:
 # --- certificates, flips, structural propositions -------------------------------
 
 
-def polygon_certificates(n_max: int, effort: str = "full") -> Report:
+def polygon_certificates(n_max: int) -> Report:
     report = Report()
     for n in range(4, n_max + 1):
         c = arc_complex(polygon(n))
-        cert = certify(c, effort)
+        cert = certify(c)
         catalan = math.comb(2 * n - 4, n - 2) // (n - 1)
         ok = (
             cert.verdict == "sphere"
@@ -683,30 +678,30 @@ def polygon_certificates(n_max: int, effort: str = "full") -> Report:
     return report
 
 
-def _add_ball(report: Report, claim: str, paper_ref: str, n: int, c: Complex, effort: str) -> None:
-    """Claim that c is an (n-1)-ball, certified at the given effort."""
-    cert = certify(c, effort)
+def _add_ball(report: Report, claim: str, paper_ref: str, n: int, c: Complex) -> None:
+    """Claim that c is an (n-1)-ball."""
+    cert = certify(c)
     ok = cert.verdict == "ball" and cert.dim == n - 1 and euler_characteristic(c) == 1
     report.add(claim, paper_ref, n, "pass" if ok else "fail",
                verdict=cert.verdict, dim=cert.dim, rule=cert.rule)
 
 
-def crown_ball_certificates(n_max: int, effort: str = "full") -> Report:
+def crown_ball_certificates(n_max: int) -> Report:
     report = Report()
     for n in range(2, n_max + 1):
         _add_ball(report, "crown-ball-certificate", "crown-combinatorial-ball", n,
-                  arc_complex(crown(n)), effort)
+                  arc_complex(crown(n)))
     return report
 
 
-def mobius_ball_certificates(n_max: int, effort: str = "full") -> Report:
+def mobius_ball_certificates(n_max: int) -> Report:
     report = Report()
     for n in range(2, n_max + 1):
         s = mobius_crown(n)
         _add_ball(report, "mobius-ball-certificate", "mobius-combinatorial-ball", n,
-                  arc_complex(s), effort)
+                  arc_complex(s))
         inner = inner_complex(s)
-        inner_cert = certify(inner, effort)
+        inner_cert = certify(inner)
         dim = dimension(inner)
         ok = inner_cert.shelling is not None and dim == n - 1
         report.add("inner-mobius-shellable", "inner-mobius-shellable-pseudomanifold", n,

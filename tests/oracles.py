@@ -11,7 +11,8 @@ from functools import lru_cache
 
 from arclab.arcs import _nested_in, mobius_crown, polygon, wrap_length
 from arclab.build import arc_complex, induced_arc_complex, inner_complex
-from arclab.simplicial import isomorphic, join_all, restrict
+from arclab.collapse import trace
+from arclab.simplicial import faces, isomorphic, join_all, restrict, vertex_deletion
 from arclab.strong import dominated_vertices, dominating_set
 
 
@@ -280,6 +281,23 @@ def scan_dominating_set(c, v) -> set:
     if not stars:
         raise ValueError(f"vertex {v} is not in the complex")
     return set.intersection(*map(set, stars)) - {v}
+
+
+def scan_strong_to_elementary(c, t):
+    """The elementary trace of the strong collapse t from c, by scanning every
+    face of the complex at each step: for each (v, w), the faces with v and
+    not w, each paired with itself plus w, larger faces first and then by
+    sorted ids.  ValueError if a witness does not dominate its vertex."""
+    steps = []
+    for i, (v, w) in enumerate(t.steps):
+        if w not in scan_dominating_set(c, v):
+            raise ValueError(f"step {i}: vertex {v} is not dominated by {w}")
+        with_v = sorted(
+            (f for f in faces(c) if v in f and w not in f), key=lambda f: (-len(f), sorted(f))
+        )
+        steps.extend((f, f | {w}) for f in with_v)
+        c = vertex_deletion(c, v)
+    return trace(steps)
 
 
 def scan_free_pairs(c) -> list:

@@ -9,6 +9,7 @@ from arclab.certify import (
     PM_NO,
     RULE_DANARAJ_KLEE,
     RULE_WHITEHEAD,
+    ShellingResult,
     certify,
     flip_graph,
     graph_diameter,
@@ -231,6 +232,13 @@ def test_whitehead_route_certifies_a_disk():
     cert = certify(disk, rules=(RULE_WHITEHEAD,))
     assert cert.verdict == "ball" and cert.dim == 2
     assert cert.rule == RULE_WHITEHEAD
+
+def test_whitehead_recursion_is_bounded_by_the_dimension_alone(monkeypatch):
+    # with no shelling found, every link down to the points goes by Whitehead
+    monkeypatch.setattr(certify_module, "shelling_search",
+                        lambda c, budget: ShellingResult(INCONCLUSIVE, nodes=budget))
+    cert = certify(labeled([range(7)]), rules=(RULE_WHITEHEAD,))
+    assert (cert.verdict, cert.dim, cert.rule) == ("ball", 6, RULE_WHITEHEAD)
 
 def test_undetermined_without_applicable_rules(complex_of):
     cert = certify(complex_of("polygon", 6), rules=(RULE_WHITEHEAD,))

@@ -193,16 +193,14 @@ def test_theorems_evidence_dir(tmp_path, capsys):
         assert isinstance(payload, dict) and payload
 
 
-def test_budget_env_var_sets_search_default(tmp_path, capsys, monkeypatch):
+def test_budget_flag_sets_the_search_budget(tmp_path, capsys):
     src = tmp_path / "m2.json"
     run(capsys, "gen", "--surface", "mobius", "--n", "2", "--out", str(src))
-    monkeypatch.setenv("ARCLAB_BUDGET", "1")
-    code, out, _ = run(capsys, "collapse", "--in", str(src), "--strategy", "search")
+    code, out, _ = run(capsys, "collapse", "--in", str(src), "--strategy", "search", "--budget", "1")
     assert code == 1  # budget of one node cannot finish the search
     assert json.loads(out)["collapsed_to_point"] is False
-    monkeypatch.setenv("ARCLAB_BUDGET", "not-a-number")
-    code, _, err = run(capsys, "collapse", "--in", str(src))
-    assert code == 2 and "ARCLAB_BUDGET" in err
+    code, _, err = run(capsys, "collapse", "--in", str(src), "--budget", "not-a-number")
+    assert code == 2 and "--budget" in err
 
 
 @pytest.mark.parametrize("budget", ["0", "-5"])
@@ -212,16 +210,6 @@ def test_collapse_rejects_a_budget_flag_below_one(tmp_path, capsys, budget):
     code, out, err = run(capsys, "collapse", "--in", str(src), "--budget", budget)
     assert code == 2 and out == ""
     assert "at least 1" in err
-
-
-@pytest.mark.parametrize("budget", ["0", "-5"])
-def test_collapse_rejects_a_budget_variable_below_one(tmp_path, capsys, monkeypatch, budget):
-    src = tmp_path / "m2.json"
-    run(capsys, "gen", "--surface", "mobius", "--n", "2", "--out", str(src))
-    monkeypatch.setenv("ARCLAB_BUDGET", budget)
-    code, out, err = run(capsys, "collapse", "--in", str(src))
-    assert code == 2 and out == ""
-    assert "ARCLAB_BUDGET" in err and "at least 1" in err
 
 
 @pytest.mark.parametrize("flag, value, minimum", [

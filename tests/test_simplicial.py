@@ -121,9 +121,9 @@ def test_mobius_facet_counts_are_powers_of_four(n, complex_of):
 def test_max_cliques_against_naive_enumeration():
     # a fixed awkward graph plus the mobius(3) disjointness graph
     g = make_graph(range(6), [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2), (5, 0)])
-    assert set(max_cliques(g.adjacency())) == naive_max_cliques(g.vertices, g.edges)
+    assert set(max_cliques(g)) == naive_max_cliques(g.vertices, g.edges)
     g2 = disjointness_graph(mobius_crown(3))
-    assert set(max_cliques(g2.adjacency())) == naive_max_cliques(g2.vertices, g2.edges)
+    assert set(max_cliques(g2)) == naive_max_cliques(g2.vertices, g2.edges)
 
 
 def test_flag_complex_faces_are_graph_cliques(complex_of):

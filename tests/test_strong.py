@@ -26,6 +26,7 @@ from arclab.strong import (
     strong_to_elementary,
     verify_strong_trace,
 )
+from oracles import scan_strong_to_elementary
 from test_simplicial import graphs
 
 def labeled(facets):
@@ -189,6 +190,30 @@ def test_conversion_preserves_euler_characteristic_stepwise():
             current = apply_collapse(current, *step)
             assert euler_characteristic(current) == chi
         assert current == terminal
+
+@st.composite
+def complexes(draw):
+    """A random complex on the vertices 0..7, with up to eight facets."""
+    facets = draw(st.lists(st.frozensets(st.integers(0, 7), min_size=1, max_size=5),
+                           min_size=1, max_size=8))
+    return labeled(facets)
+
+def assert_conversion_matches_the_scan(c, t):
+    elem = strong_to_elementary(c, t)
+    assert elem == scan_strong_to_elementary(c, t)
+    assert verify_trace(c, elem).terminal == verify_strong_trace(c, t)
+
+@settings(max_examples=200, deadline=None)
+@given(complexes(), st.integers(0, 3))
+def test_conversion_on_the_star_matches_the_face_scan(c, seed):
+    for order in ("canonical", "random"):
+        assert_conversion_matches_the_scan(c, core(c, order, seed)[1])
+
+@pytest.mark.parametrize("family,n", [("inner-mobius", n) for n in range(2, 7)]
+                         + [("crown", n) for n in range(1, 6)])
+def test_conversion_on_the_star_matches_the_face_scan_on_arc_complexes(family, n, complex_of):
+    c = complex_of(family, n)
+    assert_conversion_matches_the_scan(c, core(c)[1])
 
 def test_verify_strong_trace_checks_witnesses():
     c = labeled([[0, 1], [1, 2]])

@@ -13,6 +13,7 @@ from arclab.arcs import (
     mobius_crown,
 )
 from arclab.build import arc_complex, disjointness_graph, induced_arc_complex, inner_complex
+from arclab.collapse import verify_trace
 from arclab.simplicial import make_complex
 from arclab.strong import StrongTrace, dominated_vertices, graph_dominating_set, verify_strong_trace
 from arclab.theorems import (
@@ -25,7 +26,7 @@ from arclab.theorems import (
     thm_mobius_not_strong,
     thm_strip_strong,
 )
-from oracles import facet_stage_domination, factorwise_sapling_link_check
+from oracles import brute_force_faces, facet_stage_domination, factorwise_sapling_link_check
 
 
 def replayed(report, c):
@@ -121,14 +122,15 @@ def test_mobius_collapse_passes(n):
 
 
 def sapling_links(monkeypatch, n):
-    """(surface, link, sapling, ids) for every sapling thm_mobius_collapse(n)
-    deletes, as the suite finds them, after each has passed the suite's check."""
+    """(surface, link, sapling, ids, link trace) for every sapling
+    thm_mobius_collapse(n) deletes, as the suite finds them, after each has
+    passed the suite's check."""
     seen = []
     check = theorems._sapling_link_trace
 
-    def recording(s, L, sap, ids, claim, models):
-        link_trace = check(s, L, sap, ids, claim, models)
-        seen.append((s, L, sap, ids))
+    def recording(s, L, sap, ids, models):
+        link_trace = check(s, L, sap, ids, models)
+        seen.append((s, L, sap, ids, link_trace))
         return link_trace
 
     monkeypatch.setattr(theorems, "_sapling_link_trace", recording)
@@ -140,8 +142,19 @@ def sapling_links(monkeypatch, n):
 
 @pytest.mark.parametrize("n", (3, 4, 5))
 def test_every_sapling_link_passes_the_tile_maps_and_the_factorwise_isomorphism_oracle(monkeypatch, n):
-    for s, L, sap, ids in sapling_links(monkeypatch, n):
+    for s, L, sap, ids, _ in sapling_links(monkeypatch, n):
         assert factorwise_sapling_link_check(s, L, sap, ids)
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_every_sapling_link_trace_collapses_its_link_to_a_vertex_by_codimension_one_pairs(
+    monkeypatch, n
+):
+    for _, L, _, _, link_trace in sapling_links(monkeypatch, n):
+        verdict = verify_trace(L, link_trace)
+        assert verdict.valid and verdict.terminal.n_vertices == 1
+        assert all(free < coface and len(coface - free) == 1 for free, coface in link_trace.steps)
+        assert 2 * len(link_trace) == len(brute_force_faces(L.facets)) - 1
 
 
 def test_each_sapling_model_is_built_once_per_call(monkeypatch):
@@ -157,7 +170,7 @@ def test_each_sapling_model_is_built_once_per_call(monkeypatch):
 
 def two_arc_sapling_link(monkeypatch):
     """A sapling of two arcs, and its link, as the suite meets them at n = 4."""
-    links = [x for x in sapling_links(monkeypatch, 4) if len(x[2]) == 2]
+    links = [x[:4] for x in sapling_links(monkeypatch, 4) if len(x[2]) == 2]
     assert links
     return links[0]
 
@@ -171,7 +184,7 @@ def test_a_link_with_a_facet_dropped_or_added_fails_naming_the_sapling(monkeypat
     added = make_complex({**labels, stray: "stray"}, [*L.facets, [stray]])
     for changed in (dropped, added):
         with pytest.raises(TheoremError) as caught:
-            theorems._sapling_link_trace(s, changed, sap, ids, "claim", {})
+            theorems._sapling_link_trace(s, changed, sap, ids, {})
         assert "link is not the join" in str(caught.value)
         assert caught.value.details["sapling"] == [b.label() for b in sap]
         assert not factorwise_sapling_link_check(s, changed, sap, ids)
@@ -179,11 +192,11 @@ def test_a_link_with_a_facet_dropped_or_added_fails_naming_the_sapling(monkeypat
 
 def test_a_trunk_map_shifted_by_one_fails_naming_the_sapling(monkeypatch):
     s, L, sap, ids = two_arc_sapling_link(monkeypatch)
-    theorems._sapling_link_trace(s, L, sap, ids, "claim", {})
+    theorems._sapling_link_trace(s, L, sap, ids, {})
     # every trunk arc cc(o_i, o_j) lands on cc(o_i + 1, o_j + 1) instead
     monkeypatch.setattr(theorems, "cc_arc", lambda i, j: cc_arc(i % s.n + 1, j % s.n + 1))
     with pytest.raises(TheoremError) as caught:
-        theorems._sapling_link_trace(s, L, sap, ids, "claim", {})
+        theorems._sapling_link_trace(s, L, sap, ids, {})
     assert "link is not the join" in str(caught.value)
     assert caught.value.details["sapling"] == [b.label() for b in sap]
 
