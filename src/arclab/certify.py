@@ -241,14 +241,14 @@ def shelling_search(c: Complex, budget: int = DEFAULT_BUDGET) -> ShellingResult:
 
     nodes = 0
     for start in range(t):
-        order = [start]
-        placed = 1 << start
-        # per depth: the frontier (facets next to a placed one) and its facets
-        # not yet tested there.  Candidates are tested lazily, in ascending
+        # the order is the only stack.  frontier holds the unplaced facets next
+        # to a placed one, and candidates those of its facets not yet tested
+        # at the current node.  Candidates are tested lazily, in ascending
         # index; placed is as it was at the node whenever they are tested,
         # so this tries the same candidates as a full scan on arrival.
-        frontier = [neighbors[start]]
-        untested: list[int] = []
+        order = [start]
+        placed = 1 << start
+        frontier = candidates = neighbors[start]
         while True:
             if len(order) == t:
                 shelling = tuple(facets[i] for i in order)
@@ -258,20 +258,18 @@ def shelling_search(c: Complex, budget: int = DEFAULT_BUDGET) -> ShellingResult:
             nodes += 1
             if nodes >= budget:
                 return ShellingResult(INCONCLUSIVE, nodes=nodes)
-            untested.append(frontier[-1])
-            # back up past every node with nothing left to try
-            while not (low := next_addable(untested[-1], placed)):
-                untested.pop()
-                if not untested:
-                    break
-                frontier.pop()
-                placed ^= 1 << order.pop()
-            if not untested:
+            # back up past every node with nothing left to try, resuming each
+            # with its candidates above the facet taken back
+            while not (low := next_addable(candidates, placed)) and len(order) > 1:
+                taken = order.pop()
+                placed ^= 1 << taken
+                frontier = reduce(or_, [neighbors[i] for i in order]) & ~placed
+                candidates = frontier & -(2 << taken)
+            if not low:
                 break
-            untested[-1] &= -(low << 1)  # drop low and the facets below it
             placed |= low
             order.append(low.bit_length() - 1)
-            frontier.append((frontier[-1] | neighbors[order[-1]]) & ~placed)
+            frontier = candidates = (frontier | neighbors[order[-1]]) & ~placed
     return ShellingResult(DISPROVEN, nodes=nodes)
 
 
@@ -286,15 +284,12 @@ def _chi_consistent(verdict: str, d: int, chi: int) -> bool:
     return True
 
 
-def certify(
-    c: Complex,
-    effort: str = "full",
-    rules: tuple[str, ...] = (RULE_DANARAJ_KLEE, RULE_WHITEHEAD),
-) -> Certificate:
+def certify(c: Complex, effort: str = "full") -> Certificate:
     """Assemble a ball/sphere certificate for a pure complex.
 
-    effort picks the search budgets ("fast" or "full").  The verdict cites
-    the inference rule used; "undetermined" is an honest outcome.
+    effort picks the search budgets ("fast" or "full").  Danaraj-Klee is
+    tried first, then Whitehead.  The verdict cites the inference rule
+    used; "undetermined" is an honest outcome.
     """
     if not is_pure(c):
         raise ValueError("certification requires a pure complex")
@@ -319,7 +314,7 @@ def certify(
         return Certificate(pm.status, pm.strongly_connected, None, "undetermined", None, None)
 
     shelling: tuple[Face, ...] | None = None
-    if RULE_DANARAJ_KLEE in rules and pm.status in (PM_CLOSED, PM_BOUNDARY):
+    if pm.status in (PM_CLOSED, PM_BOUNDARY):
         result = shelling_search(c, shell_budget)
         if result.status == PROVEN:
             shelling = result.order
@@ -336,13 +331,12 @@ def certify(
         else:
             notes.append(f"shelling search: disproven after {result.nodes} nodes")
 
-    if RULE_WHITEHEAD in rules and pm.status == PM_BOUNDARY:
+    if pm.status == PM_BOUNDARY:
         coll = is_collapsible(c, collapse_budget)
         if coll.status == PROVEN:
             links_ok = True
             saw_ball = False
             for v in c.vertex_ids:
-                # manifold evidence may use any rule, whatever the top level;
                 # each link is one dimension down, and d = 0 returns above
                 sub = certify(link(c, [v]), effort)
                 if sub.verdict == "ball" and sub.dim == d - 1:

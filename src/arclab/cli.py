@@ -15,18 +15,10 @@ import json
 import sys
 
 from . import __version__
-from .arcs import SurfaceSpec, crown, integral_strip, mobius_crown, polygon
+from .arcs import SurfaceSpec
 from .build import arc_complex, disjointness_graph
 from .certify import certify, flip_graph, graph_diameter, is_connected
-from .collapse import (
-    DEFAULT_BUDGET,
-    PROVEN,
-    apply_collapse,
-    free_pairs,
-    is_collapsible,
-    trace as make_trace,
-    verify_trace,
-)
+from .collapse import DEFAULT_BUDGET, PROVEN, is_collapsible, trace, verify_trace
 from .simplicial import (
     dimension,
     dumps_canonical,
@@ -49,20 +41,6 @@ def _at_least(source: str, raw, minimum: int) -> int:
     return value
 
 
-def _surface_from_args(args) -> SurfaceSpec:
-    if args.surface == "polygon":
-        return polygon(args.n)
-    if args.surface == "crown":
-        return crown(args.n)
-    if args.surface == "mobius":
-        return mobius_crown(args.n)
-    if args.surface == "strip":
-        if args.m is None:
-            raise SystemExit("--m is required for --surface strip")
-        return integral_strip(args.m, args.n)
-    raise SystemExit(f"unknown surface {args.surface!r}")
-
-
 def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -82,7 +60,7 @@ def _load_complex(path: str):
 
 
 def cmd_gen(args) -> int:
-    s = _surface_from_args(args)
+    s = SurfaceSpec(args.surface, args.n, args.m)
     c = arc_complex(s)
     if c.n_vertices == 0:
         print(f"warning: {s.describe()} has no nontrivial arcs", file=sys.stderr)
@@ -119,24 +97,9 @@ def cmd_check(args) -> int:
 def cmd_collapse(args) -> int:
     budget = _at_least("--budget", args.budget, 1)
     c = _load_complex(args.input)
-    if args.strategy == "greedy":
-        steps = []
-        current = c
-        while True:
-            pairs = free_pairs(current)
-            if not pairs:
-                break
-            free, coface = pairs[0]
-            steps.append((free, coface))
-            current = apply_collapse(current, free, coface)
-            if current.n_vertices == 1:
-                break
-        t = make_trace(steps)
-        proven = current.n_vertices == 1
-    else:
-        result = is_collapsible(c, budget)
-        proven = result.status == PROVEN
-        t = result.trace or make_trace([])
+    result = is_collapsible(c, budget)
+    proven = result.status == PROVEN
+    t = result.trace or trace([])
     verdict = verify_trace(c, t)
     if not verdict.valid:
         raise SystemExit(f"internal error: emitted trace failed to replay: {verdict.reason}")
@@ -185,8 +148,7 @@ def cmd_theorems(args) -> int:
         f.name: _at_least(_limit_flag(f.name), getattr(args, f"max_{f.name}"), 0)
         for f in dataclasses.fields(Limits)
     })
-    jobs = _at_least("--jobs", args.jobs, 1)
-    report = run_all(limits, seed=args.seed, jobs=jobs, evidence_dir=args.evidence_dir)
+    report = run_all(limits, evidence_dir=args.evidence_dir)
     _write(args.out, report.dumps())
     if args.out not in (None, "-"):
         counts = {"pass": 0, "fail": 0, "info": 0}
@@ -224,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     coll = sub.add_parser("collapse", help="search for a collapse trace")
     coll.add_argument("--in", dest="input", required=True)
-    coll.add_argument("--strategy", choices=["greedy", "search"], default="search")
     coll.add_argument("--budget", default=DEFAULT_BUDGET,
                       help=f"search node budget (default: {DEFAULT_BUDGET})")
     coll.add_argument("--out", default=None)
@@ -247,8 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     thms = sub.add_parser("theorems", help="run the verification suites")
     for f in dataclasses.fields(Limits):
         thms.add_argument(_limit_flag(f.name), type=int, default=f.default)
-    thms.add_argument("--seed", type=int, default=0)
-    thms.add_argument("--jobs", type=int, default=1)
     thms.add_argument("--out", default=None)
     thms.add_argument("--evidence-dir", default=None,
                       help="write per-claim detail files and reference them")

@@ -121,19 +121,6 @@ def face_order(f: Face) -> tuple:
     return (-len(f), tuple(sorted(f)))
 
 
-def free_pairs(c: Complex) -> list[Pair]:
-    """All (face, facet) pairs where the face lies in exactly that one facet."""
-    out: list[Pair] = []
-    for i, facet in enumerate(c.facets):
-        elems = sorted(facet)
-        for mask in range(1, (1 << len(elems)) - 1):
-            face = frozenset(elems[j] for j in range(len(elems)) if mask >> j & 1)
-            if c.star_mask(face) == 1 << i:
-                out.append((face, facet))
-    # a free face lies in one facet only, so its order decides
-    return sorted(out, key=lambda p: face_order(p[0]))
-
-
 def cone_collapse_trace(c: Complex, apex: int | None = None) -> CollapseTrace:
     """Full collapse of a cone onto its apex.
 

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 from arclab.arcs import _nested_in, mobius_crown, polygon, wrap_length
 from arclab.build import arc_complex, induced_arc_complex, inner_complex
-from arclab.collapse import trace
+from arclab.collapse import apply_collapse, trace
 from arclab.simplicial import faces, isomorphic, join_all, restrict, vertex_deletion
 from arclab.strong import dominated_vertices, dominating_set
 
@@ -194,8 +194,10 @@ def reference_shelling_search(c, budget: int):
         nodes += 1
         if nodes >= budget:
             raise Budget
-        candidates = sorted(i for i in frontier if addable(i, used))
-        for i in candidates:
+        # used is as it was on arrival whenever a candidate is tested
+        for i in sorted(frontier):
+            if not addable(i, used):
+                continue
             new_frontier = (frontier | set(neighbors[i])) - used_set - {i}
             used.append(i)
             used_set.add(i)
@@ -302,7 +304,7 @@ def scan_strong_to_elementary(c, t):
 
 def scan_free_pairs(c) -> list:
     """Every (face, facet) with the nonempty face proper in that facet alone,
-    sorted as `free_pairs` sorts them."""
+    larger faces first, then by sorted ids."""
     out = []
     for facet in c.facets:
         for r in range(1, len(facet)):
@@ -310,6 +312,17 @@ def scan_free_pairs(c) -> list:
                 if scan_facets_containing(c, face) == [facet]:
                     out.append((face, facet))
     return sorted(out, key=lambda p: (-len(p[0]), sorted(p[0]), sorted(p[1])))
+
+
+def greedy_collapse(c):
+    """Collapse c by the first pair of `scan_free_pairs`, the largest free
+    face, until no face is free or one vertex is left: (steps, whether one
+    vertex is left)."""
+    steps = []
+    while c.n_vertices != 1 and (pairs := scan_free_pairs(c)):
+        steps.append(pairs[0])
+        c = apply_collapse(c, *pairs[0])
+    return steps, c.n_vertices == 1
 
 
 class SetReplayer:

@@ -226,22 +226,36 @@ def test_certificate_chi_consistency(complex_of):
         c = complex_of("crown", n)
         assert certify(c).verdict == "ball" and euler_characteristic(c) == 1
 
-def test_whitehead_route_certifies_a_disk():
-    # triangulated disk: fan of triangles around vertex 0
+def refuse_shelling(monkeypatch, *complexes):
+    """Make the shelling search inconclusive on the given complexes, or on
+    every complex if none is given, so that Whitehead is the route left."""
+    search = certify_module.shelling_search
+
+    def refusing(c, budget):
+        if complexes and not any(c is x for x in complexes):
+            return search(c, budget)
+        return ShellingResult(INCONCLUSIVE, nodes=budget)
+
+    monkeypatch.setattr(certify_module, "shelling_search", refusing)
+
+def test_whitehead_route_certifies_a_disk(monkeypatch):
+    # triangulated disk: fan of triangles around vertex 0; its links still shell
     disk = labeled([[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1]])
-    cert = certify(disk, rules=(RULE_WHITEHEAD,))
+    refuse_shelling(monkeypatch, disk)
+    cert = certify(disk)
     assert cert.verdict == "ball" and cert.dim == 2
     assert cert.rule == RULE_WHITEHEAD
 
 def test_whitehead_recursion_is_bounded_by_the_dimension_alone(monkeypatch):
     # with no shelling found, every link down to the points goes by Whitehead
-    monkeypatch.setattr(certify_module, "shelling_search",
-                        lambda c, budget: ShellingResult(INCONCLUSIVE, nodes=budget))
-    cert = certify(labeled([range(7)]), rules=(RULE_WHITEHEAD,))
+    refuse_shelling(monkeypatch)
+    cert = certify(labeled([range(7)]))
     assert (cert.verdict, cert.dim, cert.rule) == ("ball", 6, RULE_WHITEHEAD)
 
-def test_undetermined_without_applicable_rules(complex_of):
-    cert = certify(complex_of("polygon", 6), rules=(RULE_WHITEHEAD,))
+def test_undetermined_without_applicable_rules(complex_of, monkeypatch):
+    # Whitehead applies only with boundary, and polygon(6) is a closed sphere
+    refuse_shelling(monkeypatch)
+    cert = certify(complex_of("polygon", 6))
     assert cert.verdict == "undetermined"
 
 

@@ -61,6 +61,13 @@ def test_gen_rejects_bad_flags(capsys):
     assert code == 2  # missing --m
 
 
+@pytest.mark.parametrize("surface", ["polygon", "crown", "mobius"])
+def test_gen_rejects_m_on_a_surface_with_one_vertex_count(capsys, surface):
+    code, out, err = run(capsys, "gen", "--surface", surface, "--n", "2", "--m", "5")
+    assert code == 2 and out == ""
+    assert "takes a single vertex count" in err
+
+
 def test_check_reports_certificate(tmp_path, capsys):
     src = tmp_path / "m3.json"
     run(capsys, "gen", "--surface", "mobius", "--n", "3", "--out", str(src))
@@ -94,7 +101,7 @@ def test_check_rejects_coerced_input(tmp_path, capsys, text, message):
 def test_collapse_search_on_mobius_two(tmp_path, capsys):
     src = tmp_path / "m2.json"
     run(capsys, "gen", "--surface", "mobius", "--n", "2", "--out", str(src))
-    code, out, _ = run(capsys, "collapse", "--in", str(src), "--strategy", "search")
+    code, out, _ = run(capsys, "collapse", "--in", str(src))
     assert code == 0
     payload = json.loads(out)
     assert payload["collapsed_to_point"] is True
@@ -104,7 +111,7 @@ def test_collapse_search_on_mobius_two(tmp_path, capsys):
 def test_collapse_fails_on_sphere(tmp_path, capsys):
     src = tmp_path / "p5.json"
     run(capsys, "gen", "--surface", "polygon", "--n", "5", "--out", str(src))
-    code, out, _ = run(capsys, "collapse", "--in", str(src), "--strategy", "greedy")
+    code, out, _ = run(capsys, "collapse", "--in", str(src))
     assert code == 1
     assert json.loads(out)["collapsed_to_point"] is False
 
@@ -196,7 +203,7 @@ def test_theorems_evidence_dir(tmp_path, capsys):
 def test_budget_flag_sets_the_search_budget(tmp_path, capsys):
     src = tmp_path / "m2.json"
     run(capsys, "gen", "--surface", "mobius", "--n", "2", "--out", str(src))
-    code, out, _ = run(capsys, "collapse", "--in", str(src), "--strategy", "search", "--budget", "1")
+    code, out, _ = run(capsys, "collapse", "--in", str(src), "--budget", "1")
     assert code == 1  # budget of one node cannot finish the search
     assert json.loads(out)["collapsed_to_point"] is False
     code, _, err = run(capsys, "collapse", "--in", str(src), "--budget", "not-a-number")
@@ -213,8 +220,6 @@ def test_collapse_rejects_a_budget_flag_below_one(tmp_path, capsys, budget):
 
 
 @pytest.mark.parametrize("flag, value, minimum", [
-    ("--jobs", "0", 1),
-    ("--jobs", "-4", 1),
     ("--max-polygon", "-1", 0),
     ("--max-crown", "-3", 0),
     ("--max-mobius", "-2", 0),

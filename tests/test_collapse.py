@@ -3,6 +3,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arclab.arcs import crown, mobius_crown
 from arclab.build import arc_complex, inner_complex
@@ -13,7 +15,6 @@ from arclab.collapse import (
     PROVEN,
     apply_collapse,
     cone_collapse_trace,
-    free_pairs,
     is_collapsible,
     join_lift_trace,
     trace,
@@ -45,30 +46,7 @@ def random_complex(rng, ids, max_facets=6, max_size=4):
     return make_complex({v: f"v{v}" for v in pool if any(v in f for f in facets)}, facets)
 
 
-# --- free pairs and single steps -----------------------------------------------
-
-
-def test_edge_has_free_vertices():
-    c = labeled([[0, 1]])
-    pairs = free_pairs(c)
-    assert (frozenset([0]), frozenset([0, 1])) in pairs
-    assert (frozenset([1]), frozenset([0, 1])) in pairs
-
-
-def test_free_pair_count_matches_brute_force(complex_of):
-    from oracles import brute_force_faces
-
-    for c in (complex_of("polygon", 6), complex_of("crown", 2), complex_of("mobius", 3)):
-        pairs = free_pairs(c)
-        brute = {
-            (face, stars[0])
-            for face in brute_force_faces(c.facets)
-            if len(stars := [g for g in c.facets if face <= g]) == 1
-            and face != stars[0]
-        }
-        assert set(pairs) == brute
-    # a closed sphere has no free face: every proper face lies in >= 2 facets
-    assert free_pairs(complex_of("polygon", 6)) == []
+# --- single steps ------------------------------------------------------------------
 
 
 def test_triangle_collapses_in_three_cone_steps():
@@ -273,6 +251,34 @@ def test_search_agrees_with_schedules(complex_of):
 
     thm_mobius_collapse(3)
     assert is_collapsible(complex_of("mobius", 3), budget=200_000).status == PROVEN
+
+
+def assert_the_search_takes_the_greedy_trace(c):
+    """Greedy's largest free face is always a ridge of its facet: a smaller
+    free face lies in a free ridge of the same facet.  So greedy's step is
+    the search's first child, and wherever greedy reaches a point on a
+    non-cone the search returns greedy's trace."""
+    from oracles import greedy_collapse
+
+    steps, reached_point = greedy_collapse(c)
+    assert all(len(free) + 1 == len(coface) for free, coface in steps)
+    if reached_point and is_cone(c) is None:
+        result = is_collapsible(c)
+        assert result.status == PROVEN and result.trace == trace(steps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sets(st.integers(min_value=0, max_value=7), min_size=1, max_size=4),
+                min_size=1, max_size=8))
+def test_the_search_takes_the_greedy_trace_wherever_greedy_reaches_a_point(facets):
+    assert_the_search_takes_the_greedy_trace(labeled(facets))
+
+
+@pytest.mark.parametrize("family, n", [
+    ("polygon", 5), ("polygon", 6), ("crown", 2), ("crown", 3), ("mobius", 2), ("mobius", 3),
+])
+def test_the_search_takes_the_greedy_trace_on_arc_complexes(complex_of, family, n):
+    assert_the_search_takes_the_greedy_trace(complex_of(family, n))
 
 
 # --- euler invariance ------------------------------------------------------------------

@@ -43,7 +43,6 @@ from oracles import (
     reference_verify_trace,
     scan_dominating_set,
     scan_facets_containing,
-    scan_free_pairs,
     scan_is_cone,
 )
 
@@ -347,7 +346,7 @@ def test_star_index_matches_the_scans(facets, data):
     """Star queries, deletions, replays and the collapsibility search on the
     index give what the scans and the set-indexed replayer give, on random
     complexes that need not be flag complexes."""
-    from arclab.collapse import cone_collapse_trace, free_pairs, is_collapsible, trace, verify_trace
+    from arclab.collapse import cone_collapse_trace, is_collapsible, trace, verify_trace
     from arclab.strong import dominating_set
 
     c = complex_from_facets(facets)
@@ -360,7 +359,6 @@ def test_star_index_matches_the_scans(facets, data):
     assert is_cone(c) == scan_is_cone(c)
     for v in c.vertex_ids:
         assert dominating_set(c, v) == scan_dominating_set(c, v)
-    assert free_pairs(c) == scan_free_pairs(c)
 
     sigma = data.draw(st.sampled_from(sorted(faces_c, key=sorted)))
     assert_prunes_to(face_deletion(c, sigma), c.labels, [f for f in faces_c if not sigma <= f])
