@@ -86,14 +86,6 @@ def _collapse(editor: FacetEditor, free: Face, coface: Face) -> str | None:
     return None
 
 
-def apply_collapse(c: Complex, free: Iterable[int], coface: Iterable[int]) -> Complex:
-    editor = FacetEditor(c)
-    err = _collapse(editor, frozenset(free), frozenset(coface))
-    if err:
-        raise ValueError(err)
-    return editor.to_complex()
-
-
 def replay(editor: FacetEditor, t: CollapseTrace) -> tuple[int, str] | None:
     """Apply t to editor in place, confirming freeness at every step.
 
@@ -138,25 +130,17 @@ def cone_collapse_trace(c: Complex, apex: int | None = None) -> CollapseTrace:
     return trace((f, f | {apex}) for f in sorted(base, key=face_order))
 
 
-def join_lift_trace(x: Complex, t: CollapseTrace) -> CollapseTrace:
-    """Lift a collapse of y to one of x * y, ending at x * (terminal of t).
-
-    Each step (s, c) of t becomes the steps (f | s, f | c) over all faces f
-    of x, the empty face included, in decreasing dimension of f.
-    """
-    xfaces = sorted(faces(x, include_empty=True), key=face_order)
-    steps: list[Pair] = []
-    for free, coface in t.steps:
-        steps.extend((f | free, f | coface) for f in xfaces)
-    return trace(steps)
-
-
 def welker_expand(c: Complex, face: Iterable[int], link_trace: CollapseTrace) -> CollapseTrace:
     """Trace realizing the collapse of c onto the face-deletion of `face`.
 
     Requires link_trace to collapse the link of `face` to a single vertex w;
     the expansion joins `face` onto every link step and finishes with the
-    pair (face, face + {w}).
+    pair (face, face + {w}).  Only the link replay is checked, and that is
+    enough: tau -> tau - face maps the faces of c through `face` one-to-one
+    onto the faces of the link, keeping containment, and every facet
+    through a face that contains `face` lies in its star.  So (face + a,
+    face + b) is a collapse of c iff (a, b) is one of the link, and after
+    the whole expansion c is its face-deletion of `face`.
     """
     face = frozenset(face)
     lk = link(c, face)

@@ -221,13 +221,6 @@ def empty_complex() -> Complex:
     return make_complex({}, [])
 
 
-def restrict(c: Complex, keep: Iterable[int]) -> Complex:
-    """Induced subcomplex on a vertex subset."""
-    keep = frozenset(keep)
-    labels = {v: l for v, l in c.vertex_labels if v in keep}
-    return make_complex(labels, [f & keep for f in c.facets], c.surface)
-
-
 def facets_containing(c: Complex, face: Iterable[int]) -> list[Face]:
     return [c.facets[i] for i in _bits(c.star_mask(face))]
 

@@ -5,6 +5,11 @@ w, i.e. the intersection of those facets has a vertex other than v.  Cores
 are fixpoints of dominated-vertex removal; they are unique up to
 isomorphism, which makes the greedy decision procedure complete.
 
+Strong collapses run on one `FacetEditor`: `core`, `verify_strong_trace`
+and `strong_to_elementary` read each dominating set off the editor's star
+index, remove a vertex by one `FacetEditor.delete`, and build a `Complex`
+only for the terminal.
+
 In a flag complex w dominates v iff the closed neighbourhood N[v] lies in
 N[w] (Barmak-Minian 2012; Boissonnat-Pritam 2020), so `graph_dominating_set`
 and `graph_core` read domination off the graph's neighbourhood bitsets,
@@ -16,16 +21,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .collapse import CollapseTrace, face_order, trace
-from .simplicial import (
-    Complex,
-    Graph,
-    _bits,
-    facets_containing,
-    vertex_deletion,
-)
+from .simplicial import Complex, Face, FacetEditor, Graph, _bits
 
 
 @dataclass(frozen=True)
@@ -50,33 +49,37 @@ class StrongTrace:
         return StrongTrace(tuple(steps))
 
 
+def _dominating(stars: Mapping[int, int], facets: Sequence[Face | None], v: int) -> set[int]:
+    """`dominating_set` on a star index and the facets (or editor slots) it indexes."""
+    star = stars.get(v, 0)
+    if not star:
+        raise ValueError(f"vertex {v} is not in the complex")
+    first = facets[(star & -star).bit_length() - 1]
+    return {w for w in first if w != v and not star & ~stars[w]}
+
+
+def _dominated(stars: Mapping[int, int], facets: Sequence[Face | None]) -> list[tuple[int, int]]:
+    """`dominated_vertices` on a star index and the facets (or editor slots) it indexes."""
+    out = []
+    for v in sorted(v for v, star in stars.items() if star):
+        dom = _dominating(stars, facets, v)
+        if dom:
+            out.append((v, min(dom)))
+    return out
+
+
 def dominating_set(c: Complex, v: int) -> set[int]:
     """Vertices other than v contained in every maximal face containing v.
 
     w dominates v iff the star of v lies in the star of w, and any such w
     lies in the first facet through v.
     """
-    star = c.stars.get(v, 0)
-    if not star:
-        raise ValueError(f"vertex {v} is not in the complex")
-    first = c.facets[(star & -star).bit_length() - 1]
-    return {w for w in first if w != v and not star & ~c.stars[w]}
+    return _dominating(c.stars, c.facets, v)
 
 
 def dominated_vertices(c: Complex) -> list[tuple[int, int]]:
     """All dominated vertices with their lowest-id witness, sorted by id."""
-    out = []
-    for v in c.vertex_ids:
-        dom = dominating_set(c, v)
-        if dom:
-            out.append((v, min(dom)))
-    return out
-
-
-def remove_dominated(c: Complex, v: int) -> Complex:
-    if not dominating_set(c, v):
-        raise ValueError(f"vertex {v} is not dominated")
-    return vertex_deletion(c, v)
+    return _dominated(c.stars, c.facets)
 
 
 def _picker(order: str, seed: int) -> Callable[[list[tuple[int, int]]], tuple[int, int]]:
@@ -89,19 +92,19 @@ def _picker(order: str, seed: int) -> Callable[[list[tuple[int, int]]], tuple[in
 def core(
     c: Complex, order: str = "canonical", seed: int = 0
 ) -> tuple[Complex, StrongTrace]:
-    """Iterate dominated-vertex removals to a fixpoint.
+    """Iterate dominated-vertex removals to a fixpoint, on one editor.
 
     order="canonical" removes the lowest-id dominated vertex each round;
     order="random" picks uniformly using the given seed.
     """
     pick = _picker(order, seed)
-    current = c
+    editor = FacetEditor(c)
     steps: list[tuple[int, int]] = []
-    while dom := dominated_vertices(current):
+    while dom := _dominated(editor.stars, editor.slots):
         v, w = pick(dom)
         steps.append((v, w))
-        current = vertex_deletion(current, v)
-    return current, StrongTrace(tuple(steps))
+        editor.delete(frozenset((v,)))
+    return editor.to_complex(), StrongTrace(tuple(steps))
 
 
 def graph_dominating_set(g: Graph, alive: int, i: int) -> int:
@@ -152,28 +155,28 @@ def is_strongly_collapsible(c: Complex) -> tuple[bool, StrongTrace]:
     return terminal.n_vertices == 1, t
 
 
-def _replay(c: Complex, t: StrongTrace) -> Iterator[tuple[Complex, int, int, Complex]]:
-    """(complex, v, w, complex without v) for each step (v, w) of t from c.
+def _replay(editor: FacetEditor, t: StrongTrace) -> Iterator[tuple[int, int]]:
+    """Apply t to editor in place, yielding each step (v, w) before removing v.
 
     Raises ValueError at the first step whose witness does not dominate v.
     """
     for i, (v, w) in enumerate(t.steps):
-        dom = dominating_set(c, v)
+        dom = _dominating(editor.stars, editor.slots, v)
         if w not in dom:
             raise ValueError(
                 f"step {i}: vertex {v} is not dominated by {w} "
                 f"(dominating set {sorted(dom)})"
             )
-        after = vertex_deletion(c, v)
-        yield c, v, w, after
-        c = after
+        yield v, w
+        editor.delete(frozenset((v,)))
 
 
 def verify_strong_trace(c: Complex, t: StrongTrace) -> Complex:
     """Replay t, checking each witness; returns the terminal complex."""
-    for _, _, _, c in _replay(c, t):
+    editor = FacetEditor(c)
+    for _ in _replay(editor, t):
         pass
-    return c
+    return editor.to_complex()
 
 
 def strong_to_elementary(c: Complex, t: StrongTrace) -> CollapseTrace:
@@ -185,10 +188,11 @@ def strong_to_elementary(c: Complex, t: StrongTrace) -> CollapseTrace:
     contains w, so those faces are v + S for S a subset of f - {v, w}, f a
     facet through v, and are read off the star of v.
     """
+    editor = FacetEditor(c)
     steps = []
-    for current, v, w, _ in _replay(c, t):
+    for v, w in _replay(editor, t):
         with_v = set()
-        for f in facets_containing(current, [v]):
+        for f in editor.containing([v]):
             rest = f - {v, w}
             for k in range(len(rest) + 1):
                 with_v.update(frozenset((v, *s)) for s in combinations(rest, k))

@@ -7,13 +7,21 @@ from the library code paths it checks.
 from __future__ import annotations
 
 import itertools
+import random
 from functools import lru_cache
 
 from arclab.arcs import _nested_in, mobius_crown, polygon, wrap_length
 from arclab.build import arc_complex, induced_arc_complex, inner_complex
-from arclab.collapse import apply_collapse, trace
-from arclab.simplicial import faces, isomorphic, join_all, restrict, vertex_deletion
-from arclab.strong import dominated_vertices, dominating_set
+from arclab.collapse import face_order, trace, verify_trace
+from arclab.simplicial import (
+    facets_containing,
+    faces,
+    isomorphic,
+    join_all,
+    make_complex,
+    vertex_deletion,
+)
+from arclab.strong import StrongTrace, dominated_vertices, dominating_set
 
 
 @lru_cache(maxsize=None)
@@ -434,3 +442,86 @@ def reference_is_collapsible(c, budget: int):
             if path:
                 path.pop()
     return "disproven", None, nodes
+
+
+# --- helpers that no library code calls ----------------------------------------------
+
+
+def restrict(c, keep):
+    """Induced subcomplex on a vertex subset."""
+    keep = frozenset(keep)
+    labels = {v: l for v, l in c.vertex_labels if v in keep}
+    return make_complex(labels, [f & keep for f in c.facets], c.surface)
+
+
+def apply_collapse(c, free, coface):
+    """c after the one collapse step (free, coface); ValueError if it is none."""
+    verdict = verify_trace(c, trace([(free, coface)]))
+    if not verdict.valid:
+        raise ValueError(verdict.reason)
+    return verdict.terminal
+
+
+def remove_dominated(c, v):
+    """c without v; ValueError unless some vertex dominates v."""
+    if not dominating_set(c, v):
+        raise ValueError(f"vertex {v} is not dominated")
+    return vertex_deletion(c, v)
+
+
+def join_lift_trace(x, t):
+    """Lift a collapse of y to one of x * y, ending at x * (terminal of t).
+
+    Each step (s, c) of t becomes the steps (f | s, f | c) over all faces f
+    of x, the empty face included, in decreasing dimension of f.
+    """
+    xfaces = sorted(faces(x, include_empty=True), key=face_order)
+    return trace((f | free, f | coface) for free, coface in t.steps for f in xfaces)
+
+
+# --- the strong collapses that rebuilt a complex per removed vertex ----------------
+
+
+def rebuilding_core(c, order="canonical", seed=0):
+    """`core` by `vertex_deletion`, a new complex and star index per step."""
+    pick = (lambda dom: dom[0]) if order == "canonical" else random.Random(seed).choice
+    steps = []
+    while dom := dominated_vertices(c):
+        v, w = pick(dom)
+        steps.append((v, w))
+        c = vertex_deletion(c, v)
+    return c, StrongTrace(tuple(steps))
+
+
+def _rebuilding_replay(c, t):
+    """The complex before each step (v, w) of t from c, and the terminal;
+    ValueError at the first step whose witness does not dominate v."""
+    before = []
+    for i, (v, w) in enumerate(t.steps):
+        dom = dominating_set(c, v)
+        if w not in dom:
+            raise ValueError(
+                f"step {i}: vertex {v} is not dominated by {w} "
+                f"(dominating set {sorted(dom)})"
+            )
+        before.append(c)
+        c = vertex_deletion(c, v)
+    return before, c
+
+
+def rebuilding_verify_strong_trace(c, t):
+    """`verify_strong_trace` by `vertex_deletion` per step."""
+    return _rebuilding_replay(c, t)[1]
+
+
+def rebuilding_strong_to_elementary(c, t):
+    """`strong_to_elementary` read off the star of each rebuilt complex."""
+    steps = []
+    for current, (v, w) in zip(_rebuilding_replay(c, t)[0], t.steps):
+        with_v = set()
+        for f in facets_containing(current, [v]):
+            rest = f - {v, w}
+            for k in range(len(rest) + 1):
+                with_v.update(frozenset((v, *s)) for s in itertools.combinations(rest, k))
+        steps.extend((f, f | {w}) for f in sorted(with_v, key=face_order))
+    return trace(steps)

@@ -20,13 +20,7 @@ from arclab.arcs import (
 )
 from arclab.build import arc_complex
 from arclab.certify import certify, flip_graph, graph_diameter, is_connected
-from arclab.collapse import (
-    apply_collapse,
-    cone_collapse_trace,
-    join_lift_trace,
-    verify_trace,
-    welker_expand,
-)
+from arclab.collapse import cone_collapse_trace, verify_trace, welker_expand
 from arclab.simplicial import (
     dimension,
     euler_characteristic,
@@ -46,7 +40,7 @@ from arclab.theorems import (
     thm_mobius_not_strong,
     thm_strip_strong,
 )
-from oracles import catalan
+from oracles import apply_collapse, catalan, join_lift_trace
 
 
 def _report(k: int, text: str) -> None:

@@ -13,10 +13,8 @@ from arclab.collapse import (
     DISPROVEN,
     INCONCLUSIVE,
     PROVEN,
-    apply_collapse,
     cone_collapse_trace,
     is_collapsible,
-    join_lift_trace,
     trace,
     verify_trace,
     welker_expand,
@@ -30,6 +28,7 @@ from arclab.simplicial import (
     point_complex,
 )
 from arclab.strong import is_strongly_collapsible, strong_to_elementary
+from oracles import apply_collapse, join_lift_trace
 
 
 def labeled(facets, offset=0):
@@ -298,17 +297,25 @@ def test_euler_characteristic_preserved_along_steps():
 
 
 def suite_replays(monkeypatch, n):
-    """The editors and the steps thm_mobius_collapse(n) replays, in order, and its report."""
+    """The steps thm_mobius_collapse(n) stands for, in order: each sapling's
+    expansion from `welker_expand`, then the tail it replays on its editor;
+    with the editors it replays on and its report."""
     from arclab import theorems
     from arclab.collapse import replay
 
     editors, steps = [], []
+
+    def expanding(c, face, link_trace):
+        expansion = welker_expand(c, face, link_trace)
+        steps.extend(expansion.steps)
+        return expansion
 
     def recording(editor, t):
         editors.append(editor)
         steps.extend(t.steps)
         return replay(editor, t)
 
+    monkeypatch.setattr(theorems, "welker_expand", expanding)
     monkeypatch.setattr(theorems, "replay", recording)
     report = theorems.thm_mobius_collapse(n)
     return editors, trace(steps), report
@@ -316,7 +323,7 @@ def suite_replays(monkeypatch, n):
 
 def test_replaying_the_mobius_master_trace_reuses_freed_slots(monkeypatch):
     """The editor's slot table, the width of its star bitsets, never grows
-    past the most facets live at once over the steps the suite replays."""
+    past the most facets live at once over the steps the suite stands for."""
     from arclab.simplicial import FacetEditor
 
     editors, master, _ = suite_replays(monkeypatch, 4)
@@ -328,9 +335,8 @@ def test_replaying_the_mobius_master_trace_reuses_freed_slots(monkeypatch):
         most_live = max(most_live, len(editor.facets()))
         assert len(editor.slots) <= most_live
     assert len(master) > 100 and len(editor.facets()) == 1
-    # the suite replays every step on one editor, which ends where this one does
-    assert all(e is editors[0] for e in editors)
-    assert editors[0].slots == editor.slots
+    # the suite replays its tail on one editor, which ends where this one does
+    assert len(editors) == 1 and editors[0].facets() == editor.facets()
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -339,3 +345,36 @@ def test_the_steps_the_mobius_collapse_replays_collapse_the_full_complex_to_a_po
     verdict = verify_trace(arc_complex(mobius_crown(n)), master)
     assert verdict.valid and verdict.terminal.n_vertices == 1
     assert len(master) == report.claims[0].details["trace_length"]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_each_sapling_deletion_leaves_what_its_replayed_expansion_does(monkeypatch, n):
+    """The face deletion of a sapling from the suite's editor leaves the same
+    facets as replaying the sapling's expansion on a copy of the editor."""
+    from arclab import theorems
+    from arclab.arcs import saplings_of_degree
+    from arclab.collapse import replay
+    from arclab.simplicial import FacetEditor
+
+    pending, compared = {}, []
+
+    def expanding(c, face, link_trace):
+        pending[frozenset(face)] = expansion = welker_expand(c, face, link_trace)
+        return expansion
+
+    class ComparingEditor(FacetEditor):
+        def delete(self, face):
+            expansion = pending.pop(face, None)
+            if expansion is None:
+                return super().delete(face)
+            expanded = self.copy()
+            assert replay(expanded, expansion) is None
+            super().delete(face)
+            assert set(self.facets()) == set(expanded.facets())
+            compared.append(face)
+
+    monkeypatch.setattr(theorems, "welker_expand", expanding)
+    monkeypatch.setattr(theorems, "FacetEditor", ComparingEditor)
+    assert theorems.thm_mobius_collapse(n).all_passed
+    s = mobius_crown(n)
+    assert len(compared) == sum(len(saplings_of_degree(s, d)) for d in range(1, n)) and not pending

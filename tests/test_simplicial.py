@@ -28,7 +28,6 @@ from arclab.simplicial import (
     make_graph,
     max_cliques,
     point_complex,
-    restrict,
     surface_from_json,
     vertex_deletion,
 )
@@ -41,6 +40,7 @@ from oracles import (
     naive_max_cliques,
     reference_is_collapsible,
     reference_verify_trace,
+    restrict,
     scan_dominating_set,
     scan_facets_containing,
     scan_is_cone,

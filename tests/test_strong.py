@@ -22,11 +22,17 @@ from arclab.strong import (
     graph_core,
     graph_dominating_set,
     is_strongly_collapsible,
-    remove_dominated,
     strong_to_elementary,
     verify_strong_trace,
 )
-from oracles import scan_strong_to_elementary
+from oracles import (
+    apply_collapse,
+    rebuilding_core,
+    rebuilding_strong_to_elementary,
+    rebuilding_verify_strong_trace,
+    remove_dominated,
+    scan_strong_to_elementary,
+)
 from test_simplicial import graphs
 
 def labeled(facets):
@@ -184,8 +190,6 @@ def test_conversion_preserves_euler_characteristic_stepwise():
         terminal, t = core(c)
         chi = euler_characteristic(c)
         current = c
-        from arclab.collapse import apply_collapse
-
         for step in strong_to_elementary(c, t).steps:
             current = apply_collapse(current, *step)
             assert euler_characteristic(current) == chi
@@ -197,6 +201,36 @@ def complexes(draw):
     facets = draw(st.lists(st.frozensets(st.integers(0, 7), min_size=1, max_size=5),
                            min_size=1, max_size=8))
     return labeled(facets)
+
+# --- the editor against the complex-rebuilding strong collapses -------------------------
+
+def outcome(check, c, t):
+    """check(c, t), or the message of the ValueError it raises."""
+    try:
+        return check(c, t)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+def assert_the_editor_matches_the_rebuilding_oracle(c, order, seed):
+    terminal, t = core(c, order, seed)
+    assert (terminal, t) == rebuilding_core(c, order, seed)
+    assert verify_strong_trace(c, t) == terminal == rebuilding_verify_strong_trace(c, t)
+    assert strong_to_elementary(c, t) == rebuilding_strong_to_elementary(c, t)
+    return t
+
+@settings(max_examples=200, deadline=None)
+@given(complexes(), st.integers(0, 3), st.data())
+def test_strong_collapses_on_the_editor_match_the_rebuilding_oracle(c, seed, data):
+    for order in ("canonical", "random"):
+        t = assert_the_editor_matches_the_rebuilding_oracle(c, order, seed)
+        # one step replaced by an arbitrary (vertex, witness), 8 lying in no complex
+        steps = list(t.steps)
+        i = data.draw(st.integers(0, len(steps)))
+        steps[i:i + 1] = [(data.draw(st.integers(0, 8)), data.draw(st.integers(0, 8)))]
+        bad = StrongTrace(tuple(steps))
+        for check, oracle in ((verify_strong_trace, rebuilding_verify_strong_trace),
+                              (strong_to_elementary, rebuilding_strong_to_elementary)):
+            assert outcome(check, c, bad) == outcome(oracle, c, bad)
 
 def assert_conversion_matches_the_scan(c, t):
     elem = strong_to_elementary(c, t)
@@ -213,7 +247,8 @@ def test_conversion_on_the_star_matches_the_face_scan(c, seed):
                          + [("crown", n) for n in range(1, 6)])
 def test_conversion_on_the_star_matches_the_face_scan_on_arc_complexes(family, n, complex_of):
     c = complex_of(family, n)
-    assert_conversion_matches_the_scan(c, core(c)[1])
+    assert_conversion_matches_the_scan(
+        c, assert_the_editor_matches_the_rebuilding_oracle(c, "canonical", 0))
 
 def test_verify_strong_trace_checks_witnesses():
     c = labeled([[0, 1], [1, 2]])
