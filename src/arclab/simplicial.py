@@ -319,13 +319,15 @@ class FacetEditor:
         if not star:
             raise ValueError(f"{sorted(face)} is not a face of the complex")
         pieces = []
+        touched: set[int] = set()
         for i in _bits(star):
             f = self.slots[i]
             pieces.extend(f - {u} for u in face)
-            for v in f:
-                self.stars[v] ^= 1 << i
+            touched |= f
             self.slots[i] = None
             self.free.append(i)
+        for v in touched:
+            self.stars[v] &= ~star
         self.live &= ~star
         for p in pieces:
             if self.star_mask(p):

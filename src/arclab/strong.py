@@ -132,21 +132,27 @@ def graph_core(g: Graph, order: str = "canonical", seed: int = 0) -> tuple[int, 
     Returns the bitset of the positions left and, by vertex id, the same
     trace step for step as `core(flag_complex(g), order, seed)`: positions
     follow the sorted ids, so both pick from the same sorted list.
+
+    The dominating sets are kept up to date, not rescanned each round: at
+    a fixed `alive` the set of i depends only on N[i] & alive, so removing
+    x changes it only for the neighbours of x.
     """
     pick = _picker(order, seed)
     alive = (1 << len(g.vertices)) - 1
+    nbhds = g.closed_neighbourhoods
+    dom = {i: d for i in _bits(alive) if (d := graph_dominating_set(g, alive, i))}
     steps: list[tuple[int, int]] = []
-    while True:
-        dom = []
-        for i in _bits(alive):
-            d = graph_dominating_set(g, alive, i)
-            if d:
-                dom.append((i, (d & -d).bit_length() - 1))
-        if not dom:
-            return alive, StrongTrace(tuple(steps))
-        i, w = pick(dom)
+    while dom:
+        i, w = pick([(j, (d & -d).bit_length() - 1) for j, d in sorted(dom.items())])
         steps.append((g.vertices[i], g.vertices[w]))
         alive &= ~(1 << i)
+        del dom[i]
+        for j in _bits(nbhds[i] & alive):
+            if d := graph_dominating_set(g, alive, j):
+                dom[j] = d
+            else:
+                dom.pop(j, None)
+    return alive, StrongTrace(tuple(steps))
 
 
 def is_strongly_collapsible(c: Complex) -> tuple[bool, StrongTrace]:

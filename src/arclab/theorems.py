@@ -35,6 +35,8 @@ from .arcs import (
     loop_c,
     mobius_crown,
     polygon,
+    reflected,
+    rotated,
     saplings_of_degree,
     strip_arc,
     wrap_length,
@@ -438,6 +440,59 @@ def _mobius_stages(
                     yield frozenset(I), frozenset(J), removed
 
 
+def _dihedral_generators(s: SurfaceSpec):
+    """(name, boundary map, arc map) of the rotation v -> v+1 and the reflection v -> n+1-v.
+
+    A boundary map is a tuple g with g[v] the image of the boundary vertex v;
+    an arc map takes (s, arc) to the image arc.
+    """
+    n = s.n
+    return [
+        ("rotation", (0, *range(2, n + 1), 1), rotated),
+        ("reflection", (0, *range(n, 0, -1)), reflected),
+    ]
+
+
+def _pair_map(g: tuple[int, ...], pairs: list[tuple[int, int]]) -> dict:
+    """Each cyclic pair -> the cyclic pair its image under g is, or None if it is none."""
+    by_ends = {frozenset(p): p for p in pairs}
+    return {p: by_ends.get(frozenset((g[p[0]], g[p[1]]))) for p in pairs}
+
+
+def _generated_group(gens: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Every composite of the boundary maps in gens, the identity included."""
+    group = {tuple(range(len(gens[0])))}
+    frontier = list(group)
+    while frontier:
+        h = frontier.pop()
+        for g in gens:
+            gh = tuple(g[v] for v in h)
+            if gh not in group:
+                group.add(gh)
+                frontier.append(gh)
+    return sorted(group)
+
+
+def _stage_orbit(group, I: frozenset[int], J: frozenset[tuple[int, int]]) -> set:
+    """The stages (gI, gJ) for every (boundary map g, its pair map) in group."""
+    return {(frozenset(g[v] for v in I), frozenset(gp[p] for p in J)) for g, gp in group}
+
+
+def _mobius_prediction(n: int, ids: dict[Arc, int]) -> tuple[dict, dict, dict, dict]:
+    """The arcs the Moebius core argument names, by boundary vertex or cyclic pair.
+
+    The loops M_j with their witnesses L_j, and the ridge b-arcs with their
+    c-arc witnesses.
+    """
+    jn = _cyclic_pairs(n)
+    return (
+        {j: ids[loop_b(j)] for j in range(1, n + 1)},
+        {j: ids[loop_c(j)] for j in range(1, n + 1)},
+        {pair: ids[_ridge_arc(pair)] for pair in jn},
+        {pair: ids[cc_arc(*pair)] for pair in jn},
+    )
+
+
 def thm_mobius_not_strong(n: int) -> Report:
     """Dominated-vertex accounting showing the full complex has a big core.
 
@@ -447,23 +502,63 @@ def thm_mobius_not_strong(n: int) -> Report:
     with vertex set A minus D, |D| = 2n, which is not a point.
 
     Every stage is a flag complex, so its dominating sets are read off the
-    disjointness graph as N[v] in N[w].  The canonical core is also run on
-    facets, and must take the graph core's steps and end at the complex on
-    A minus D.
+    disjointness graph as N[v] in N[w].  The rotation and the reflection are
+    checked to be automorphisms of that graph under which the prediction is
+    equivariant.  An automorphism carries each stage's dominating sets onto
+    those of its image stage, so one stage per D_n orbit is checked, and its
+    2n images are covered.  The canonical core is also run on facets, and
+    must take the graph core's steps and end at the complex on A minus D.
     """
     _require(n >= 4, MOBIUS_CORE_CLAIM, "statement needs n >= 4", n=n)
     s = mobius_crown(n)
-    full = arc_complex(s)
     graph = disjointness_graph(s)  # arc ids are positions in graph.vertices
+    full = induced_arc_complex(s, graph, ())
     ids = arc_ids(s)
-    loops = {j: ids[loop_b(j)] for j in range(1, n + 1)}
-    lcs = {j: ids[loop_c(j)] for j in range(1, n + 1)}
+    loops, lcs, ridge, witnesses = _mobius_prediction(n, ids)
     jn = _cyclic_pairs(n)
-    ridge = {pair: ids[_ridge_arc(pair)] for pair in jn}
+    nbhds = graph.closed_neighbourhoods
     everyone = (1 << len(graph.vertices)) - 1
 
+    generators = _dihedral_generators(s)
+    for name, g, arc_map in generators:
+        perm = [ids.get(arc_map(s, a), -1) for a in ids]
+        _require(
+            sorted(perm) == list(range(len(ids))),
+            MOBIUS_CORE_CLAIM,
+            f"the {name} is not a bijection of the arcs",
+            n=n,
+        )
+        moved = [v for v in range(len(perm))
+                 if sum(1 << perm[u] for u in _bits(nbhds[v])) != nbhds[perm[v]]]
+        _require(
+            not moved,
+            MOBIUS_CORE_CLAIM,
+            f"the {name} is not an automorphism of the disjointness graph",
+            n=n,
+            arcs=moved[:1],
+        )
+        gp = _pair_map(g, jn)
+        _require(
+            all(perm[loops[j]] == loops[g[j]] and perm[lcs[j]] == lcs[g[j]] for j in loops)
+            and all(
+                gp[p] is not None
+                and perm[ridge[p]] == ridge[gp[p]]
+                and perm[witnesses[p]] == witnesses[gp[p]]
+                for p in jn
+            ),
+            MOBIUS_CORE_CLAIM,
+            f"the prediction is not equivariant under the {name}",
+            n=n,
+        )
+    group = [(g, _pair_map(g, jn)) for g in _generated_group([g for _, g, _ in generators])]
+
     stages = 0
+    covered: set = set()
     for I, J, removed in _mobius_stages(n, ids):
+        stages += 1
+        if (I, J) in covered:
+            continue
+        covered |= _stage_orbit(group, I, J)
         alive = everyone & ~sum(1 << v for v in removed)
         dom = {v: d for v in _bits(alive) if (d := graph_dominating_set(graph, alive, v))}
         expected = {loops[j] for j in range(1, n + 1) if j not in I}
@@ -493,16 +588,15 @@ def thm_mobius_not_strong(n: int) -> Report:
                 )
         for pair in jn:
             if pair[0] in I and pair[1] in I and pair not in J:
-                witness = ids[cc_arc(pair[0], pair[1])]
                 _require(
-                    dom[ridge[pair]] >> witness & 1,
+                    dom[ridge[pair]] >> witnesses[pair] & 1,
                     MOBIUS_CORE_CLAIM,
                     f"b-arc at {pair} is not dominated by its c-arc witness",
                     n=n,
                     I=sorted(I),
                     J=sorted(J),
                 )
-        stages += 1
+    del covered  # the orbit keys would otherwise raise the facet core's memory peak
 
     D = set(loops.values()) | set(ridge.values())
     _require(len(D) == 2 * n, MOBIUS_CORE_CLAIM, "removable set D has wrong size", n=n)

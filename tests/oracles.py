@@ -10,8 +10,18 @@ import itertools
 import random
 from functools import lru_cache
 
-from arclab.arcs import _nested_in, mobius_crown, polygon, wrap_length
-from arclab.build import arc_complex, induced_arc_complex, inner_complex
+from arclab.arcs import (
+    _nested_in,
+    arc_ids,
+    b_arc,
+    cc_arc,
+    loop_b,
+    loop_c,
+    mobius_crown,
+    polygon,
+    wrap_length,
+)
+from arclab.build import arc_complex, disjointness_graph, induced_arc_complex, inner_complex
 from arclab.collapse import face_order, trace, verify_trace
 from arclab.simplicial import (
     facets_containing,
@@ -21,7 +31,7 @@ from arclab.simplicial import (
     make_complex,
     vertex_deletion,
 )
-from arclab.strong import StrongTrace, dominated_vertices, dominating_set
+from arclab.strong import StrongTrace, dominated_vertices, dominating_set, graph_dominating_set
 
 
 @lru_cache(maxsize=None)
@@ -232,6 +242,41 @@ def facet_stage_domination(s, graph, removed) -> dict[int, set]:
     Moebius-core stage check that the graph check replaced."""
     X = induced_arc_complex(s, graph, removed)
     return {v: dominating_set(X, v) for v, _ in dominated_vertices(X)}
+
+
+def every_mobius_stage_check(n) -> set:
+    """The Moebius-core stage check at every stage, one by one, with no symmetry.
+
+    Each stage (I, J) deletes the loops M_j (j in I) and the ridge b-arcs
+    joining i and i+1 for the cyclic pairs (i, i+1) in J, both ends in I.
+    Its dominated vertices must be exactly the loops M_j (j not in I) and
+    the ridge b-arcs at the pairs inside I but not in J, each dominated by
+    its witness: L_j, or the c-arc joining the pair.  Raises AssertionError
+    at the first stage that breaks this; returns the set of every (I, J).
+    """
+    s = mobius_crown(n)
+    graph = disjointness_graph(s)
+    ids = arc_ids(s)
+    pairs = [(i, i % n + 1) for i in range(1, n + 1)]
+    ridge = {(i, j): ids[b_arc(j, i)] for i, j in pairs}
+    stages = set()
+    for I in itertools.chain.from_iterable(
+        itertools.combinations(range(1, n + 1), k) for k in range(n + 1)
+    ):
+        inside = [p for p in pairs if set(p) <= set(I)]
+        for J in itertools.chain.from_iterable(
+            itertools.combinations(inside, k) for k in range(len(inside) + 1)
+        ):
+            removed = {ids[loop_b(j)] for j in I} | {ridge[p] for p in J}
+            alive = sum(1 << v for v in graph.vertices if v not in removed)
+            dom = {v: graph_dominating_set(graph, alive, v)
+                   for v in graph.vertices if alive >> v & 1}
+            expected = {ids[loop_b(j)]: ids[loop_c(j)] for j in range(1, n + 1) if j not in I}
+            expected |= {ridge[p]: ids[cc_arc(*p)] for p in inside if p not in J}
+            assert {v for v, d in dom.items() if d} == set(expected), (I, J)
+            assert all(dom[v] >> w & 1 for v, w in expected.items()), (I, J)
+            stages.add((frozenset(I), frozenset(J)))
+    return stages
 
 
 def factorwise_sapling_link_check(s, L, sap, ids) -> bool:
@@ -525,3 +570,20 @@ def rebuilding_strong_to_elementary(c, t):
                 with_v.update(frozenset((v, *s)) for s in itertools.combinations(rest, k))
         steps.extend((f, f | {w}) for f in sorted(with_v, key=face_order))
     return trace(steps)
+
+
+def rescanning_graph_core(g, order="canonical", seed=0):
+    """`graph_core` rescanning every alive vertex's dominating set each round."""
+    pick = (lambda dom: dom[0]) if order == "canonical" else random.Random(seed).choice
+    alive = (1 << len(g.vertices)) - 1
+    steps = []
+    while True:
+        dom = []
+        for i in range(len(g.vertices)):
+            if alive >> i & 1 and (d := graph_dominating_set(g, alive, i)):
+                dom.append((i, (d & -d).bit_length() - 1))
+        if not dom:
+            return alive, StrongTrace(tuple(steps))
+        i, w = pick(dom)
+        steps.append((g.vertices[i], g.vertices[w]))
+        alive &= ~(1 << i)

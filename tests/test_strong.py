@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arclab.arcs import arc_ids, loop_b, loop_c, mobius_crown
+from arclab.build import disjointness_graph
 
 from arclab.collapse import verify_trace
 from arclab.simplicial import (
@@ -31,6 +33,7 @@ from oracles import (
     rebuilding_strong_to_elementary,
     rebuilding_verify_strong_trace,
     remove_dominated,
+    rescanning_graph_core,
     scan_strong_to_elementary,
 )
 from test_simplicial import graphs
@@ -139,6 +142,28 @@ def test_graph_domination_and_cores_match_facets(g, data):
         assert t == facet_t
         assert verify_strong_trace(full, t) == terminal
         assert members(g, left) == set(terminal.vertex_ids)
+
+@st.composite
+def sparse_ids_graphs(draw):
+    """A random graph on up to 14 vertices with gaps in their ids."""
+    vertices = sorted(draw(st.sets(st.integers(0, 40), min_size=1, max_size=14)))
+    pairs = list(itertools.combinations(vertices, 2))
+    density = draw(st.floats(0.2, 0.95))
+    keep = draw(st.lists(st.floats(0, 1), min_size=len(pairs), max_size=len(pairs)))
+    return make_graph(vertices, [p for p, k in zip(pairs, keep) if k < density])
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_ids_graphs())
+def test_incremental_graph_core_matches_the_rescanning_oracle(g):
+    for order, seed in [("canonical", 0)] + [("random", seed) for seed in range(4)]:
+        assert graph_core(g, order, seed) == rescanning_graph_core(g, order, seed)
+
+@pytest.mark.parametrize("n", range(4, 8))
+def test_incremental_graph_core_matches_the_rescanning_oracle_on_mobius_crowns(n):
+    g = disjointness_graph(mobius_crown(n))
+    assert graph_core(g) == rescanning_graph_core(g)
+    for seed in range(20):
+        assert graph_core(g, "random", seed) == rescanning_graph_core(g, "random", seed)
 
 def test_graph_dominating_set_rejects_a_dead_vertex():
     g = make_graph(range(3), [(0, 1), (1, 2)])

@@ -26,7 +26,12 @@ from arclab.theorems import (
     thm_mobius_not_strong,
     thm_strip_strong,
 )
-from oracles import brute_force_faces, facet_stage_domination, factorwise_sapling_link_check
+from oracles import (
+    brute_force_faces,
+    every_mobius_stage_check,
+    facet_stage_domination,
+    factorwise_sapling_link_check,
+)
 
 
 def replayed(report, c):
@@ -225,6 +230,63 @@ def test_mobius_core_graph_stages_match_the_facet_stage_check(n):
         assert dom == facet_stage_domination(s, graph, removed)
         stages += 1
     assert stages == thm_mobius_not_strong(n).claims[0].details["stages_checked"]
+
+
+@pytest.mark.parametrize("n", range(4, 8))
+def test_the_dihedral_orbits_of_the_checked_stages_are_every_stage(monkeypatch, n):
+    orbits = []
+    real = theorems._stage_orbit
+
+    def recording(group, I, J):
+        orbits.append(((I, J), real(group, I, J)))
+        return orbits[-1][1]
+
+    monkeypatch.setattr(theorems, "_stage_orbit", recording)
+    report = thm_mobius_not_strong(n)
+    every = every_mobius_stage_check(n)
+    assert set().union(*(orbit for _, orbit in orbits)) == every
+    assert len(every) == report.claims[0].details["stages_checked"]
+    # each checked stage lies in its own orbit, and the orbits are disjoint
+    assert all(stage in orbit for stage, orbit in orbits)
+    assert sum(len(orbit) for _, orbit in orbits) == len(every)
+    assert len(orbits) < len(every)
+
+
+def swapped_rotation(monkeypatch, x, y):
+    """Make the suite's rotation send the arcs rotating onto x and onto y the other way round."""
+    real = theorems.rotated
+    swap = {x: y, y: x}
+    monkeypatch.setattr(theorems, "rotated", lambda s, a: swap.get(real(s, a), real(s, a)))
+
+
+def test_a_rotation_that_is_not_an_automorphism_fails_the_automorphism_check(monkeypatch):
+    # neither arc is named by the prediction, so only the automorphism check can see it
+    swapped_rotation(monkeypatch, cc_arc(1, 3), cc_arc(1, 4))
+    with pytest.raises(TheoremError, match="rotation is not an automorphism"):
+        thm_mobius_not_strong(5)
+
+
+def test_a_rotation_that_is_not_a_bijection_fails_the_bijection_check(monkeypatch):
+    real = theorems.rotated
+    monkeypatch.setattr(theorems, "rotated",
+                        lambda s, a: cc_arc(1, 3) if a == cc_arc(1, 4) else real(s, a))
+    with pytest.raises(TheoremError, match="rotation is not a bijection"):
+        thm_mobius_not_strong(5)
+
+
+@pytest.mark.parametrize("which", range(4))
+def test_a_prediction_that_is_not_equivariant_fails_the_equivariance_check(monkeypatch, which):
+    real = theorems._mobius_prediction
+
+    def perturbed(n, ids):
+        maps = list(real(n, ids))
+        a, b = list(maps[which])[:2]
+        maps[which] = {**maps[which], a: maps[which][b], b: maps[which][a]}
+        return tuple(maps)
+
+    monkeypatch.setattr(theorems, "_mobius_prediction", perturbed)
+    with pytest.raises(TheoremError, match="prediction is not equivariant under the rotation"):
+        thm_mobius_not_strong(5)
 
 
 def test_ridge_arc_dominated_after_removing_two_adjacent_loops():
