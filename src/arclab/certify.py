@@ -10,11 +10,10 @@ certification).  When budgets exhaust, the verdict is "undetermined".
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .collapse import (
     DEFAULT_BUDGET,
@@ -24,6 +23,7 @@ from .collapse import (
     is_collapsible,
 )
 from .simplicial import (
+    EMPTY_FACE,
     Complex,
     Face,
     Graph,
@@ -84,19 +84,17 @@ class Certificate:
         }
 
 
+def _floods(nbhds: Sequence[int]) -> bool:
+    """Whether a flood from position 0 over the neighbour bitsets reaches every position."""
+    reached = frontier = 1 if nbhds else 0
+    while frontier:
+        frontier = reduce(or_, [nbhds[i] for i in _bits(frontier)]) & ~reached
+        reached |= frontier
+    return reached == (1 << len(nbhds)) - 1
+
+
 def is_connected(g: Graph) -> bool:
-    if not g.vertices:
-        return True
-    adj = g.adjacency()
-    seen = {g.vertices[0]}
-    queue = deque(seen)
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == len(g.vertices)
+    return _floods(g.closed_neighbourhoods)
 
 
 def graph_diameter(g: Graph) -> int:
@@ -125,22 +123,24 @@ def pseudomanifold_check(c: Complex) -> PseudomanifoldReport:
     """Classify a pure complex as closed / with-boundary / not a pseudomanifold."""
     if not is_pure(c):
         raise ValueError("pseudomanifold check requires a pure complex")
-    table = c.ridges
-    boundary = tuple(
-        sorted(
-            (r for r, members in table.items() if len(members) == 1),
-            key=lambda f: tuple(sorted(f)),
-        )
-    )
-    overfull = any(len(members) > 2 for members in table.values())
-    connected = is_connected(dual_graph(c))
+    table = c.ridge_neighbours
+    boundary = [f - {v} for f, row in zip(c.facets, table) for v, others in row if not others]
+    if c.n_vertices == 0:
+        boundary = [EMPTY_FACE]  # the one ridge of the empty facet
+    overfull = any(len(others) > 1 for row in table for _, others in row)
+    connected = _floods(_neighbours(table))
     if overfull or not connected:
         status = PM_NO
     elif boundary:
         status = PM_BOUNDARY
     else:
         status = PM_CLOSED
-    return PseudomanifoldReport(status, connected, boundary)
+    return PseudomanifoldReport(status, connected, tuple(sorted(boundary, key=sorted)))
+
+
+def _neighbours(table) -> list[int]:
+    """Facet i -> bitset of the facets across its ridges (distinct ridges share none)."""
+    return [sum(1 << j for _, others in row for j in others) for row in table]
 
 
 def flip_graph(c: Complex) -> Graph:
@@ -217,24 +217,20 @@ def shelling_search(c: Complex, budget: int = DEFAULT_BUDGET) -> ShellingResult:
         return ShellingResult(PROVEN, tuple(facets))
 
     stars = c.stars
-    # across[i]: (v, the other facets through the ridge F_i - v) for v in F_i
-    table = c.ridges
-    across = [
-        [(v, sum(1 << j for j in table[f - {v}] if j != i)) for v in f]
-        for i, f in enumerate(facets)
-    ]
-    # distinct ridges of F_i lie in disjoint sets of other facets
-    neighbors = [sum(nb for _, nb in row) for row in across]
+    # across[i]: (v, the indices of the other facets through F_i - v) for v in F_i
+    across = c.ridge_neighbours
+    neighbors = _neighbours(across)
 
     def next_addable(pending: int, placed: int) -> int:
         """Lowest facet of pending that can follow placed, as a one-bit mask, or 0."""
         for i in _bits(pending):
             restricted = False
             common = placed  # placed facets containing every vertex of R(F_i)
-            for v, nb in across[i]:
-                if nb & placed:
-                    restricted = True
-                    common &= stars[v]
+            for v, others in across[i]:
+                for j in others:
+                    if placed >> j & 1:
+                        restricted = True
+                        common &= stars[v]
             if restricted and not common:
                 return 1 << i
         return 0

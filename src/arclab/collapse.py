@@ -15,6 +15,7 @@ from .simplicial import (
     Complex,
     Face,
     FacetEditor,
+    euler_characteristic,
     faces,
     is_cone,
     link,
@@ -187,11 +188,11 @@ def _children(editor: FacetEditor) -> Iterator[tuple[Pair, FacetEditor]]:
 def is_collapsible(c: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult:
     """Decide collapsibility by exhaustive backtracking within a node budget.
 
-    Cones are recognized directly.  The search is depth first over
-    codimension-one collapses on an explicit stack; every state reached for
-    the first time spends one node.  `disproven` is returned only when the
-    full search space was exhausted; running out of budget yields
-    `inconclusive`.
+    Cones are recognized directly.  Collapses keep the Euler characteristic
+    and a point's is 1, so any other is `disproven` at no node.  Else the
+    search is depth first over codimension-one collapses on an explicit
+    stack; each state first reached spends one node.  Only an exhausted
+    search is `disproven`; running out of budget yields `inconclusive`.
     """
     if c.n_vertices == 0:
         return SearchResult(DISPROVEN)
@@ -199,6 +200,8 @@ def is_collapsible(c: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult:
         return SearchResult(PROVEN, trace([]))
     if is_cone(c) is not None:
         return SearchResult(PROVEN, cone_collapse_trace(c))
+    if euler_characteristic(c) != 1:
+        return SearchResult(DISPROVEN)
 
     root = FacetEditor(c)
     seen = {_canonical_state(root.facets())}

@@ -3,8 +3,8 @@
 A `Complex` is an immutable snapshot: a vertex table (dense integer ids with
 text labels) plus the antichain of maximal faces.  Star queries go through
 one index, `Complex.stars`, built on first use: each vertex maps to the
-bitset of the facets that contain it.  The f-vector is counted on that
-index and, with the ridge table, cached on the complex as well.
+bitset of the facets that contain it.  The f-vector and the facets across
+each ridge are read off that index and cached on the complex as well.
 `FacetEditor` is the one mutable form, used for face deletions and
 collapse replays.  Other face queries enumerate on demand.  The complex
 with no vertices is represented by the single maximal face {} so that
@@ -17,6 +17,8 @@ import copy
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
+from operator import and_
 from typing import Iterable, Iterator, Mapping
 
 from .arcs import SurfaceSpec
@@ -46,13 +48,6 @@ class Graph:
             nbhds[position[u]] |= 1 << position[v]
             nbhds[position[v]] |= 1 << position[u]
         return tuple(nbhds)
-
-    def adjacency(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
 
 
 def make_graph(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> Graph:
@@ -140,18 +135,25 @@ class Complex:
         return tuple(counts[1:])
 
     @cached_property
-    def ridges(self) -> dict[Face, list[int]]:
-        """Each codimension-one face of a facet -> indices of the facets containing it.
+    def ridge_neighbours(self) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
+        """Facet i -> (v, the indices of the other facets through F_i - v) for v in F_i.
 
-        Not a field, so equality, hashing and JSON ignore it.
+        Those facets are the AND of the stars of F_i's other vertices: one
+        prefix and one suffix AND per facet, and no ridge is built.  Not a
+        field, so equality, hashing and JSON ignore it.
         """
-        table: dict[Face, list[int]] = {}
-        for idx, f in enumerate(self.facets):
-            if not f:
-                table.setdefault(EMPTY_FACE, []).append(idx)
-            for v in f:
-                table.setdefault(f - {v}, []).append(idx)
-        return table
+        everything = (1 << len(self.facets)) - 1
+        table = []
+        for i, f in enumerate(self.facets):
+            vs = list(f)
+            # prefix[k]: the other facets through vs[:k]; suffix: those through vs[k + 1:]
+            suffix, row = everything ^ (1 << i), []
+            prefix = list(accumulate((self.stars[v] for v in vs), and_, initial=suffix))
+            for k in reversed(range(len(vs))):
+                row.append((vs[k], tuple(_bits(prefix[k] & suffix))))
+                suffix &= self.stars[vs[k]]
+            table.append(tuple(row))
+        return tuple(table)
 
 
 def _star_mask(stars: Mapping[int, int], mask: int, face: Iterable[int]) -> int:
@@ -386,11 +388,8 @@ def dual_graph(c: Complex) -> Graph:
     """Facet adjacency along shared codimension-one faces (pure input)."""
     if not is_pure(c):
         raise ValueError("dual graph requires a pure complex")
-    edges = set()
-    for members in c.ridges.values():
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                edges.add((members[i], members[j]))
+    table = c.ridge_neighbours
+    edges = [(i, j) for i, row in enumerate(table) for _, others in row for j in others if j > i]
     return make_graph(range(len(c.facets)), edges)
 
 

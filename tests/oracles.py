@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from functools import lru_cache
 
 from arclab.arcs import (
@@ -97,13 +98,35 @@ def maximal_faces(faces) -> set[frozenset]:
     return maximal or {frozenset()}
 
 
-def naive_max_cliques(vertices, edges) -> set[frozenset]:
-    """Maximal cliques by brute-force subset filtering (tiny graphs only)."""
-    vertices = sorted(vertices)
+def adjacency(vertices, edges) -> dict[int, set]:
+    """Each vertex -> the set of its neighbours."""
     adj = {v: set() for v in vertices}
     for u, v in edges:
         adj[u].add(v)
         adj[v].add(u)
+    return adj
+
+
+def bfs_is_connected(vertices, edges) -> bool:
+    """Connectivity by a breadth-first search on adjacency sets."""
+    vertices = list(vertices)
+    if not vertices:
+        return True
+    adj = adjacency(vertices, edges)
+    seen = {vertices[0]}
+    queue = deque(seen)
+    while queue:
+        for w in adj[queue.popleft()]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return len(seen) == len(vertices)
+
+
+def naive_max_cliques(vertices, edges) -> set[frozenset]:
+    """Maximal cliques by brute-force subset filtering (tiny graphs only)."""
+    vertices = sorted(vertices)
+    adj = adjacency(vertices, edges)
     cliques: set[frozenset] = set()
     for r in range(1, len(vertices) + 1):
         for combo in itertools.combinations(vertices, r):
@@ -155,6 +178,46 @@ def pairwise_validate_shelling(c, order) -> bool:
         if any(len(p) != d for p in maximal):
             return False
     return True
+
+
+def ridge_dict(c) -> dict:
+    """Each codimension-one face of a facet, as a frozenset -> the indices of
+    the facets containing it: the ridge table that `Complex.ridge_neighbours`
+    replaced.  The empty facet has the one ridge {}."""
+    table: dict = {}
+    for i, f in enumerate(c.facets):
+        if not f:
+            table.setdefault(frozenset(), []).append(i)
+        for v in f:
+            table.setdefault(f - {v}, []).append(i)
+    return table
+
+
+def ridge_dict_neighbours(c) -> list[dict]:
+    """Facet i -> {v: the set of the other facets through F_i - v}, from `ridge_dict`."""
+    table = ridge_dict(c)
+    return [{v: set(table[f - {v}]) - {i} for v in f} for i, f in enumerate(c.facets)]
+
+
+def ridge_dict_dual_edges(c) -> list[tuple[int, int]]:
+    """The dual graph's edges: each pair of facets listed under one ridge."""
+    return sorted(
+        {pair for members in ridge_dict(c).values() for pair in itertools.combinations(members, 2)}
+    )
+
+
+def ridge_dict_pseudomanifold_check(c):
+    """(status, strongly connected, boundary) of a pure complex, from
+    `ridge_dict`: the boundary is the ridges in one facet, sorted by their
+    sorted ids; a ridge in three or more facets or a disconnected dual
+    graph is "no"."""
+    table = ridge_dict(c)
+    boundary = tuple(sorted((r for r, members in table.items() if len(members) == 1), key=sorted))
+    overfull = any(len(members) > 2 for members in table.values())
+    connected = bfs_is_connected(range(len(c.facets)), ridge_dict_dual_edges(c))
+    if overfull or not connected:
+        return "no", connected, boundary
+    return ("with-boundary" if boundary else "closed"), connected, boundary
 
 
 def reference_shelling_search(c, budget: int):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arclab import certify as certify_module
@@ -20,12 +20,21 @@ from arclab.certify import (
 )
 from arclab.collapse import DEFAULT_BUDGET, DISPROVEN, INCONCLUSIVE, PROVEN, is_collapsible
 from arclab.simplicial import (
+    dual_graph,
     euler_characteristic,
     link,
     make_complex,
     make_graph,
 )
-from oracles import floyd_warshall_diameter, pairwise_validate_shelling, reference_shelling_search
+from oracles import (
+    bfs_is_connected,
+    floyd_warshall_diameter,
+    pairwise_validate_shelling,
+    reference_shelling_search,
+    ridge_dict_dual_edges,
+    ridge_dict_neighbours,
+    ridge_dict_pseudomanifold_check,
+)
 
 def labeled(facets):
     ids = {v for f in facets for v in f}
@@ -81,17 +90,35 @@ def test_shelling_search_matches_reference(family, n, complex_of):
     )
 
 @st.composite
-def pure_complexes(draw):
-    d = draw(st.integers(min_value=1, max_value=3))
+def pure_complexes(draw, min_dim=1, max_facets=14):
+    d = draw(st.integers(min_value=min_dim, max_value=3))
     facets = draw(
         st.lists(
             st.frozensets(st.integers(min_value=0, max_value=7), min_size=d + 1, max_size=d + 1),
             min_size=1,
-            max_size=14,
+            max_size=max_facets,
             unique=True,
         )
     )
     return labeled(facets)
+
+@settings(max_examples=300, deadline=None)
+@given(pure_complexes(min_dim=0, max_facets=10))
+@example(labeled([[0]]))
+@example(labeled([[0], [1], [2]]))  # the ridge {} lies in three facets
+@example(labeled([[0, 1, 2], [2, 3, 4]]))  # the bowtie
+@example(make_complex({}, []))  # the empty facet's one ridge {} is boundary
+def test_ridge_neighbours_match_the_ridge_dict(c):
+    """The ridge table read off the stars, and the checks that read it, give
+    what the frozenset ridge dictionary gives."""
+    assert [{v: set(others) for v, others in row} for row in c.ridge_neighbours] == (
+        ridge_dict_neighbours(c)
+    )
+    pm = pseudomanifold_check(c)
+    assert (pm.status, pm.strongly_connected, pm.boundary) == ridge_dict_pseudomanifold_check(c)
+    assert list(dual_graph(c).edges) == ridge_dict_dual_edges(c)
+    result = shelling_search(c, 200)
+    assert (result.status, result.order, result.nodes) == reference_shelling_search(c, 200)
 
 @settings(max_examples=300, deadline=None)
 @given(pure_complexes(), st.integers(min_value=1, max_value=400))
@@ -131,13 +158,16 @@ def test_certify_says_why_the_collapsibility_search_stopped(complex_of, monkeypa
         "shelling search: inconclusive after 1 of 1 nodes",
         "collapsibility search: inconclusive after 3 of 3 nodes",
     )
-    # an annulus: the collapsibility search exhausts its space
+    # an annulus has chi = 0, so no collapse can end at a point, which has chi = 1
     annulus = labeled([[0, 1, 3], [1, 3, 4], [1, 2, 4], [2, 4, 5], [0, 2, 5], [0, 3, 5]])
     monkeypatch.setitem(certify_module.EFFORT_BUDGETS, "fast", (1, 5_000))
     result = is_collapsible(annulus, 5_000)
-    assert result.status == DISPROVEN and 1 < result.nodes < 5_000
+    assert (result.status, result.nodes) == (DISPROVEN, 0)
     cert = certify(annulus, "fast")
-    assert cert.notes[-1] == f"collapsibility search: disproven after {result.nodes} nodes"
+    assert cert.notes[-1] == "collapsibility search: disproven after 0 nodes"
+    # a hollow triangle beside a path has chi = 1: the search exhausts its space
+    result = is_collapsible(labeled([[0, 1], [1, 2], [0, 2], [3, 4], [4, 5]]), 5_000)
+    assert result.status == DISPROVEN and 1 < result.nodes < 5_000
 
 def test_disjoint_edges_not_shellable():
     result = shelling_search(labeled([[0, 1], [2, 3]]))
@@ -323,6 +353,11 @@ def graphs(draw):
 @given(graphs())
 def test_graph_diameter_matches_floyd_warshall(g):
     assert graph_diameter(g) == floyd_warshall_diameter(len(g.vertices), g.edges)
+
+@settings(max_examples=300, deadline=None)
+@given(graphs())
+def test_is_connected_matches_the_bfs_oracle(g):
+    assert is_connected(g) == bfs_is_connected(g.vertices, g.edges)
 
 def test_flip_graph_requires_pure():
     with pytest.raises(ValueError):
