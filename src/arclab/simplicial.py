@@ -49,6 +49,14 @@ class Graph:
             nbhds[position[v]] |= 1 << position[u]
         return tuple(nbhds)
 
+    @cached_property
+    def dominating_sets(self) -> dict[tuple[int, int], int]:
+        """(i, N[i] & alive) -> `graph_dominating_set(self, alive, i)`, which fills it.
+
+        Not a field, so equality and hashing ignore it.
+        """
+        return {}
+
 
 def make_graph(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> Graph:
     vs = tuple(sorted(set(vertices)))

@@ -13,7 +13,8 @@ only for the terminal.
 In a flag complex w dominates v iff the closed neighbourhood N[v] lies in
 N[w] (Barmak-Minian 2012; Boissonnat-Pritam 2020), so `graph_dominating_set`
 and `graph_core` read domination off the graph's neighbourhood bitsets,
-with no facets built.
+with no facets built, and each distinct (v, N[v] & alive) is answered once
+per graph.
 """
 
 from __future__ import annotations
@@ -113,17 +114,29 @@ def graph_dominating_set(g: Graph, alive: int, i: int) -> int:
     Vertices, `alive` and the result index positions in `g.vertices`.  w
     dominates i iff N[i] & alive lies in N[w], that is, iff w lies in N[u]
     for every u in N[i] & alive: the intersection of those N[u], without i.
+
+    The result, N[i] & alive intersected with N[u] for each u in it, minus
+    i, is a function of i and N[i] & alive alone, not of the rest of
+    `alive`; the early exit at {i} only skips intersections that could not
+    change it.  So each result is kept in `g.dominating_sets` under that
+    key, and every later stage or core of g that asks the same question
+    reads it back instead of intersecting again.
     """
     if not alive >> i & 1:
         raise ValueError(f"vertex position {i} is not alive")
     nbhds = g.closed_neighbourhoods
     mine = nbhds[i] & alive
-    dom = mine
-    for u in _bits(mine):
-        dom &= nbhds[u]
-        if dom == 1 << i:
-            break
-    return dom & ~(1 << i)
+    key = (i, mine)
+    memo = g.dominating_sets
+    dom = memo.get(key)
+    if dom is None:
+        dom = mine
+        for u in _bits(mine):
+            dom &= nbhds[u]
+            if dom == 1 << i:
+                break
+        dom = memo[key] = dom & ~(1 << i)
+    return dom
 
 
 def graph_core(g: Graph, order: str = "canonical", seed: int = 0) -> tuple[int, StrongTrace]:
@@ -135,7 +148,10 @@ def graph_core(g: Graph, order: str = "canonical", seed: int = 0) -> tuple[int, 
 
     The dominating sets are kept up to date, not rescanned each round: at
     a fixed `alive` the set of i depends only on N[i] & alive, so removing
-    x changes it only for the neighbours of x.
+    x changes it only for the neighbours of x.  For the same reason
+    `graph_dominating_set` answers each (i, N[i] & alive) once per graph,
+    from `g.dominating_sets`, so cores of one graph in other orders, and
+    the stage checks run on it, share the intersections.
     """
     pick = _picker(order, seed)
     alive = (1 << len(g.vertices)) - 1

@@ -50,20 +50,19 @@ from .simplicial import (
     _bits,
     dimension,
     euler_characteristic,
-    facets_containing,
     is_cone,
     link,
 )
 from .strong import (
     StrongTrace,
+    _dominating,
+    _replay as _replay_strong,
     core,
     dominated_vertices,
-    dominating_set,
     graph_core,
     graph_dominating_set,
     is_strongly_collapsible,
     strong_to_elementary,
-    verify_strong_trace,
 )
 
 
@@ -126,14 +125,15 @@ def _require(cond: bool, claim: str, message: str, **details) -> None:
         raise TheoremError(claim, message, **details)
 
 
-def _replay(c: Complex, steps, claim: str, **details) -> Complex:
-    """The terminal of the strong collapse `steps` from c.
+def _replay(editor: FacetEditor, steps, claim: str, **details) -> None:
+    """Apply the strong collapse `steps` to the suite's editor in place.
 
     A witness that does not dominate its vertex fails `claim`; the message
     names the step and the actual dominating set.
     """
     try:
-        return verify_strong_trace(c, StrongTrace(tuple(steps)))
+        for _ in _replay_strong(editor, StrongTrace(tuple(steps))):
+            pass
     except ValueError as exc:
         raise TheoremError(claim, str(exc), **details) from exc
 
@@ -155,25 +155,26 @@ def thm_crown_strong(n: int) -> Report:
     full = arc_complex(s)
     ids = arc_ids(s)
     c_ids = {i: ids[c_arc(i)] for i in range(1, n + 1)}
-    current = full
+    editor = FacetEditor(full)
     steps: list[tuple[int, int]] = []
     rounds: list[int] = []
     for k in range(1, n):
         batch = [b_arc_from_wrap(p, n - k + 1, n) for p in range(1, n + 1)]
         for beta in batch:
-            dom = dominating_set(current, ids[beta])
+            dom = _dominating(editor.stars, editor.slots, ids[beta])
             for witness_vertex in {beta.a, beta.b}:
                 _require(
                     c_ids[witness_vertex] in dom,
                     CROWN_CLAIM,
                     f"{beta.label()} is not dominated by c:{witness_vertex} in round {k}",
                     n=n,
-                    dominating=sorted(current.label(u) for u in dom),
+                    dominating=sorted(editor.labels[u] for u in dom),
                 )
         round_steps = [(ids[beta], c_ids[beta.b]) for beta in batch]
-        current = _replay(current, round_steps, CROWN_CLAIM, n=n, round=k)
+        _replay(editor, round_steps, CROWN_CLAIM, n=n, round=k)
         steps += round_steps
         rounds.append(len(batch))
+    current = editor.to_complex()
     _require(
         set(current.vertex_ids) == set(c_ids.values()),
         CROWN_CLAIM,
@@ -213,25 +214,25 @@ def thm_inner_mobius(n: int) -> Report:
     s = mobius_crown(n)
     inner = inner_complex(s)
     ids = arc_ids(s)
-    current = inner
+    editor = FacetEditor(inner)
     steps: list[tuple[int, int]] = []
     for np_ in range(n, 1, -1):
         v = ids[loop_c(np_)]
-        stars = facets_containing(current, [v])
+        stars = editor.containing([v])
         fan_face = frozenset(ids[cc_arc(i, np_)] for i in range(1, np_ + 1))
         _require(
             stars == [fan_face],
             INNER_CLAIM,
             f"L:{np_} is not contained solely in the fan at {np_}",
             n=n,
-            stars=[sorted(f) for f in stars],
+            stars=sorted(sorted(f) for f in stars),
         )
         round_steps = [(v, ids[cc_arc(1, np_)])]
         round_steps += [(ids[cc_arc(i, np_)], ids[cc_arc(1, i)]) for i in range(np_ - 1, 0, -1)]
-        current = _replay(current, round_steps, INNER_CLAIM, n=n, fan=np_)
+        _replay(editor, round_steps, INNER_CLAIM, n=n, fan=np_)
         steps += round_steps
     _require(
-        set(current.vertex_ids) == {ids[loop_c(1)]},
+        set(editor.to_complex().vertex_ids) == {ids[loop_c(1)]},
         INNER_CLAIM,
         "terminal complex is not the single arc at vertex 1",
         n=n,
@@ -502,7 +503,8 @@ def thm_mobius_not_strong(n: int) -> Report:
     with vertex set A minus D, |D| = 2n, which is not a point.
 
     Every stage is a flag complex, so its dominating sets are read off the
-    disjointness graph as N[v] in N[w].  The rotation and the reflection are
+    disjointness graph as N[v] in N[w], and the stages and the graph cores
+    share the graph's memo of them.  The rotation and the reflection are
     checked to be automorphisms of that graph under which the prediction is
     equivariant.  An automorphism carries each stage's dominating sets onto
     those of its image stage, so one stage per D_n orbit is checked, and its
@@ -611,6 +613,15 @@ def thm_mobius_not_strong(n: int) -> Report:
         n=n,
         symmetric_difference=sorted(_bits(left ^ core_mask)),
     )
+    for seed in range(20):
+        left, _ = graph_core(graph, order="random", seed=seed)
+        _require(
+            left == core_mask,
+            MOBIUS_CORE_CLAIM,
+            f"random removal order (seed {seed}) reached a different terminal",
+            n=n,
+        )
+    graph.dominating_sets.clear()  # the memo would otherwise raise the facet core's memory peak
     terminal, facet_steps = core(full)
     _require(
         facet_steps == steps,
@@ -631,14 +642,6 @@ def thm_mobius_not_strong(n: int) -> Report:
         n=n,
     )
     _require(terminal.n_vertices > 1, MOBIUS_CORE_CLAIM, "core degenerated to a point", n=n)
-    for seed in range(20):
-        left, _ = graph_core(graph, order="random", seed=seed)
-        _require(
-            left == core_mask,
-            MOBIUS_CORE_CLAIM,
-            f"random removal order (seed {seed}) reached a different terminal",
-            n=n,
-        )
     return Report().add(
         MOBIUS_CORE_CLAIM,
         "mobius-core-obstruction",
@@ -709,11 +712,11 @@ def thm_strip_strong(m: int, n: int) -> Report:
             note="0-sphere; the strong-collapsibility claim needs m+n >= 5",
         )
 
-    current = full
+    editor = FacetEditor(full)
     steps: list[tuple[int, int]] = []
     for j in range(n, 1, -1):
         v = ids[strip_arc(1, j)]
-        lk = link(current, [v])
+        lk = link(editor.closed_star([v]), [v])
         _require(
             len(lk.facets) == 1 and lk.n_vertices >= 1,
             STRIP_CLAIM,
@@ -723,11 +726,12 @@ def thm_strip_strong(m: int, n: int) -> Report:
         )
         round_steps = [(v, is_cone(lk))]
         round_steps += [(ids[strip_arc(i, j)], ids[strip_arc(i, j - 1)]) for i in range(2, m)]
-        current = _replay(current, round_steps, STRIP_CLAIM, m=m, n=n, row=j)
+        _replay(editor, round_steps, STRIP_CLAIM, m=m, n=n, row=j)
         steps += round_steps
     expected_simplex = {ids[strip_arc(i, 1)] for i in range(2, m)} | {
         ids[strip_arc(m, j)] for j in range(1, n)
     }
+    current = editor.to_complex()
     _require(
         set(current.vertex_ids) == expected_simplex and len(current.facets) == 1,
         STRIP_CLAIM,
@@ -737,7 +741,7 @@ def thm_strip_strong(m: int, n: int) -> Report:
     )
     simplex = sorted(current.vertex_ids)
     tail = list(zip(simplex, simplex[1:]))
-    _replay(current, tail, STRIP_CLAIM, m=m, n=n)
+    _replay(editor, tail, STRIP_CLAIM, m=m, n=n)
     steps += tail
     terminal, _ = core(full)
     _require(terminal.n_vertices == 1, STRIP_CLAIM, "order-free core is not a point", m=m, n=n)

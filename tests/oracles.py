@@ -32,7 +32,7 @@ from arclab.simplicial import (
     make_complex,
     vertex_deletion,
 )
-from arclab.strong import StrongTrace, dominated_vertices, dominating_set, graph_dominating_set
+from arclab.strong import StrongTrace, dominated_vertices, dominating_set
 
 
 @lru_cache(maxsize=None)
@@ -332,7 +332,7 @@ def every_mobius_stage_check(n) -> set:
         ):
             removed = {ids[loop_b(j)] for j in I} | {ridge[p] for p in J}
             alive = sum(1 << v for v in graph.vertices if v not in removed)
-            dom = {v: graph_dominating_set(graph, alive, v)
+            dom = {v: intersecting_dominating_set(graph, alive, v)
                    for v in graph.vertices if alive >> v & 1}
             expected = {ids[loop_b(j)]: ids[loop_c(j)] for j in range(1, n + 1) if j not in I}
             expected |= {ridge[p]: ids[cc_arc(*p)] for p in inside if p not in J}
@@ -635,6 +635,22 @@ def rebuilding_strong_to_elementary(c, t):
     return trace(steps)
 
 
+def intersecting_dominating_set(g, alive, i):
+    """`graph_dominating_set` with no memo: N[i] & alive intersected with
+    N[u] for every u in it, without i, recomputed at every call."""
+    if not alive >> i & 1:
+        raise ValueError(f"vertex position {i} is not alive")
+    nbhds = g.closed_neighbourhoods
+    mine = nbhds[i] & alive
+    dom = mine
+    for u in range(len(nbhds)):
+        if mine >> u & 1:
+            dom &= nbhds[u]
+            if dom == 1 << i:
+                break
+    return dom & ~(1 << i)
+
+
 def rescanning_graph_core(g, order="canonical", seed=0):
     """`graph_core` rescanning every alive vertex's dominating set each round."""
     pick = (lambda dom: dom[0]) if order == "canonical" else random.Random(seed).choice
@@ -643,7 +659,7 @@ def rescanning_graph_core(g, order="canonical", seed=0):
     while True:
         dom = []
         for i in range(len(g.vertices)):
-            if alive >> i & 1 and (d := graph_dominating_set(g, alive, i)):
+            if alive >> i & 1 and (d := intersecting_dominating_set(g, alive, i)):
                 dom.append((i, (d & -d).bit_length() - 1))
         if not dom:
             return alive, StrongTrace(tuple(steps))

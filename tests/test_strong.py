@@ -29,6 +29,7 @@ from arclab.strong import (
 )
 from oracles import (
     apply_collapse,
+    intersecting_dominating_set,
     rebuilding_core,
     rebuilding_strong_to_elementary,
     rebuilding_verify_strong_trace,
@@ -165,11 +166,46 @@ def test_incremental_graph_core_matches_the_rescanning_oracle_on_mobius_crowns(n
     for seed in range(20):
         assert graph_core(g, "random", seed) == rescanning_graph_core(g, "random", seed)
 
+@settings(max_examples=200, deadline=None)
+@given(sparse_ids_graphs(), st.data())
+def test_memoised_dominating_sets_match_the_intersecting_oracle(g, data):
+    size = len(g.vertices)
+    nbhds = g.closed_neighbourhoods
+    for _ in range(data.draw(st.integers(1, 12))):
+        i = data.draw(st.integers(0, size - 1))
+        alive = data.draw(st.integers(0, (1 << size) - 1)) | 1 << i
+        assert graph_dominating_set(g, alive, i) == intersecting_dominating_set(g, alive, i)
+        # a mask that differs only outside N[i] asks the same question
+        other = alive ^ data.draw(st.integers(0, (1 << size) - 1)) & ~nbhds[i]
+        entries = len(g.dominating_sets)
+        assert graph_dominating_set(g, other, i) == intersecting_dominating_set(g, other, i)
+        assert len(g.dominating_sets) == entries
+        assert (i, nbhds[i] & alive) in g.dominating_sets
+    fresh = make_graph(g.vertices, g.edges)
+    assert fresh == g and hash(fresh) == hash(g)
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_ids_graphs(), st.data())
+def test_graph_cores_sharing_one_memo_match_the_rescanning_oracle(g, data):
+    size = len(g.vertices)
+    for alive in data.draw(st.lists(st.integers(1, (1 << size) - 1), max_size=4)):
+        for i in range(size):
+            if alive >> i & 1:
+                graph_dominating_set(g, alive, i)
+    for order, seed in [("canonical", 0)] + [("random", seed) for seed in range(4)]:
+        fresh = make_graph(g.vertices, g.edges)
+        assert graph_core(g, order, seed) == rescanning_graph_core(fresh, order, seed)
+    # a repeated core asks only questions already answered
+    entries = len(g.dominating_sets)
+    graph_core(g)
+    assert len(g.dominating_sets) == entries
+
 def test_graph_dominating_set_rejects_a_dead_vertex():
     g = make_graph(range(3), [(0, 1), (1, 2)])
     assert graph_dominating_set(g, 0b111, 0) == 0b010
     with pytest.raises(ValueError):
         graph_dominating_set(g, 0b110, 0)
+    assert g.dominating_sets == {(0, 0b011): 0b010}  # the dead query left no entry
 
 # --- strong collapsibility decisions ---------------------------------------------------
 

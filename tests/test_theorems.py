@@ -14,7 +14,7 @@ from arclab.arcs import (
 )
 from arclab.build import arc_complex, disjointness_graph, induced_arc_complex, inner_complex
 from arclab.collapse import verify_trace
-from arclab.simplicial import make_complex
+from arclab.simplicial import FacetEditor, make_complex
 from arclab.strong import StrongTrace, dominated_vertices, graph_dominating_set, verify_strong_trace
 from arclab.theorems import (
     Limits,
@@ -42,10 +42,18 @@ def replayed(report, c):
 def test_replay_failure_names_the_claim_the_step_and_the_dominating_set():
     path = make_complex({v: f"v{v}" for v in range(3)}, [[0, 1], [1, 2]])
     with pytest.raises(TheoremError) as caught:
-        theorems._replay(path, [(1, 0)], "some-claim", n=2)
+        theorems._replay(FacetEditor(path), [(1, 0)], "some-claim", n=2)
     assert caught.value.claim == "some-claim"
     assert "step 0: vertex 1 is not dominated by 0" in str(caught.value)
     assert "dominating set []" in str(caught.value)
+
+
+def test_replay_applies_each_round_to_the_suite_editor_in_place():
+    path = make_complex({v: f"v{v}" for v in range(4)}, [[0, 1], [1, 2], [2, 3]])
+    editor = FacetEditor(path)
+    theorems._replay(editor, [(0, 1)], "some-claim")
+    theorems._replay(editor, [(3, 2), (1, 2)], "some-claim")
+    assert editor.to_complex() == verify_strong_trace(path, StrongTrace(((0, 1), (3, 2), (1, 2))))
 
 
 # --- crown schedule -----------------------------------------------------------------
