@@ -2,27 +2,39 @@
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .arcs import (
     Arc,
     B_ARC,
     SurfaceSpec,
-    arc_ids,
-    disjoint,
+    disjoint_unchecked,
     enumerate_arcs,
+    validate_arc,
 )
 from .simplicial import Complex, Graph, flag_complex, make_graph
+
+
+def _graph(s: SurfaceSpec, arcs: list[Arc], ids: Sequence[int]) -> Graph:
+    """Graph on `ids` (ids[k] names arcs[k]) with edges between disjoint classes.
+
+    Each arc is validated once here, so the pairs skip `disjoint`'s checks.
+    """
+    for a in arcs:
+        validate_arc(s, a)
+    edges = [
+        (ids[i], ids[j])
+        for i, x in enumerate(arcs)
+        for j in range(i + 1, len(arcs))
+        if disjoint_unchecked(s, x, arcs[j])
+    ]
+    return make_graph(ids, edges)
 
 
 def disjointness_graph(s: SurfaceSpec) -> Graph:
     """Graph on canonical arc ids with edges between disjoint classes."""
     arcs = enumerate_arcs(s)
-    edges = [
-        (i, j)
-        for i in range(len(arcs))
-        for j in range(i + 1, len(arcs))
-        if disjoint(s, arcs[i], arcs[j])
-    ]
-    return make_graph(range(len(arcs)), edges)
+    return _graph(s, arcs, range(len(arcs)))
 
 
 def _labels(arcs: list[Arc]) -> dict[int, str]:
@@ -31,25 +43,19 @@ def _labels(arcs: list[Arc]) -> dict[int, str]:
 
 def arc_complex(s: SurfaceSpec) -> Complex:
     """Full arc complex of s: faces are pairwise-disjoint arc collections."""
-    return flag_complex(disjointness_graph(s), _labels(enumerate_arcs(s)), s)
+    arcs = enumerate_arcs(s)
+    return flag_complex(_graph(s, arcs, range(len(arcs))), _labels(arcs), s)
 
 
 def inner_complex(s: SurfaceSpec) -> Complex:
     """Subcomplex generated by the c-arcs (crown or non-orientable crown)."""
     if s.family not in ("crown", "mobius"):
         raise ValueError("inner complexes are defined for crowns")
-    ids = arc_ids(s)
-    kept = [a for a in enumerate_arcs(s) if a.kind != B_ARC]
-    kept_ids = [ids[a] for a in kept]
-    labels = {ids[a]: a.label() for a in kept}
+    kept = [(i, a) for i, a in enumerate(enumerate_arcs(s)) if a.kind != B_ARC]
+    labels = {i: a.label() for i, a in kept}
     # testing only the kept pairs is cheaper than restricting the full graph
-    edges = [
-        (kept_ids[i], kept_ids[j])
-        for i in range(len(kept))
-        for j in range(i + 1, len(kept))
-        if disjoint(s, kept[i], kept[j])
-    ]
-    return flag_complex(make_graph(kept_ids, edges), labels, s)
+    graph = _graph(s, [a for _, a in kept], [i for i, _ in kept])
+    return flag_complex(graph, labels, s)
 
 
 def induced_arc_complex(s: SurfaceSpec, graph: Graph, removed_ids) -> Complex:

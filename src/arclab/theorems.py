@@ -50,6 +50,7 @@ from .simplicial import (
     _bits,
     dimension,
     euler_characteristic,
+    flag_complex,
     is_cone,
     link,
 )
@@ -514,8 +515,8 @@ def thm_mobius_not_strong(n: int) -> Report:
     _require(n >= 4, MOBIUS_CORE_CLAIM, "statement needs n >= 4", n=n)
     s = mobius_crown(n)
     graph = disjointness_graph(s)  # arc ids are positions in graph.vertices
-    full = induced_arc_complex(s, graph, ())
     ids = arc_ids(s)
+    full = flag_complex(graph, {i: a.label() for a, i in ids.items()}, s)
     loops, lcs, ridge, witnesses = _mobius_prediction(n, ids)
     jn = _cyclic_pairs(n)
     nbhds = graph.closed_neighbourhoods

@@ -387,6 +387,15 @@ def scan_facets_containing(c, face) -> list:
     return [f for f in c.facets if face <= f]
 
 
+def or_loop_stars(c) -> dict[int, int]:
+    """Vertex -> bitset of the facets through it, ORing in 1 << i facet by facet."""
+    stars = {v: 0 for v in c.vertex_ids}
+    for i, f in enumerate(c.facets):
+        for v in f:
+            stars[v] |= 1 << i
+    return stars
+
+
 def scan_is_cone(c):
     """The lowest vertex lying in every facet, or None, by intersecting them."""
     apexes = set.intersection(*map(set, c.facets))

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from arclab.arcs import (
+    B_ARC,
     b_arc,
     b_arc_from_wrap,
     c_arc,
@@ -26,6 +27,7 @@ from arclab.arcs import (
     validate_arc,
     wrap_length,
 )
+from arclab.build import arc_complex, disjointness_graph, inner_complex
 from oracles import mobius_core_arcs_disjoint
 
 ALL_SURFACES = (
@@ -161,6 +163,45 @@ def test_crown_loop_link_formula():
             and (a.a - i) % n + wrap_length(a, n) <= n
         }
         assert neighbors == {f"c:{i}"} | nested
+
+
+# --- the pair loop that builds the arc complexes ------------------------------------
+
+PAIR_LOOP_SURFACES = (
+    [polygon(n) for n in (4, 6, 7)]
+    + [crown(n) for n in (2, 4, 5)]
+    + [mobius_crown(n) for n in (2, 3, 4)]
+    + [integral_strip(m, n) for m, n in [(2, 3), (3, 3)]]
+)
+
+
+def validated_disjoint_pairs(s, arcs):
+    """{ids[x], ids[y]} for every pair of the arcs that the validating `disjoint` accepts."""
+    ids = {a: i for i, a in enumerate(enumerate_arcs(s))}
+    return {
+        frozenset((ids[x], ids[y])) for x, y in itertools.combinations(arcs, 2) if disjoint(s, x, y)
+    }
+
+
+def skeleton_pairs(c):
+    """The edges of the graph a flag complex is built from: vertex pairs in a facet."""
+    return {frozenset(e) for f in c.facets for e in itertools.combinations(f, 2)}
+
+
+@pytest.mark.parametrize("s", PAIR_LOOP_SURFACES, ids=lambda s: s.describe())
+def test_the_pair_loop_keeps_exactly_the_validated_disjoint_pairs(s):
+    arcs = enumerate_arcs(s)
+    expected = validated_disjoint_pairs(s, arcs)
+    g = disjointness_graph(s)
+    assert g.vertices == tuple(range(len(arcs)))
+    assert set(map(frozenset, g.edges)) == expected
+    full = arc_complex(s)
+    assert full.vertex_ids == g.vertices and skeleton_pairs(full) == expected
+    if s.family in ("crown", "mobius"):
+        kept = [a for a in arcs if a.kind != B_ARC]
+        inner = inner_complex(s)
+        assert inner.vertex_ids == tuple(i for i, a in enumerate(arcs) if a.kind != B_ARC)
+        assert skeleton_pairs(inner) == validated_disjoint_pairs(s, kept)
 
 
 # --- symmetry gates --------------------------------------------------------------

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 
@@ -13,11 +14,13 @@ from arclab.simplicial import (
     dimension,
     dual_graph,
     dumps_canonical,
+    empty_complex,
     euler_characteristic,
     f_vector,
     face_deletion,
     facets_containing,
     flag_complex,
+    graph_to_dot,
     is_cone,
     isomorphic,
     join,
@@ -39,6 +42,7 @@ from oracles import (
     SetReplayer,
     maximal_faces,
     naive_max_cliques,
+    or_loop_stars,
     reference_is_collapsible,
     reference_verify_trace,
     restrict,
@@ -124,6 +128,54 @@ def test_max_cliques_against_naive_enumeration():
     assert set(max_cliques(g)) == naive_max_cliques(g.vertices, g.edges)
     g2 = disjointness_graph(mobius_crown(3))
     assert set(max_cliques(g2)) == naive_max_cliques(g2.vertices, g2.edges)
+
+
+@st.composite
+def sparse_graphs(draw):
+    """A random graph on up to 9 vertices with non-contiguous ids."""
+    ids = sorted(draw(st.sets(st.integers(min_value=-20, max_value=60), max_size=9)))
+    pairs = list(itertools.combinations(ids, 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return make_graph(ids, [p for p, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_graphs())
+def test_max_cliques_matches_naive_enumeration_once_each(g):
+    cliques = max_cliques(g)
+    assert len(cliques) == len(set(cliques))
+    assert set(cliques) == naive_max_cliques(g.vertices, g.edges)
+
+
+def test_max_cliques_leaves_no_reference_cycle():
+    """The cliques go as soon as the caller drops them, not at the next collection."""
+    g = make_graph(range(5), [(0, 1), (1, 2), (2, 0), (3, 4)])
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(max_cliques(g)) == 2
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def overlapping_triangles(t):
+    """t facets {i, i + 1, i + 2}, so each vertex's star spans up to 3 of them."""
+    return complex_from_facets([{i, i + 1, i + 2} for i in range(t)])
+
+
+@pytest.mark.parametrize("t", [1, 7, 8, 9, 16, 17])
+def test_stars_match_the_or_loop_across_byte_boundaries(t):
+    c = overlapping_triangles(t)
+    assert len(c.facets) == t
+    assert c.stars == or_loop_stars(c)
+
+
+def test_stars_of_the_empty_complex_and_of_arc_complexes(complex_of):
+    assert empty_complex().stars == or_loop_stars(empty_complex()) == {}
+    for family, n in [("polygon", 7), ("crown", 5), ("mobius", 4), ("inner-mobius", 5)]:
+        c = complex_of(family, n)
+        assert c.stars == or_loop_stars(c)
 
 
 def test_flag_complex_faces_are_graph_cliques(complex_of):
@@ -587,3 +639,15 @@ def test_json_strip_surface_requires_m():
 def test_uncovered_vertex_rejected():
     with pytest.raises(ValueError, match="no maximal face"):
         make_complex({0: "a", 1: "b"}, [[0]])
+
+
+def test_dot_escapes_backslashes_before_quotes():
+    g = make_graph([0, 1], [(0, 1)])
+    dot = graph_to_dot(g, {0: "a\\", 1: 'b"c\\"'})
+    assert dot == (
+        "graph arcs {\n"
+        '  "a\\\\";\n'
+        '  "b\\"c\\\\\\"";\n'
+        '  "a\\\\" -- "b\\"c\\\\\\"";\n'
+        "}\n"
+    )
