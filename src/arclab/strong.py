@@ -5,16 +5,18 @@ w, i.e. the intersection of those facets has a vertex other than v.  Cores
 are fixpoints of dominated-vertex removal; they are unique up to
 isomorphism, which makes the greedy decision procedure complete.
 
-Strong collapses run on one `FacetEditor`: `core`, `verify_strong_trace`
-and `strong_to_elementary` read each dominating set off the editor's star
-index, remove a vertex by one `FacetEditor.delete`, and build a `Complex`
-only for the terminal.
+On facets, `core`, `verify_strong_trace` and `strong_to_elementary` run on
+one `FacetEditor`: each reads dominating sets off the editor's star index,
+removes a vertex by one `FacetEditor.delete`, and builds a `Complex` only
+for the terminal.
 
 In a flag complex w dominates v iff the closed neighbourhood N[v] lies in
-N[w] (Barmak-Minian 2012; Boissonnat-Pritam 2020), so `graph_dominating_set`
-and `graph_core` read domination off the graph's neighbourhood bitsets,
-with no facets built, and each distinct (v, N[v] & alive) is answered once
-per graph.
+N[w] (Barmak-Minian 2012; Boissonnat-Pritam 2020), and deleting vertices
+leaves the flag complex of the induced subgraph.  So `graph_dominating_set`
+and `graph_core` read domination off the graph's neighbourhood bitsets and
+an `alive` mask, with no facets built, and each distinct (v, N[v] & alive)
+is answered once per graph.  The crown, inner-Moebius, strip and
+Moebius-core suites run on them.
 """
 
 from __future__ import annotations
@@ -139,12 +141,13 @@ def graph_dominating_set(g: Graph, alive: int, i: int) -> int:
     return dom
 
 
-def graph_core(g: Graph, order: str = "canonical", seed: int = 0) -> tuple[int, StrongTrace]:
-    """`core` of the flag complex of g, computed on the graph.
+def graph_core(g: Graph, order: str = "canonical", seed: int = 0,
+               alive: int | None = None) -> tuple[int, StrongTrace]:
+    """`core` of the flag complex of g on the positions in `alive` (default: all).
 
     Returns the bitset of the positions left and, by vertex id, the same
-    trace step for step as `core(flag_complex(g), order, seed)`: positions
-    follow the sorted ids, so both pick from the same sorted list.
+    trace step for step as `core` of the induced subgraph's flag complex:
+    positions follow the sorted ids, so both pick from the same sorted list.
 
     The dominating sets are kept up to date, not rescanned each round: at
     a fixed `alive` the set of i depends only on N[i] & alive, so removing
@@ -154,7 +157,7 @@ def graph_core(g: Graph, order: str = "canonical", seed: int = 0) -> tuple[int, 
     the stage checks run on it, share the intersections.
     """
     pick = _picker(order, seed)
-    alive = (1 << len(g.vertices)) - 1
+    alive = (1 << len(g.vertices)) - 1 if alive is None else alive
     nbhds = g.closed_neighbourhoods
     dom = {i: d for i in _bits(alive) if (d := graph_dominating_set(g, alive, i))}
     steps: list[tuple[int, int]] = []

@@ -5,6 +5,9 @@ and named witnesses included) on the actual complexes and cross-checks the
 outcome against order-free computations (cores, searches, certificates).
 Witness identity is part of the reproduced claim: when a named witness
 fails, the suite fails loudly and reports the actual dominating set.
+The strong-collapse suites replay on the disjointness graph and an alive
+mask, since their complexes are flag complexes; the Moebius collapse
+replays on a `FacetEditor`.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from .collapse import CollapseTrace, replay, welker_expand
 from .simplicial import (
     Complex,
     FacetEditor,
+    Graph,
     _bits,
     dimension,
     euler_characteristic,
@@ -56,8 +60,6 @@ from .simplicial import (
 )
 from .strong import (
     StrongTrace,
-    _dominating,
-    _replay as _replay_strong,
     core,
     dominated_vertices,
     graph_core,
@@ -126,17 +128,28 @@ def _require(cond: bool, claim: str, message: str, **details) -> None:
         raise TheoremError(claim, message, **details)
 
 
-def _replay(editor: FacetEditor, steps, claim: str, **details) -> None:
-    """Apply the strong collapse `steps` to the suite's editor in place.
+def _replay(graph: Graph, alive: int, steps, claim: str, **details) -> int:
+    """Apply the strong collapse `steps` to the flag complex of graph on `alive`.
 
-    A witness that does not dominate its vertex fails `claim`; the message
-    names the step and the actual dominating set.
+    Ids are positions in graph.vertices, as in `disjointness_graph`; returns
+    the positions left.  A failed step fails `claim`, naming the step and
+    the actual dominating set.
     """
-    try:
-        for _ in _replay_strong(editor, StrongTrace(tuple(steps))):
-            pass
-    except ValueError as exc:
-        raise TheoremError(claim, str(exc), **details) from exc
+    for i, (v, w) in enumerate(steps):
+        if not alive >> v & 1:
+            raise TheoremError(claim, f"step {i}: vertex {v} is not in the complex", **details)
+        dom = graph_dominating_set(graph, alive, v)
+        if not dom >> w & 1:
+            raise TheoremError(claim, f"step {i}: vertex {v} is not dominated by {w} "
+                               f"(dominating set {list(_bits(dom))})", **details)
+        alive &= ~(1 << v)
+    return alive
+
+
+def _simplex(graph: Graph, mask: int) -> bool:
+    """Whether the flag complex of graph on the positions in mask is one simplex."""
+    nbhds = graph.closed_neighbourhoods
+    return mask != 0 and all(not mask & ~nbhds[u] for u in _bits(mask))
 
 
 # --- crowns -------------------------------------------------------------------
@@ -151,50 +164,44 @@ def thm_crown_strong(n: int) -> Report:
     length n-k+1), loops first; every removed arc (p, q) must be dominated
     by both c_p and c_q at the start of its round, and the terminal complex
     is the simplex on the c-arcs.
+
+    At every n the proof rests on the disjointness graph alone, by the flag
+    criterion N[v] in N[w] (Barmak-Minian 2012; Boissonnat-Pritam 2020).
     """
     s = crown(n)
-    full = arc_complex(s)
+    graph = disjointness_graph(s)  # arc ids are positions in graph.vertices
     ids = arc_ids(s)
+    labels = {i: a.label() for a, i in ids.items()}
     c_ids = {i: ids[c_arc(i)] for i in range(1, n + 1)}
-    editor = FacetEditor(full)
+    alive = (1 << len(graph.vertices)) - 1
     steps: list[tuple[int, int]] = []
     rounds: list[int] = []
     for k in range(1, n):
         batch = [b_arc_from_wrap(p, n - k + 1, n) for p in range(1, n + 1)]
         for beta in batch:
-            dom = _dominating(editor.stars, editor.slots, ids[beta])
+            dom = graph_dominating_set(graph, alive, ids[beta])
             for witness_vertex in {beta.a, beta.b}:
                 _require(
-                    c_ids[witness_vertex] in dom,
+                    dom >> c_ids[witness_vertex] & 1,
                     CROWN_CLAIM,
                     f"{beta.label()} is not dominated by c:{witness_vertex} in round {k}",
                     n=n,
-                    dominating=sorted(editor.labels[u] for u in dom),
+                    dominating=sorted(labels[u] for u in _bits(dom)),
                 )
         round_steps = [(ids[beta], c_ids[beta.b]) for beta in batch]
-        _replay(editor, round_steps, CROWN_CLAIM, n=n, round=k)
+        alive = _replay(graph, alive, round_steps, CROWN_CLAIM, n=n, round=k)
         steps += round_steps
         rounds.append(len(batch))
-    current = editor.to_complex()
-    _require(
-        set(current.vertex_ids) == set(c_ids.values()),
-        CROWN_CLAIM,
-        "terminal vertex set is not the c-arc set",
-        n=n,
-    )
-    _require(
-        len(current.facets) == 1,
-        CROWN_CLAIM,
-        "terminal complex is not a simplex",
-        n=n,
-    )
-    terminal, _ = core(full)
-    _require(terminal.n_vertices == 1, CROWN_CLAIM, "order-free core is not a point", n=n)
+    c_mask = sum(1 << c for c in c_ids.values())
+    _require(alive == c_mask, CROWN_CLAIM, "terminal vertex set is not the c-arc set", n=n)
+    _require(_simplex(graph, c_mask), CROWN_CLAIM, "terminal complex is not a simplex", n=n)
+    point = graph_core(graph)[0].bit_count() == 1
+    _require(point, CROWN_CLAIM, "order-free core is not a point", n=n)
     return Report().add(
         CROWN_CLAIM,
         "crown-strong-collapsibility",
         n,
-        vertices=full.n_vertices,
+        vertices=len(graph.vertices),
         rounds=rounds,
         schedule=StrongTrace(tuple(steps)).to_json(),
     )
@@ -211,40 +218,36 @@ def thm_inner_mobius(n: int) -> Report:
     Strips vertex n' from n down to 2: the loop L_{n'} lies in a unique
     maximal face (the full fan at n') and is removed first, then (i, n') is
     removed for i = n'-1..1 with witness (1, i) asserted at every step.
+
+    At every n the proof rests on the disjointness graph on the c-arcs alone,
+    by the flag criterion N[v] in N[w] (Barmak-Minian 2012; Boissonnat-Pritam
+    2020); L_{n'} lies only in the fan iff N[L_{n'}] is the fan, a clique.
     """
     s = mobius_crown(n)
-    inner = inner_complex(s)
+    graph = disjointness_graph(s)  # arc ids are positions in graph.vertices
     ids = arc_ids(s)
-    editor = FacetEditor(inner)
+    alive = inner = sum(1 << i for a, i in ids.items() if a.kind != "b")
     steps: list[tuple[int, int]] = []
     for np_ in range(n, 1, -1):
         v = ids[loop_c(np_)]
-        stars = editor.containing([v])
-        fan_face = frozenset(ids[cc_arc(i, np_)] for i in range(1, np_ + 1))
-        _require(
-            stars == [fan_face],
-            INNER_CLAIM,
-            f"L:{np_} is not contained solely in the fan at {np_}",
-            n=n,
-            stars=sorted(sorted(f) for f in stars),
-        )
+        fan = sum(1 << ids[cc_arc(i, np_)] for i in range(1, np_ + 1))
+        star = graph.closed_neighbourhoods[v] & alive
+        _require(star == fan and _simplex(graph, fan), INNER_CLAIM,
+                 f"L:{np_} is not contained solely in the fan at {np_}",
+                 n=n, neighbourhood=list(_bits(star)))
         round_steps = [(v, ids[cc_arc(1, np_)])]
         round_steps += [(ids[cc_arc(i, np_)], ids[cc_arc(1, i)]) for i in range(np_ - 1, 0, -1)]
-        _replay(editor, round_steps, INNER_CLAIM, n=n, fan=np_)
+        alive = _replay(graph, alive, round_steps, INNER_CLAIM, n=n, fan=np_)
         steps += round_steps
-    _require(
-        set(editor.to_complex().vertex_ids) == {ids[loop_c(1)]},
-        INNER_CLAIM,
-        "terminal complex is not the single arc at vertex 1",
-        n=n,
-    )
-    ok, _ = is_strongly_collapsible(inner)
-    _require(ok, INNER_CLAIM, "order-free core disagrees with schedule", n=n)
+    _require(alive == 1 << ids[loop_c(1)], INNER_CLAIM,
+             "terminal complex is not the single arc at vertex 1", n=n)
+    point = graph_core(graph, alive=inner)[0].bit_count() == 1
+    _require(point, INNER_CLAIM, "order-free core disagrees with schedule", n=n)
     return Report().add(
         INNER_CLAIM,
         "inner-mobius-strong-collapsibility",
         n,
-        vertices=inner.n_vertices,
+        vertices=inner.bit_count(),
         schedule=StrongTrace(tuple(steps)).to_json(),
     )
 
@@ -667,10 +670,15 @@ def thm_strip_strong(m: int, n: int) -> Report:
     convention the row/column complexes are simplices of dimension m-3 and
     n-3 (not m-1 / n-1), which is reported, and the (2,2) strip is a
     0-sphere, outside the hypothesis m+n >= 5.
+
+    At every size the schedule's proof rests on the disjointness graph alone,
+    by the flag criterion N[v] in N[w] (Barmak-Minian 2012; Boissonnat-Pritam
+    2020); lk(v) is the flag complex on N(v).  Facets give the report's count.
     """
     s = integral_strip(m, n)
-    full = arc_complex(s)
+    graph = disjointness_graph(s)  # arc ids are positions in graph.vertices
     ids = arc_ids(s)
+    full = flag_complex(graph, {i: a.label() for a, i in ids.items()}, s)
     base_details = {"vertices": full.n_vertices, "facets": len(full.facets)}
 
     if m == 1 or n == 1:
@@ -695,8 +703,8 @@ def thm_strip_strong(m: int, n: int) -> Report:
         )
 
     if m + n < 5:
-        ok, _ = is_strongly_collapsible(full)
-        _require(not ok, STRIP_CLAIM, "the (2,2) strip should be a 0-sphere", m=m, n=n)
+        point = graph_core(graph)[0].bit_count() == 1
+        _require(not point, STRIP_CLAIM, "the (2,2) strip should be a 0-sphere", m=m, n=n)
         _require(
             len(full.facets) == 2 and dimension(full) == 0,
             STRIP_CLAIM,
@@ -713,39 +721,26 @@ def thm_strip_strong(m: int, n: int) -> Report:
             note="0-sphere; the strong-collapsibility claim needs m+n >= 5",
         )
 
-    editor = FacetEditor(full)
+    alive = (1 << len(graph.vertices)) - 1
     steps: list[tuple[int, int]] = []
     for j in range(n, 1, -1):
         v = ids[strip_arc(1, j)]
-        lk = link(editor.closed_star([v]), [v])
-        _require(
-            len(lk.facets) == 1 and lk.n_vertices >= 1,
-            STRIP_CLAIM,
-            f"link of (1,{j}) is not a nonempty simplex",
-            m=m,
-            n=n,
-        )
-        round_steps = [(v, is_cone(lk))]
+        lk = graph.closed_neighbourhoods[v] & alive & ~(1 << v)
+        _require(_simplex(graph, lk), STRIP_CLAIM,
+                 f"link of (1,{j}) is not a nonempty simplex", m=m, n=n)
+        round_steps = [(v, (lk & -lk).bit_length() - 1)]  # the link's lowest vertex
         round_steps += [(ids[strip_arc(i, j)], ids[strip_arc(i, j - 1)]) for i in range(2, m)]
-        _replay(editor, round_steps, STRIP_CLAIM, m=m, n=n, row=j)
+        alive = _replay(graph, alive, round_steps, STRIP_CLAIM, m=m, n=n, row=j)
         steps += round_steps
-    expected_simplex = {ids[strip_arc(i, 1)] for i in range(2, m)} | {
-        ids[strip_arc(m, j)] for j in range(1, n)
-    }
-    current = editor.to_complex()
-    _require(
-        set(current.vertex_ids) == expected_simplex and len(current.facets) == 1,
-        STRIP_CLAIM,
-        "remainder after stripping rows is not the expected simplex",
-        m=m,
-        n=n,
-    )
-    simplex = sorted(current.vertex_ids)
+    remainder = [strip_arc(i, 1) for i in range(2, m)] + [strip_arc(m, j) for j in range(1, n)]
+    _require(alive == sum(1 << ids[a] for a in remainder) and _simplex(graph, alive), STRIP_CLAIM,
+             "remainder after stripping rows is not the expected simplex", m=m, n=n)
+    simplex = list(_bits(alive))
     tail = list(zip(simplex, simplex[1:]))
-    _replay(editor, tail, STRIP_CLAIM, m=m, n=n)
+    _replay(graph, alive, tail, STRIP_CLAIM, m=m, n=n)
     steps += tail
-    terminal, _ = core(full)
-    _require(terminal.n_vertices == 1, STRIP_CLAIM, "order-free core is not a point", m=m, n=n)
+    point = graph_core(graph)[0].bit_count() == 1
+    _require(point, STRIP_CLAIM, "order-free core is not a point", m=m, n=n)
     return Report().add(
         STRIP_CLAIM,
         "strip-strong-collapsibility",

@@ -27,8 +27,10 @@ from arclab.collapse import face_order, trace, verify_trace
 from arclab.simplicial import (
     facets_containing,
     faces,
+    is_cone,
     isomorphic,
     join_all,
+    link,
     make_complex,
     vertex_deletion,
 )
@@ -675,3 +677,20 @@ def rescanning_graph_core(g, order="canonical", seed=0):
         i, w = pick(dom)
         steps.append((g.vertices[i], g.vertices[w]))
         alive &= ~(1 << i)
+
+
+# --- the facet checks that the strong suites' graph checks replaced ----------------
+
+
+def only_facet_through(editor, v):
+    """The facet of the editor through v when there is exactly one, else None:
+    the inner-Moebius check `editor.containing([L]) == [fan]`."""
+    through = editor.containing([v])
+    return through[0] if len(through) == 1 else None
+
+
+def link_apex(editor, v):
+    """The strip's witness for v: `is_cone` of the link of v in its closed star
+    when that link is one nonempty simplex, else None."""
+    lk = link(editor.closed_star([v]), [v])
+    return is_cone(lk) if len(lk.facets) == 1 and lk.n_vertices >= 1 else None

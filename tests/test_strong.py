@@ -143,6 +143,11 @@ def test_graph_domination_and_cores_match_facets(g, data):
         assert t == facet_t
         assert verify_strong_trace(full, t) == terminal
         assert members(g, left) == set(terminal.vertex_ids)
+        # started from alive, the graph core is the core of the induced flag complex
+        left, t = graph_core(g, order, seed, alive=alive)
+        terminal, facet_t = core(induced, order, seed)
+        assert t == facet_t
+        assert members(g, left) == set(terminal.vertex_ids)
 
 @st.composite
 def sparse_ids_graphs(draw):

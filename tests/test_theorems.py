@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arclab import theorems
 from arclab.arcs import (
@@ -11,11 +13,18 @@ from arclab.arcs import (
     loop_b,
     loop_c,
     mobius_crown,
+    strip_arc,
 )
 from arclab.build import arc_complex, disjointness_graph, induced_arc_complex, inner_complex
 from arclab.collapse import verify_trace
-from arclab.simplicial import FacetEditor, make_complex
-from arclab.strong import StrongTrace, dominated_vertices, graph_dominating_set, verify_strong_trace
+from arclab.simplicial import FacetEditor, _bits, flag_complex, make_complex, make_graph
+from arclab.strong import (
+    StrongTrace,
+    dominated_vertices,
+    graph_core,
+    graph_dominating_set,
+    verify_strong_trace,
+)
 from arclab.theorems import (
     Limits,
     TheoremError,
@@ -31,7 +40,11 @@ from oracles import (
     every_mobius_stage_check,
     facet_stage_domination,
     factorwise_sapling_link_check,
+    link_apex,
+    only_facet_through,
+    scan_dominating_set,
 )
+from test_simplicial import graphs
 
 
 def replayed(report, c):
@@ -40,20 +53,67 @@ def replayed(report, c):
 
 
 def test_replay_failure_names_the_claim_the_step_and_the_dominating_set():
-    path = make_complex({v: f"v{v}" for v in range(3)}, [[0, 1], [1, 2]])
+    path = make_graph(range(3), [(0, 1), (1, 2)])
     with pytest.raises(TheoremError) as caught:
-        theorems._replay(FacetEditor(path), [(1, 0)], "some-claim", n=2)
+        theorems._replay(path, 0b111, [(1, 0)], "some-claim", n=2)
     assert caught.value.claim == "some-claim"
+    assert caught.value.details == {"n": 2}
     assert "step 0: vertex 1 is not dominated by 0" in str(caught.value)
     assert "dominating set []" in str(caught.value)
+    with pytest.raises(TheoremError, match="step 1: vertex 0 is not in the complex"):
+        theorems._replay(path, 0b111, [(0, 1), (0, 1)], "some-claim")
 
 
-def test_replay_applies_each_round_to_the_suite_editor_in_place():
-    path = make_complex({v: f"v{v}" for v in range(4)}, [[0, 1], [1, 2], [2, 3]])
-    editor = FacetEditor(path)
-    theorems._replay(editor, [(0, 1)], "some-claim")
-    theorems._replay(editor, [(3, 2), (1, 2)], "some-claim")
-    assert editor.to_complex() == verify_strong_trace(path, StrongTrace(((0, 1), (3, 2), (1, 2))))
+def test_replay_applies_each_round_to_the_suite_alive_mask_in_place():
+    path = make_graph(range(4), [(0, 1), (1, 2), (2, 3)])
+    alive = theorems._replay(path, 0b1111, [(0, 1)], "some-claim")
+    alive = theorems._replay(path, alive, [(3, 2), (1, 2)], "some-claim")
+    terminal = verify_strong_trace(flag_complex(path), StrongTrace(((0, 1), (3, 2), (1, 2))))
+    assert set(_bits(alive)) == set(terminal.vertex_ids) == {2}
+
+
+def failing_step(replay, steps):
+    """The first k at which replay(steps[:k + 1]) raises, or None if none does."""
+    for k in range(len(steps)):
+        try:
+            replay(steps[:k + 1])
+        except (ValueError, TheoremError):
+            return k
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(), st.integers(0, 3), st.data())
+def test_graph_replay_matches_the_strong_checker_on_the_flag_complex(g, seed, data):
+    # ids are 0..size-1, so they are the positions; size lies in no graph
+    size = len(g.vertices)
+    steps = list(graph_core(g, "random", seed)[1].steps)
+    if data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(steps)))
+        steps[i:i + 1] = [(data.draw(st.integers(0, size)), data.draw(st.integers(0, size)))]
+    c = flag_complex(g)
+    everyone = (1 << size) - 1
+    on_graph = failing_step(lambda t: theorems._replay(g, everyone, t, "claim"), steps)
+    on_facets = failing_step(lambda t: verify_strong_trace(c, StrongTrace(tuple(t))), steps)
+    assert on_graph == on_facets
+    if on_graph is None:
+        left = theorems._replay(g, everyone, steps, "claim")
+        assert set(_bits(left)) == set(verify_strong_trace(c, StrongTrace(tuple(steps))).vertex_ids)
+    else:
+        with pytest.raises(TheoremError, match=f"step {on_graph}: "):
+            theorems._replay(g, everyone, steps, "claim")
+
+
+def lockstep(report, c, alive):
+    """(editor on c, alive mask, next step) before each step of the
+    claim's schedule, both in lockstep, and after the last, with step None."""
+    editor = FacetEditor(c)
+    for step in [*StrongTrace.from_json(report.claims[0].details["schedule"]).steps, None]:
+        assert set().union(*editor.facets()) == set(_bits(alive))
+        yield editor, alive, step
+        if step is not None:
+            editor.delete(frozenset(step[:1]))
+            alive &= ~(1 << step[0])
 
 
 # --- crown schedule -----------------------------------------------------------------
@@ -88,6 +148,18 @@ def test_crown_schedule_passes(n):
     assert len(terminal.facets) == 1
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_crown_graph_checks_match_their_facet_forms(n):
+    s = crown(n)
+    graph = disjointness_graph(s)
+    everyone = (1 << len(graph.vertices)) - 1
+    for editor, alive, _ in lockstep(thm_crown_strong(n), arc_complex(s), everyone):
+        current = editor.to_complex()
+        assert theorems._simplex(graph, alive) == (len(current.facets) == 1)
+        for v in _bits(alive):  # the round-start witness check, on graph and on facets
+            assert set(_bits(graph_dominating_set(graph, alive, v))) == scan_dominating_set(current, v)
+
+
 # --- inner mobius schedule -------------------------------------------------------------
 
 
@@ -112,6 +184,24 @@ def test_inner_mobius_schedule_passes(n):
     s = mobius_crown(n)
     terminal = replayed(report, inner_complex(s))
     assert list(terminal.vertex_ids) == [arc_ids(s)[loop_c(1)]]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_inner_mobius_graph_checks_match_their_facet_forms(n):
+    s = mobius_crown(n)
+    graph = disjointness_graph(s)
+    ids = arc_ids(s)
+    inner = sum(1 << i for a, i in ids.items() if a.kind != "b")
+    loops = {ids[loop_c(j)]: j for j in range(2, n + 1)}
+    for editor, alive, step in lockstep(thm_inner_mobius(n), inner_complex(s), inner):
+        if step and step[0] in loops:  # the fan check the facet suite made
+            fan = {ids[cc_arc(i, loops[step[0]])] for i in range(1, loops[step[0]] + 1)}
+            assert only_facet_through(editor, step[0]) == fan
+        for v in _bits(alive):
+            star = graph.closed_neighbourhoods[v] & alive
+            assert only_facet_through(editor, v) == (
+                frozenset(_bits(star)) if theorems._simplex(graph, star) else None
+            )
 
 
 # --- mobius collapse ---------------------------------------------------------------------
@@ -339,11 +429,30 @@ def test_strip_two_two_is_reported_outside_hypothesis():
     assert "0-sphere" in claim.details["note"]
 
 
-@pytest.mark.parametrize("m,n", [(4, 4), (2, 7), (7, 2), (3, 5)])
+STRIPS = [(m, k - m) for k in range(5, 10) for m in range(2, k - 1)]  # 5 <= m+n <= 9
+
+
+@pytest.mark.parametrize("m,n", STRIPS)
 def test_strip_schedule_passes(m, n):
     report = thm_strip_strong(m, n)
     assert report.all_passed
     assert replayed(report, arc_complex(integral_strip(m, n))).n_vertices == 1
+
+
+@pytest.mark.parametrize("m,n", STRIPS)
+def test_strip_graph_checks_match_their_facet_forms(m, n):
+    s = integral_strip(m, n)
+    graph = disjointness_graph(s)
+    everyone = (1 << len(graph.vertices)) - 1
+    firsts = {arc_ids(s)[strip_arc(1, j)] for j in range(2, n + 1)}
+    for editor, alive, step in lockstep(thm_strip_strong(m, n), arc_complex(s), everyone):
+        if step and step[0] in firsts:
+            assert step[1] == link_apex(editor, step[0])  # the witness the facet suite named
+        assert theorems._simplex(graph, alive) == (len(editor.facets()) == 1)
+        for v in _bits(alive):
+            lk = graph.closed_neighbourhoods[v] & alive & ~(1 << v)
+            lowest = (lk & -lk).bit_length() - 1
+            assert link_apex(editor, v) == (lowest if theorems._simplex(graph, lk) else None)
 
 
 # --- runner -----------------------------------------------------------------------------
