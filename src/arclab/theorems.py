@@ -7,7 +7,8 @@ Witness identity is part of the reproduced claim: when a named witness
 fails, the suite fails loudly and reports the actual dominating set.
 The strong-collapse suites replay on the disjointness graph and an alive
 mask, since their complexes are flag complexes; the Moebius collapse
-replays on a `FacetEditor`.
+replays each link model's collapse once and face-deletes the saplings on a
+`FacetEditor`.
 """
 
 from __future__ import annotations
@@ -46,17 +47,17 @@ from .arcs import (
 )
 from .build import arc_complex, disjointness_graph, induced_arc_complex, inner_complex
 from .certify import certify, flip_graph, graph_diameter
-from .collapse import CollapseTrace, replay, welker_expand
+from .collapse import CollapseTrace, replay, verify_trace
 from .simplicial import (
     Complex,
     FacetEditor,
     Graph,
     _bits,
+    _complex,
     dimension,
     euler_characteristic,
     flag_complex,
     is_cone,
-    link,
 )
 from .strong import (
     StrongTrace,
@@ -257,65 +258,130 @@ def thm_inner_mobius(n: int) -> Report:
 MOBIUS_COLLAPSE_CLAIM = "mobius-collapse"
 
 
-def _sapling_link_trace(
-    s: SurfaceSpec, L: Complex, sap: tuple[Arc, ...], ids: dict[Arc, int], models: dict,
-) -> CollapseTrace:
-    """Collapse trace for the link L of a sapling, built from its tile structure.
+def _tile(W: int, models: dict) -> tuple[Complex, list[Arc]]:
+    """polygon(W+1)'s arc complex and its diagonals, built once per `models` dict."""
+    if ("tile", W) not in models:
+        tile = polygon(W + 1)
+        models["tile", W] = arc_complex(tile), enumerate_arcs(tile)
+    return models["tile", W]
 
-    L must be the join of the polygon-tile complexes with the c-arc complex
-    of the trunk, under the arc maps that place them in the surface.  The
-    tile under a sapling arc b spans W = wrap_length(b) boundary edges from
-    p = b.a, and its diagonal d:i-j of polygon(W+1) is the b-arc from p+i-1
-    spanning j-i edges.  The trunk's boundary vertices o_1 < ... < o_deg are
-    those strictly inside no sapling arc, and cc:i-j of its inner complex is
-    cc(o_i, o_j).
 
-    L = X * T, X the join of the tiles and T the trunk, collapses strongly,
-    and the trace is that collapse converted on L.  A vertex that u
-    dominates in T is dominated by u in X * T, since every facet of the
-    join through it is x + t with t through it; so the trunk model's core,
-    mapped into L, leaves the cone X * w, and each tile vertex then goes
-    with witness w.  `strong_to_elementary` re-checks every witness on L.  The models depend only on W and deg, so each is
-    built once per `models` dict, the trunk model with its core.
-    """
-    n = s.n
-    sapling = [b.label() for b in sap]
-    maps: list[tuple[Complex, dict[int, int]]] = []  # (model, model vertex -> arc id), trunk last
-    for b in sap:
-        W = wrap_length(b, n)
-        if ("tile", W) not in models:
-            tile = polygon(W + 1)
-            models["tile", W] = arc_complex(tile), enumerate_arcs(tile)
-        model, diagonals = models["tile", W]
-        maps.append((model, {
-            v: ids[b_arc_from_wrap((b.a + d.a - 2) % n + 1, d.b - d.a, n)]
-            for v, d in enumerate(diagonals)
-        }))
-    o = [v for v in range(1, n + 1) if not any(_strictly_inside(n, v, b) for b in sap)]
-    if ("trunk", len(o)) not in models:
-        trunk = mobius_crown(len(o))
-        model = inner_complex(trunk)
+def _trunk(deg: int, models: dict) -> tuple[Complex, list[tuple[int, Arc]], tuple[Complex, StrongTrace]]:
+    """The inner complex of mobius_crown(deg), its c-arcs by id, and its core,
+    built once per `models` dict."""
+    if ("trunk", deg) not in models:
+        trunk = mobius_crown(deg)
+        inner = inner_complex(trunk)
         c_arcs = [(v, c) for v, c in enumerate(enumerate_arcs(trunk)) if c.kind == "cc"]
-        models["trunk", len(o)] = model, c_arcs, core(model)
-    model, c_arcs, (terminal, strong) = models["trunk", len(o)]
-    trunk_map = {v: ids[cc_arc(o[c.a - 1], o[c.b - 1])] for v, c in c_arcs}
-    maps.append((model, trunk_map))
-    placed = [i for _, m in maps for i in m.values()]
-    _require(len(set(placed)) == len(placed), MOBIUS_COLLAPSE_CLAIM,
-             "tile maps are not injective", sapling=sapling)
-    images = [[frozenset(m[v] for v in f) for f in model.facets] for model, m in maps]
+        models["trunk", deg] = inner, c_arcs, core(inner)
+    return models["trunk", deg]
+
+
+def _sapling_arc_map(
+    n: int, sap: tuple[Arc, ...], ids: dict[Arc, int], models: dict,
+) -> tuple[tuple[tuple[int, ...], int], dict[int, int]]:
+    """The model key of a sapling's link and the arc map from the model's vertices.
+
+    The link is the join of the sapling's polygon tiles with the c-arc
+    complex of its trunk.  The tile under a sapling arc b spans
+    W = wrap_length(b) boundary edges from p = b.a, and its diagonal d:i-j of
+    polygon(W+1) is the b-arc from p+i-1 spanning j-i edges.  The trunk's
+    boundary vertices o_1 < ... < o_deg are those strictly inside no sapling
+    arc, and cc:i-j of its inner complex is cc(o_i, o_j).  So the key is
+    (the sorted wrap lengths, deg), and the model's vertices are offset ids:
+    the tiles in sorted-width order, diagonal v of a tile at the tile's
+    offset plus v, then c-arc v of the trunk at the tiles' total plus v.
+    """
+    tiles = sorted(sap, key=lambda b: wrap_length(b, n))
+    widths = tuple(wrap_length(b, n) for b in tiles)
+    arc_map: dict[int, int] = {}
+    for b, W in zip(tiles, widths):
+        offset, diagonals = len(arc_map), _tile(W, models)[1]
+        arc_map.update(
+            (offset + v, ids[b_arc_from_wrap((b.a + d.a - 2) % n + 1, d.b - d.a, n)])
+            for v, d in enumerate(diagonals)
+        )
+    o = [v for v in range(1, n + 1) if not any(_strictly_inside(n, v, b) for b in sap)]
+    offset, c_arcs = len(arc_map), _trunk(len(o), models)[1]
+    arc_map.update((offset + v, ids[cc_arc(o[c.a - 1], o[c.b - 1])]) for v, c in c_arcs)
+    return (widths, len(o)), arc_map
+
+
+def _link_model(key: tuple[tuple[int, ...], int], models: dict) -> tuple[Complex, CollapseTrace]:
+    """The model join J of `key` (as `_sapling_arc_map` numbers it), and its
+    collapse to a vertex, verified on J.
+
+    J = X * T, X the join of the tiles and T the trunk, collapses strongly.
+    A vertex that u dominates in T is dominated by u in X * T, since every
+    facet of the join through it is x + t with t through it; so T's core
+    leaves the cone X * w, and each tile vertex then goes with witness w.
+    `strong_to_elementary` checks every witness on J, and `verify_trace`
+    replays the elementary trace on J.
+    """
+    widths, deg = key
+    model = [list(widths), deg]
+    factors: list[list[frozenset[int]]] = []
+    labels: dict[int, str] = {}
+    offset = 0
+    for k, W in enumerate(widths):
+        tile, diagonals = _tile(W, models)
+        factors.append([frozenset(offset + v for v in f) for f in tile.facets])
+        labels.update((offset + v, f"{k}.{label}") for v, label in tile.vertex_labels)
+        offset += len(diagonals)
+    trunk, _, (terminal, strong) = _trunk(deg, models)
+    _require(terminal.n_vertices == 1, MOBIUS_COLLAPSE_CLAIM,
+             "trunk inner complex is not strongly collapsible", model=model)
+    factors.append([frozenset(offset + v for v in f) for f in trunk.facets])
+    labels.update((offset + v, label) for v, label in trunk.vertex_labels)
+    J = _complex(labels, [frozenset().union(*parts) for parts in itertools.product(*factors)])
+    w = offset + terminal.vertex_ids[0]
+    steps = [(offset + v, offset + u) for v, u in strong.steps]
+    steps += [(x, w) for x in J.vertex_ids if x < offset]
+    try:
+        t = strong_to_elementary(J, StrongTrace(tuple(steps)))
+    except ValueError as exc:
+        raise TheoremError(MOBIUS_COLLAPSE_CLAIM, f"link model witness fails: {exc}",
+                           model=model) from None
+    verdict = verify_trace(J, t)
     _require(
-        {frozenset().union(*parts) for parts in itertools.product(*images)} == set(L.facets),
+        verdict.valid and verdict.terminal.n_vertices == 1,
+        MOBIUS_COLLAPSE_CLAIM,
+        "the model trace does not collapse its join to a vertex",
+        model=model,
+        step=verdict.failed_step,
+        reason=verdict.reason,
+    )
+    return J, t
+
+
+def _sapling_link_length(
+    s: SurfaceSpec, link_facets: set[frozenset[int]], sap: tuple[Arc, ...],
+    ids: dict[Arc, int], models: dict,
+) -> int:
+    """Check a sapling's link, given by its facets, against its model join;
+    returns the length of the model's collapse trace.
+
+    The arc map must be injective and carry the model's facets onto
+    `link_facets` exactly; it is then a simplicial isomorphism from the
+    model onto the link, and an isomorphism carries each elementary collapse
+    to one.  So the model's trace, verified once per key and `models` dict,
+    mapped through the arc map collapses the link to a vertex.
+    """
+    key, arc_map = _sapling_arc_map(s.n, sap, ids, models)
+    if key not in models:
+        J, t = _link_model(key, models)
+        models[key] = J.facets, len(t)
+    facets, length = models[key]
+    sapling = [b.label() for b in sap]
+    _require(len(set(arc_map.values())) == len(arc_map), MOBIUS_COLLAPSE_CLAIM,
+             "tile maps are not injective", sapling=sapling)
+    _require(
+        {frozenset(map(arc_map.__getitem__, f)) for f in facets} == link_facets,
         MOBIUS_COLLAPSE_CLAIM,
         "link is not the join of its tile complexes under the arc maps",
         sapling=sapling,
     )
-    _require(terminal.n_vertices == 1, MOBIUS_COLLAPSE_CLAIM,
-             "trunk inner complex is not strongly collapsible", sapling=sapling)
-    w = trunk_map[terminal.vertex_ids[0]]
-    steps = [(trunk_map[v], trunk_map[u]) for v, u in strong.steps]
-    steps += [(x, w) for _, m in maps[:-1] for x in m.values()]
-    return strong_to_elementary(L, StrongTrace(tuple(steps)))
+    return length
 
 
 def thm_mobius_collapse(n: int) -> Report:
@@ -323,22 +389,26 @@ def thm_mobius_collapse(n: int) -> Report:
 
     Round d face-deletes every sapling of degree d via its link collapse;
     no face may contain two saplings of the same round, and the terminal
-    after round n-1 must equal the inner complex exactly.  Each step is
-    replayed once.  A sapling's link trace is replayed on its link by
-    `welker_expand`, and the editor Y, which starts at the full complex,
-    then face-deletes the sapling: tau -> tau - sigma maps the faces of Y
-    through sigma one-to-one onto those of lk(sigma), keeping containment,
-    and every facet through a face that contains sigma lies in its star, so
-    (sigma + a, sigma + b) is a collapse of Y iff (a, b) is one of the link,
-    and after the expansion Y is its face-deletion of sigma.  The strong
-    collapse of the inner complex is converted and replayed on Y, which
-    must end at a single vertex.
+    after round n-1 must equal the inner complex exactly.  The editor Y
+    starts at the full complex.  tau -> tau - sigma maps the faces of Y
+    through a sapling sigma one-to-one onto those of lk(sigma), keeping
+    containment, and every facet through a face that contains sigma lies in
+    its star; so (sigma + a, sigma + b) is a collapse of Y iff (a, b) is one
+    of the link, and a collapse of the link to a vertex w followed by
+    (sigma, sigma + w) leaves the face-deletion of sigma (Welker's link
+    lemma).  Each link is compared facet for facet with the image of its
+    model join under an injective arc map, and each model's collapse is
+    replayed once per call on the model: an isomorphism carries collapses
+    to collapses.  So Y face-deletes each sapling directly, and
+    `trace_length` counts the model trace plus one step per sapling.  The
+    strong collapse of the inner complex is converted and replayed on Y,
+    which must end at a single vertex.
     """
     s = mobius_crown(n)
     full = arc_complex(s)
     ids = arc_ids(s)
     Y = FacetEditor(full)
-    models: dict = {}  # the tile and trunk models, by wrap length and degree
+    models: dict = {}  # tiles by wrap length, trunks by degree, model joins by key
     replayed = 0
     round_sizes: list[int] = []
     for deg in range(1, n):
@@ -356,18 +426,16 @@ def thm_mobius_collapse(n: int) -> Report:
             )
         for sap in saps:
             sap_ids = frozenset(ids[a] for a in sap)
-            sapling = [a.label() for a in sap]
             _require(
                 Y.star_mask(sap_ids),
                 MOBIUS_COLLAPSE_CLAIM,
                 "predicted sapling is not a face",
                 n=n,
                 degree=deg,
-                sapling=sapling,
+                sapling=[a.label() for a in sap],
             )
-            star = Y.closed_star(sap_ids)  # the sapling's link in its star is its link in Y
-            link_trace = _sapling_link_trace(s, link(star, sap_ids), sap, ids, models)
-            replayed += len(welker_expand(star, sap_ids, link_trace))
+            link_facets = {f - sap_ids for f in Y.containing(sap_ids)}
+            replayed += _sapling_link_length(s, link_facets, sap, ids, models) + 1
             Y.delete(sap_ids)
         _require(
             all(

@@ -297,28 +297,50 @@ def test_euler_characteristic_preserved_along_steps():
 
 
 def suite_replays(monkeypatch, n):
-    """The steps thm_mobius_collapse(n) stands for, in order: each sapling's
-    expansion from `welker_expand`, then the tail it replays on its editor;
-    with the editors it replays on and its report."""
+    """The steps thm_mobius_collapse(n) stands for, in order, rebuilt
+    test-side: each sapling's expansion, `welker_expand` of its mapped model
+    trace on its star in the suite's editor, then the tail the suite
+    replays on its editor.  Each sapling's face deletion is also checked to
+    leave the facets that replaying its expansion on a copy of the editor
+    leaves.  Returns the editors the tail replays on, the steps, the
+    saplings compared and the report."""
     from arclab import theorems
     from arclab.collapse import replay
+    from arclab.simplicial import FacetEditor
+    from test_theorems import sapling_link_trace
 
-    editors, steps = [], []
+    editors, steps, compared, pending, models = [], [], [], {}, {}
+    check = theorems._sapling_link_length
 
-    def expanding(c, face, link_trace):
-        expansion = welker_expand(c, face, link_trace)
-        steps.extend(expansion.steps)
-        return expansion
+    def mapping(s, link_facets, sap, ids, suite_models):
+        length = check(s, link_facets, sap, ids, suite_models)
+        pending[frozenset(ids[a] for a in sap)] = sapling_link_trace(s, sap, ids, models)
+        return length
+
+    class ComparingEditor(FacetEditor):
+        def delete(self, face):
+            link_trace = pending.pop(face, None)
+            if link_trace is None:
+                return super().delete(face)
+            expansion = welker_expand(self.closed_star(face), face, link_trace)
+            expanded = self.copy()
+            assert replay(expanded, expansion) is None
+            super().delete(face)
+            assert set(self.facets()) == set(expanded.facets())
+            steps.extend(expansion.steps)
+            compared.append(face)
 
     def recording(editor, t):
         editors.append(editor)
         steps.extend(t.steps)
         return replay(editor, t)
 
-    monkeypatch.setattr(theorems, "welker_expand", expanding)
+    monkeypatch.setattr(theorems, "_sapling_link_length", mapping)
+    monkeypatch.setattr(theorems, "FacetEditor", ComparingEditor)
     monkeypatch.setattr(theorems, "replay", recording)
     report = theorems.thm_mobius_collapse(n)
-    return editors, trace(steps), report
+    assert not pending
+    return editors, trace(steps), compared, report
 
 
 def test_replaying_the_mobius_master_trace_reuses_freed_slots(monkeypatch):
@@ -326,7 +348,7 @@ def test_replaying_the_mobius_master_trace_reuses_freed_slots(monkeypatch):
     past the most facets live at once over the steps the suite stands for."""
     from arclab.simplicial import FacetEditor
 
-    editors, master, _ = suite_replays(monkeypatch, 4)
+    editors, master, _, _ = suite_replays(monkeypatch, 4)
     full = arc_complex(mobius_crown(4))
     editor = FacetEditor(full)
     most_live = len(full.facets)
@@ -341,7 +363,7 @@ def test_replaying_the_mobius_master_trace_reuses_freed_slots(monkeypatch):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_the_steps_the_mobius_collapse_replays_collapse_the_full_complex_to_a_point(monkeypatch, n):
-    _, master, report = suite_replays(monkeypatch, n)
+    _, master, _, report = suite_replays(monkeypatch, n)
     verdict = verify_trace(arc_complex(mobius_crown(n)), master)
     assert verdict.valid and verdict.terminal.n_vertices == 1
     assert len(master) == report.claims[0].details["trace_length"]
@@ -351,30 +373,9 @@ def test_the_steps_the_mobius_collapse_replays_collapse_the_full_complex_to_a_po
 def test_each_sapling_deletion_leaves_what_its_replayed_expansion_does(monkeypatch, n):
     """The face deletion of a sapling from the suite's editor leaves the same
     facets as replaying the sapling's expansion on a copy of the editor."""
-    from arclab import theorems
     from arclab.arcs import saplings_of_degree
-    from arclab.collapse import replay
-    from arclab.simplicial import FacetEditor
 
-    pending, compared = {}, []
-
-    def expanding(c, face, link_trace):
-        pending[frozenset(face)] = expansion = welker_expand(c, face, link_trace)
-        return expansion
-
-    class ComparingEditor(FacetEditor):
-        def delete(self, face):
-            expansion = pending.pop(face, None)
-            if expansion is None:
-                return super().delete(face)
-            expanded = self.copy()
-            assert replay(expanded, expansion) is None
-            super().delete(face)
-            assert set(self.facets()) == set(expanded.facets())
-            compared.append(face)
-
-    monkeypatch.setattr(theorems, "welker_expand", expanding)
-    monkeypatch.setattr(theorems, "FacetEditor", ComparingEditor)
-    assert theorems.thm_mobius_collapse(n).all_passed
+    _, _, compared, report = suite_replays(monkeypatch, n)
+    assert report.all_passed
     s = mobius_crown(n)
-    assert len(compared) == sum(len(saplings_of_degree(s, d)) for d in range(1, n)) and not pending
+    assert len(compared) == sum(len(saplings_of_degree(s, d)) for d in range(1, n))

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,11 +18,12 @@ from arclab.arcs import (
     strip_arc,
 )
 from arclab.build import arc_complex, disjointness_graph, induced_arc_complex, inner_complex
-from arclab.collapse import verify_trace
-from arclab.simplicial import FacetEditor, _bits, flag_complex, make_complex, make_graph
+from arclab.collapse import CollapseTrace, trace, verify_trace
+from arclab.simplicial import FacetEditor, _bits, _complex, flag_complex, make_complex, make_graph
 from arclab.strong import (
     StrongTrace,
     dominated_vertices,
+    dominating_set,
     graph_core,
     graph_dominating_set,
     verify_strong_trace,
@@ -224,19 +227,44 @@ def test_mobius_collapse_passes(n):
     assert thm_mobius_collapse(n).all_passed
 
 
+@pytest.mark.parametrize("n, trace_length", enumerate((0, 4, 27, 159, 920, 5320, 30807, 178623), 1))
+def test_mobius_collapse_reports_its_trace_length_and_rounds(n, trace_length):
+    details = thm_mobius_collapse(n).claims[0].details
+    assert details["trace_length"] == trace_length
+    assert details["rounds"] == [math.comb(n, d) for d in range(1, n)]
+
+
+def sapling_link_trace(s, sap, ids, models):
+    """The link trace the suite stands for at a sapling: its model's trace,
+    verified on the model, mapped through the sapling's arc map.  `models`
+    also caches the model traces, by ("trace", key)."""
+    key, arc_map = theorems._sapling_arc_map(s.n, sap, ids, models)
+    if ("trace", key) not in models:
+        models["trace", key] = theorems._link_model(key, models)[1]
+
+    def image(face):
+        return frozenset(map(arc_map.__getitem__, face))
+
+    return trace((image(free), image(coface)) for free, coface in models["trace", key].steps)
+
+
 def sapling_links(monkeypatch, n):
     """(surface, link, sapling, ids, link trace) for every sapling
     thm_mobius_collapse(n) deletes, as the suite finds them, after each has
-    passed the suite's check."""
-    seen = []
-    check = theorems._sapling_link_trace
+    passed the suite's check; the link trace is `sapling_link_trace`'s, and
+    the suite counts its length."""
+    seen, models = [], {}
+    check = theorems._sapling_link_length
 
-    def recording(s, L, sap, ids, models):
-        link_trace = check(s, L, sap, ids, models)
+    def recording(s, link_facets, sap, ids, suite_models):
+        length = check(s, link_facets, sap, ids, suite_models)
+        L = _complex({i: a.label() for a, i in ids.items()}, link_facets)
+        link_trace = sapling_link_trace(s, sap, ids, models)
+        assert len(link_trace) == length
         seen.append((s, L, sap, ids, link_trace))
-        return link_trace
+        return length
 
-    monkeypatch.setattr(theorems, "_sapling_link_trace", recording)
+    monkeypatch.setattr(theorems, "_sapling_link_length", recording)
     report = thm_mobius_collapse(n)
     monkeypatch.undo()
     assert len(seen) == sum(report.claims[0].details["rounds"])
@@ -249,7 +277,7 @@ def test_every_sapling_link_passes_the_tile_maps_and_the_factorwise_isomorphism_
         assert factorwise_sapling_link_check(s, L, sap, ids)
 
 
-@pytest.mark.parametrize("n", (3, 4, 5))
+@pytest.mark.parametrize("n", range(3, 8))
 def test_every_sapling_link_trace_collapses_its_link_to_a_vertex_by_codimension_one_pairs(
     monkeypatch, n
 ):
@@ -261,14 +289,20 @@ def test_every_sapling_link_trace_collapses_its_link_to_a_vertex_by_codimension_
 
 
 def test_each_sapling_model_is_built_once_per_call(monkeypatch):
-    built = []
+    built, models, replays = [], [], []
     for name in ("arc_complex", "inner_complex"):
         build = getattr(theorems, name)
         monkeypatch.setattr(theorems, name, lambda s, b=build: built.append((b, s)) or b(s))
+    build_model = theorems._link_model
+    monkeypatch.setattr(theorems, "_link_model", lambda key, m: models.append(key) or build_model(key, m))
+    verify = theorems.verify_trace
+    monkeypatch.setattr(theorems, "verify_trace", lambda c, t: replays.append(len(t)) or verify(c, t))
     for _ in range(2):  # the models do not outlive a call
-        built.clear()
+        built.clear(), models.clear(), replays.clear()
         assert thm_mobius_collapse(5).all_passed
         assert len(built) == len(set(built)) > 2
+        # one model per (sorted wrap lengths, trunk degree), each replayed once
+        assert len(models) == len(set(models)) == len(replays) == 6
 
 
 def two_arc_sapling_link(monkeypatch):
@@ -285,23 +319,66 @@ def test_a_link_with_a_facet_dropped_or_added_fails_naming_the_sapling(monkeypat
     dropped = make_complex({v: labels[v] for v in set().union(*kept)}, kept)
     stray = min(set(ids.values()) - set(labels))  # an arc outside the link
     added = make_complex({**labels, stray: "stray"}, [*L.facets, [stray]])
+    cached: dict = {}
+    theorems._sapling_link_length(s, set(L.facets), sap, ids, cached)
     for changed in (dropped, added):
-        with pytest.raises(TheoremError) as caught:
-            theorems._sapling_link_trace(s, changed, sap, ids, {})
-        assert "link is not the join" in str(caught.value)
-        assert caught.value.details["sapling"] == [b.label() for b in sap]
+        for models in ({}, cached):  # whether or not the sapling's model is cached
+            with pytest.raises(TheoremError) as caught:
+                theorems._sapling_link_length(s, set(changed.facets), sap, ids, models)
+            assert "link is not the join" in str(caught.value)
+            assert caught.value.details["sapling"] == [b.label() for b in sap]
         assert not factorwise_sapling_link_check(s, changed, sap, ids)
 
 
 def test_a_trunk_map_shifted_by_one_fails_naming_the_sapling(monkeypatch):
     s, L, sap, ids = two_arc_sapling_link(monkeypatch)
-    theorems._sapling_link_trace(s, L, sap, ids, {})
+    cached: dict = {}
+    theorems._sapling_link_length(s, set(L.facets), sap, ids, cached)
     # every trunk arc cc(o_i, o_j) lands on cc(o_i + 1, o_j + 1) instead
     monkeypatch.setattr(theorems, "cc_arc", lambda i, j: cc_arc(i % s.n + 1, j % s.n + 1))
+    for models in ({}, cached):
+        with pytest.raises(TheoremError) as caught:
+            theorems._sapling_link_length(s, set(L.facets), sap, ids, models)
+        assert "link is not the join" in str(caught.value)
+        assert caught.value.details["sapling"] == [b.label() for b in sap]
+
+
+@pytest.mark.parametrize("key", [((2,), 3), ((2, 2), 2), ((3,), 2), ((2, 3), 2)])
+def test_a_model_trace_with_a_step_dropped_or_altered_fails_naming_the_model(monkeypatch, key):
+    _, t = theorems._link_model(key, {})
+    convert = theorems.strong_to_elementary
+    broken = []
+    for i, (free, coface) in enumerate(t.steps):
+        broken.append(t.steps[:i] + t.steps[i + 1:])
+        # the same free face with a coface one vertex larger, which is not its only facet
+        other = min(set().union(*(c for _, c in t.steps)) - coface)
+        broken.append(t.steps[:i] + ((free, coface | {other}),) + t.steps[i + 1:])
+    for steps in broken:
+        monkeypatch.setattr(theorems, "strong_to_elementary", lambda c, strong, s=steps: CollapseTrace(s))
+        with pytest.raises(TheoremError) as caught:
+            theorems._link_model(key, {})
+        assert "does not collapse its join" in str(caught.value)
+        assert caught.value.details["model"] == [list(key[0]), key[1]]
+    # a wrong witness in the strong trace fails the conversion, naming the model
+    def misnamed(c, strong):
+        (v, _), *rest = strong.steps
+        w = min(set(c.vertex_ids) - dominating_set(c, v) - {v})
+        return convert(c, StrongTrace(((v, w), *rest)))
+
+    monkeypatch.setattr(theorems, "strong_to_elementary", misnamed)
     with pytest.raises(TheoremError) as caught:
-        theorems._sapling_link_trace(s, L, sap, ids, {})
-    assert "link is not the join" in str(caught.value)
-    assert caught.value.details["sapling"] == [b.label() for b in sap]
+        theorems._link_model(key, {})
+    assert "witness fails" in str(caught.value)
+    assert caught.value.details["model"] == [list(key[0]), key[1]]
+
+
+def test_a_broken_model_trace_fails_the_suite_naming_the_model(monkeypatch):
+    convert = theorems.strong_to_elementary
+    monkeypatch.setattr(theorems, "strong_to_elementary",
+                        lambda c, strong: CollapseTrace(convert(c, strong).steps[:-1]))
+    with pytest.raises(TheoremError) as caught:
+        thm_mobius_collapse(4)
+    assert caught.value.details["model"] == [[4], 1]  # the first sapling, a loop, has wrap 4
 
 
 # --- non-strong-collapsibility ---------------------------------------------------------
