@@ -280,11 +280,6 @@ def disjoint(s: SurfaceSpec, x: Arc, y: Arc) -> bool:
         raise ValueError("disjointness is defined on distinct arc classes only")
     validate_arc(s, x)
     validate_arc(s, y)
-    return disjoint_unchecked(s, x, y)
-
-
-def disjoint_unchecked(s: SurfaceSpec, x: Arc, y: Arc) -> bool:
-    """`disjoint` for two distinct classes already validated on s."""
     if s.family == POLYGON:
         return not _chords_cross(x.a, x.b, y.a, y.b)
     if s.family == STRIP:

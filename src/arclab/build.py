@@ -1,40 +1,162 @@
-"""Arc complexes of the four surfaces, as flag complexes of disjointness."""
+"""Arc complexes of the four surfaces, as flag complexes of disjointness.
+
+The disjointness graph is built from bitset rows, one family rule each,
+instead of testing every pair of arcs: the rows are the closed
+neighbourhoods over positions in `enumerate_arcs(s)`, which are the arc
+ids.  `tests/oracles.py` keeps the pair test as the check of every rule.
+"""
 
 from __future__ import annotations
 
-from typing import Sequence
+from functools import reduce
+from itertools import accumulate
+from operator import or_
 
 from .arcs import (
     Arc,
     B_ARC,
+    CROWN,
+    POLYGON,
+    STRIP,
     SurfaceSpec,
-    disjoint_unchecked,
     enumerate_arcs,
     validate_arc,
+    wrap_length,
 )
-from .simplicial import Complex, Graph, flag_complex, make_graph
+from .simplicial import Complex, Graph, flag_complex, graph_from_rows
 
 
-def _graph(s: SurfaceSpec, arcs: list[Arc], ids: Sequence[int]) -> Graph:
-    """Graph on `ids` (ids[k] names arcs[k]) with edges between disjoint classes.
+def _classes(n: int, keys) -> list[int]:
+    """Key 0..n -> bitset of the positions whose key it is."""
+    out = [0] * (n + 1)
+    for k, key in enumerate(keys):
+        out[key] |= 1 << k
+    return out
 
-    Each arc is validated once here, so the pairs skip `disjoint`'s checks.
+
+def _at_most(classes: list[int]) -> list[int]:
+    """Key -> the positions whose key is at most it."""
+    return list(accumulate(classes, or_))
+
+
+def _at_least(classes: list[int]) -> list[int]:
+    """Key -> the positions whose key is at least it."""
+    return list(accumulate(classes[::-1], or_))[::-1]
+
+
+def _polygon_rows(n: int, arcs: list[Arc]) -> list[int]:
+    # with E[p] the diagonals ending at p, the diagonals crossing (i, j) are
+    # those with one end strictly inside (i, j) and the other strictly outside
+    ends = [0] * (n + 2)
+    for k, a in enumerate(arcs):
+        ends[a.a] |= 1 << k
+        ends[a.b] |= 1 << k
+    below, above = _at_most(ends), _at_least(ends)
+    everything = (1 << len(arcs)) - 1
+    return [
+        everything & ~(reduce(or_, ends[a.a + 1 : a.b]) & (below[a.a - 1] | above[a.b + 1]))
+        for a in arcs
+    ]
+
+
+def _strip_rows(s: SurfaceSpec, arcs: list[Arc]) -> list[int]:
+    # (k, l) misses (i, j) iff k <= i and l <= j, or k >= i and l >= j
+    blue, red = _classes(s.m, [a.a for a in arcs]), _classes(s.n, [a.b for a in arcs])
+    a_le, a_ge, b_le, b_ge = _at_most(blue), _at_least(blue), _at_most(red), _at_least(red)
+    return [(a_le[a.a] & b_le[a.b]) | (a_ge[a.a] & b_ge[a.b]) for a in arcs]
+
+
+def _mobius_c_rows(n: int, arcs: list[Arc]) -> list[int]:
+    """The rows of the c-arcs (i, j), i <= j, among themselves.
+
+    (i, j) and (k, l) are disjoint iff they weakly interleave: i <= k <= j <= l
+    or k <= i <= l <= j.  The arcs (k, l) with l in a range are consecutive
+    in `enumerate_arcs`, so each row is one run per first end k <= j.
+    """
+    first = {}  # k -> the position of (k, k)
+    for pos, a in enumerate(arcs):
+        first.setdefault(a.a, pos)
+
+    def run(k: int, lo: int, hi: int) -> int:
+        return ((1 << hi - lo + 1) - 1) << first[k] + lo - k
+
+    rows = []
+    for a in arcs:
+        i, j = a.a, a.b
+        row = run(i, i, n)
+        for k in range(1, i):
+            row |= run(k, i, j)
+        for k in range(i + 1, j + 1):
+            row |= run(k, j, n)
+        rows.append(row)
+    return rows
+
+
+def _crown_rows(s: SurfaceSpec, arcs: list[Arc]) -> list[int]:
+    """Rows of a crown or Moebius crown: the c-arcs first, then the b-arcs.
+
+    A b-arc (p, w) crosses the b-arcs that start strictly inside its polygon
+    side and end beyond it, or end strictly inside it and start before it:
+    the OR over d = 1..w-1 of (Start[p+d] & WrapGT[w-d]) | (End[p+d] &
+    WrapGT[d]).  A c-arc misses a b-arc iff neither of its ends lies strictly
+    inside the b-arc's polygon side.
+    """
+    n = s.n
+    c = sum(a.kind != B_ARC for a in arcs)  # the c-arcs come first
+    c_mask, everything = (1 << c) - 1, (1 << len(arcs)) - 1
+    b_mask = everything ^ c_mask
+    start, end, wrap = [0] * n, [0] * n, [0] * (n + 1)
+    inside = [0] * n  # boundary vertex v - 1 -> the b-arcs with v strictly inside
+    sides = []  # per b-arc: the boundary vertices (0-based) strictly inside it
+    for k in range(c, len(arcs)):
+        p, w = arcs[k].a - 1, wrap_length(arcs[k], n)
+        bit = 1 << k
+        start[p] |= bit
+        end[(p + w) % n] |= bit
+        wrap[w] |= bit
+        sides.append([(p + d) % n for d in range(1, w)])
+        for v in sides[-1]:
+            inside[v] |= bit
+    wrap_gt = _at_least(wrap)[1:] + [0]  # w -> the b-arcs with wrap length > w
+    touch = [0] * n  # boundary vertex v - 1 -> the c-arcs with an end at v
+    for k in range(c):
+        touch[arcs[k].a - 1] |= 1 << k
+        touch[arcs[k].b - 1] |= 1 << k
+
+    if s.family == CROWN:
+        rows = [c_mask] * c  # crown c-arcs meet only at the interior point
+    else:
+        rows = _mobius_c_rows(n, arcs[:c])
+    for k in range(c):
+        rows[k] |= b_mask & ~(inside[arcs[k].a - 1] | inside[arcs[k].b - 1])
+    for k, side in zip(range(c, len(arcs)), sides):
+        w = len(side) + 1
+        crossing = 0
+        for d, v in enumerate(side, 1):
+            crossing |= (start[v] & wrap_gt[w - d]) | (end[v] & wrap_gt[d])
+        touched = reduce(or_, (touch[v] for v in side), 0)
+        rows.append((b_mask & ~crossing) | (c_mask & ~touched))
+    return rows
+
+
+def _rows(s: SurfaceSpec, arcs: list[Arc]) -> list[int]:
+    """Closed neighbourhood of each of `arcs`, which is `enumerate_arcs(s)`, by position.
+
+    Each arc is validated once here.
     """
     for a in arcs:
         validate_arc(s, a)
-    edges = [
-        (ids[i], ids[j])
-        for i, x in enumerate(arcs)
-        for j in range(i + 1, len(arcs))
-        if disjoint_unchecked(s, x, arcs[j])
-    ]
-    return make_graph(ids, edges)
+    if s.family == POLYGON:
+        return _polygon_rows(s.n, arcs)
+    if s.family == STRIP:
+        return _strip_rows(s, arcs)
+    return _crown_rows(s, arcs)
 
 
 def disjointness_graph(s: SurfaceSpec) -> Graph:
     """Graph on canonical arc ids with edges between disjoint classes."""
     arcs = enumerate_arcs(s)
-    return _graph(s, arcs, range(len(arcs)))
+    return graph_from_rows(range(len(arcs)), _rows(s, arcs))
 
 
 def _labels(arcs: list[Arc]) -> dict[int, str]:
@@ -44,18 +166,17 @@ def _labels(arcs: list[Arc]) -> dict[int, str]:
 def arc_complex(s: SurfaceSpec) -> Complex:
     """Full arc complex of s: faces are pairwise-disjoint arc collections."""
     arcs = enumerate_arcs(s)
-    return flag_complex(_graph(s, arcs, range(len(arcs))), _labels(arcs), s)
+    return flag_complex(graph_from_rows(range(len(arcs)), _rows(s, arcs)), _labels(arcs), s)
 
 
 def inner_complex(s: SurfaceSpec) -> Complex:
     """Subcomplex generated by the c-arcs (crown or non-orientable crown)."""
     if s.family not in ("crown", "mobius"):
         raise ValueError("inner complexes are defined for crowns")
-    kept = [(i, a) for i, a in enumerate(enumerate_arcs(s)) if a.kind != B_ARC]
-    labels = {i: a.label() for i, a in kept}
-    # testing only the kept pairs is cheaper than restricting the full graph
-    graph = _graph(s, [a for _, a in kept], [i for i, _ in kept])
-    return flag_complex(graph, labels, s)
+    arcs = enumerate_arcs(s)
+    c = sum(a.kind != B_ARC for a in arcs)  # the c-arcs come first
+    rows = [row & (1 << c) - 1 for row in _rows(s, arcs)[:c]]
+    return flag_complex(graph_from_rows(range(c), rows), _labels(arcs[:c]), s)
 
 
 def induced_arc_complex(s: SurfaceSpec, graph: Graph, removed_ids) -> Complex:

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import or_
+from itertools import accumulate
+from operator import and_, or_
 from typing import Iterable, Sequence
 
 from .collapse import (
@@ -28,7 +29,6 @@ from .simplicial import (
     Face,
     Graph,
     _bits,
-    _star_mask,
     dimension,
     dual_graph,
     euler_characteristic,
@@ -128,7 +128,7 @@ def pseudomanifold_check(c: Complex) -> PseudomanifoldReport:
     if c.n_vertices == 0:
         boundary = [EMPTY_FACE]  # the one ridge of the empty facet
     overfull = any(len(others) > 1 for row in table for _, others in row)
-    connected = _floods(_neighbours(table))
+    connected = _floods(c.facet_adjacency)
     if overfull or not connected:
         status = PM_NO
     elif boundary:
@@ -136,11 +136,6 @@ def pseudomanifold_check(c: Complex) -> PseudomanifoldReport:
     else:
         status = PM_CLOSED
     return PseudomanifoldReport(status, connected, tuple(sorted(boundary, key=sorted)))
-
-
-def _neighbours(table) -> list[int]:
-    """Facet i -> bitset of the facets across its ridges (distinct ridges share none)."""
-    return [sum(1 << j for _, others in row for j in others) for row in table]
 
 
 def flip_graph(c: Complex) -> Graph:
@@ -173,23 +168,34 @@ def validate_shelling(c: Complex, order: Iterable[Face]) -> bool:
       size d), since star_mask({}) is every facet.  For d = 0, F_k - v is
       {} and R = F_k.
 
-    That is d + 2 star masks per facet, not a filter over all pairs of pieces.
+    The ridge masks come from one prefix and one suffix AND chain over the
+    stars of F_k's vertices, started at the earlier facets, so a facet
+    costs O(d) ANDs, not d + 2 star masks of d vertices each.  The order is
+    checked to be a permutation of the facets through their index.
     """
-    order = [frozenset(f) for f in order]
-    if sorted(order, key=lambda f: tuple(sorted(f))) != list(c.facets):
-        return False
     index = {f: i for i, f in enumerate(c.facets)}
+    stars = c.stars
     d = dimension(c)
     earlier = 0  # bitset of the facets placed so far
-    for k, facet in enumerate(order):
+    for k, facet in enumerate(map(frozenset, order)):
+        i = index.get(facet)
+        if i is None or earlier >> i & 1:
+            return False
         if k:
             if len(facet) != d + 1:
                 return False
-            restriction = [v for v in facet if _star_mask(c.stars, earlier, facet - {v})]
-            if _star_mask(c.stars, earlier, restriction):
+            vs = list(facet)
+            # prefix[m]: the earlier facets through vs[:m]; suffix: through vs[m + 1:]
+            prefix = list(accumulate((stars[v] for v in vs), and_, initial=earlier))
+            suffix, common = earlier, earlier
+            for m in reversed(range(len(vs))):
+                if prefix[m] & suffix:  # vs[m] is in R(F_k)
+                    common &= stars[vs[m]]
+                suffix &= stars[vs[m]]
+            if common:
                 return False
-        earlier |= 1 << index[facet]
-    return True
+        earlier |= 1 << i
+    return earlier == (1 << len(c.facets)) - 1
 
 
 def shelling_search(c: Complex, budget: int = DEFAULT_BUDGET) -> ShellingResult:
@@ -219,7 +225,7 @@ def shelling_search(c: Complex, budget: int = DEFAULT_BUDGET) -> ShellingResult:
     stars = c.stars
     # across[i]: (v, the indices of the other facets through F_i - v) for v in F_i
     across = c.ridge_neighbours
-    neighbors = _neighbours(across)
+    neighbors = c.facet_adjacency  # each facet's own bit is masked off by `placed`
 
     def next_addable(pending: int, placed: int) -> int:
         """Lowest facet of pending that can follow placed, as a one-bit mask, or 0."""
@@ -244,7 +250,7 @@ def shelling_search(c: Complex, budget: int = DEFAULT_BUDGET) -> ShellingResult:
         # so this tries the same candidates as a full scan on arrival.
         order = [start]
         placed = 1 << start
-        frontier = candidates = neighbors[start]
+        frontier = candidates = neighbors[start] ^ placed
         while True:
             if len(order) == t:
                 shelling = tuple(facets[i] for i in order)

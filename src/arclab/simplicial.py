@@ -3,8 +3,10 @@
 A `Complex` is an immutable snapshot: a vertex table (dense integer ids with
 text labels) plus the antichain of maximal faces.  Star queries go through
 one index, `Complex.stars`, built on first use: each vertex maps to the
-bitset of the facets that contain it.  The f-vector and the facets across
-each ridge are read off that index and cached on the complex as well.
+bitset of the facets that contain it.  The facets across each ridge, and
+the facet adjacency, are read off that index and cached on the complex as
+well.  A flag complex keeps its graph, and counts its faces as the graph's
+cliques; any other complex counts them on `stars`.
 `FacetEditor` is the one mutable form, used for face deletions and
 collapse replays.  Other face queries enumerate on demand.  The complex
 with no vertices is represented by the single maximal face {} so that
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from operator import and_
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .arcs import SurfaceSpec
 
@@ -58,6 +60,26 @@ class Graph:
         return {}
 
 
+def graph_from_rows(vertices: Iterable[int], rows: Sequence[int]) -> Graph:
+    """The graph on the sorted `vertices` whose closed neighbourhoods are `rows`.
+
+    rows[i] is a bitset over positions that holds bit i and is symmetric
+    with the others.  The edges are read off the bits above each row's own,
+    so they come out sorted, and the rows become `closed_neighbourhoods`.
+    """
+    vs = tuple(vertices)
+    edges = []
+    for i, u in enumerate(vs):
+        above = rows[i] >> i + 1
+        while above:
+            low = above & -above
+            edges.append((u, vs[i + low.bit_length()]))
+            above ^= low
+    g = Graph(vs, tuple(edges))
+    vars(g)["closed_neighbourhoods"] = tuple(rows)  # fills the cached property
+    return g
+
+
 def make_graph(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> Graph:
     vs = tuple(sorted(set(vertices)))
     vset = set(vs)
@@ -75,12 +97,15 @@ def make_graph(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> Gra
 class Complex:
     """Simplicial complex as canonical vertex ids plus maximal faces.
 
-    Built only by `_complex`, so equal complexes have equal fields.
+    Built only by `_complex`, so equal complexes have equal fields.  A flag
+    complex keeps the graph it was built from in `graph`, which equality,
+    hashing and JSON ignore.
     """
 
     vertex_labels: tuple[tuple[int, str], ...]  # sorted by id
     facets: tuple[Face, ...]  # canonical order; (frozenset(),) if no faces
     surface: SurfaceSpec | None = field(default=None, compare=False)
+    graph: Graph | None = field(default=None, compare=False)
 
     @property
     def vertex_ids(self) -> tuple[int, ...]:
@@ -127,15 +152,19 @@ class Complex:
 
     @cached_property
     def f_vector(self) -> tuple[int, ...]:
-        """Number of faces with k + 1 vertices at position k, read off `stars`.
+        """Number of faces with k + 1 vertices at position k.
 
-        Each face is counted once, at the lowest-index facet F_i containing
-        it: a subset of F_i counts iff no facet below i contains it.  The
-        subsets of F_i are masks over its vertices, and the facets below i
-        through a subset come from those through the subset without its
-        lowest vertex, so no face is built.  Not a field, so equality,
-        hashing and JSON ignore it.
+        A flag complex's faces are the cliques of its graph, so they are
+        counted there (`clique_counts`).  Otherwise each face is counted
+        once, off `stars`, at the lowest-index facet F_i containing it: a
+        subset of F_i counts iff no facet below i contains it.  The subsets
+        of F_i are masks over its vertices, and the facets below i through
+        a subset come from those through the subset without its lowest
+        vertex, so no face is built.  Not a field, so equality, hashing and
+        JSON ignore it.
         """
+        if self.graph is not None:
+            return clique_counts(self.graph)
         counts = [0] * (max(map(len, self.facets)) + 1)
         for i, f in enumerate(self.facets):
             star_of_bit = {1 << j: self.stars[v] for j, v in enumerate(f)}
@@ -149,25 +178,52 @@ class Complex:
         return tuple(counts[1:])
 
     @cached_property
-    def ridge_neighbours(self) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
-        """Facet i -> (v, the indices of the other facets through F_i - v) for v in F_i.
+    def _ridges(self) -> tuple[tuple[tuple[tuple[int, tuple[int, ...]], ...], ...], tuple[int, ...]]:
+        """(`ridge_neighbours`, `facet_adjacency`), built in one pass over the facets.
 
-        Those facets are the AND of the stars of F_i's other vertices: one
-        prefix and one suffix AND per facet, and no ridge is built.  Not a
-        field, so equality, hashing and JSON ignore it.
+        The other facets through F_i - v are the AND of the stars of F_i's
+        other vertices: one prefix and one suffix AND per facet, and no
+        ridge is built.  An entry with no other facet or one, the common
+        case, is stored without walking its bits, and the adjacency row is
+        the OR of the entries' bitsets.
         """
         everything = (1 << len(self.facets)) - 1
-        table = []
+        table, adjacency = [], []
         for i, f in enumerate(self.facets):
             vs = list(f)
             # prefix[k]: the other facets through vs[:k]; suffix: those through vs[k + 1:]
-            suffix, row = everything ^ (1 << i), []
+            suffix, row, closed = everything ^ (1 << i), [], 1 << i
             prefix = list(accumulate((self.stars[v] for v in vs), and_, initial=suffix))
             for k in reversed(range(len(vs))):
-                row.append((vs[k], tuple(_bits(prefix[k] & suffix))))
+                across = prefix[k] & suffix
+                if not across & (across - 1):
+                    row.append((vs[k], (across.bit_length() - 1,) if across else ()))
+                else:
+                    row.append((vs[k], tuple(_bits(across))))
+                closed |= across
                 suffix &= self.stars[vs[k]]
             table.append(tuple(row))
-        return tuple(table)
+            adjacency.append(closed)
+        return tuple(table), tuple(adjacency)
+
+    @property
+    def ridge_neighbours(self) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
+        """Facet i -> (v, the indices of the other facets through F_i - v) for v in F_i.
+
+        Cached, with `facet_adjacency`, and ignored by equality, hashing and JSON.
+        """
+        return self._ridges[0]
+
+    @property
+    def facet_adjacency(self) -> tuple[int, ...]:
+        """Facet i -> bitset of i and the facets that share a ridge F_i - v with F_i.
+
+        The closed neighbourhoods of the dual graph, built once per complex
+        for the dual graph, the pseudomanifold check and the shelling
+        search.  Cached, with `ridge_neighbours`, and ignored by equality,
+        hashing and JSON.
+        """
+        return self._ridges[1]
 
 
 def _star_mask(stars: Mapping[int, int], mask: int, face: Iterable[int]) -> int:
@@ -183,15 +239,17 @@ def _complex(
     labels: Mapping[int, str],
     facets: Iterable[Face],
     surface: SurfaceSpec | None = None,
+    graph: Graph | None = None,
 ) -> Complex:
     """The complex with maximal faces `facets`, which must be an antichain.
 
     Every complex is built here, in canonical order; `labels` may name
-    unused vertices.  Only `make_complex` and `FacetEditor.delete` prune faces.
+    unused vertices.  Only `make_complex` and `FacetEditor.delete` prune
+    faces.  `graph` is given only by `flag_complex`.
     """
     ordered = sorted(facets, key=sorted) or [EMPTY_FACE]
     used = sorted(set().union(*ordered))
-    return Complex(tuple((v, labels[v]) for v in used), tuple(ordered), surface)
+    return Complex(tuple((v, labels[v]) for v in used), tuple(ordered), surface, graph)
 
 
 def _maximal_faces(faces: Iterable[Iterable[int]]) -> list[Face]:
@@ -329,7 +387,8 @@ class FacetEditor:
         The star's facets go, and each piece f - u (f in the star, u in
         `face`) that no remaining facet contains comes in.  The pieces are
         pairwise incomparable and contain no remaining facet, so the facets
-        stay an antichain.
+        stay an antichain.  Returns the vertices of the deleted facets: no
+        other vertex's star changed.
         """
         star = self.star_mask(face)
         if not star:
@@ -357,6 +416,7 @@ class FacetEditor:
             for v in p:
                 self.stars[v] |= 1 << i
             self.live |= 1 << i
+        return touched
 
     def facets(self) -> list[Face]:
         return [f for f in self.slots if f is not None]
@@ -402,9 +462,7 @@ def dual_graph(c: Complex) -> Graph:
     """Facet adjacency along shared codimension-one faces (pure input)."""
     if not is_pure(c):
         raise ValueError("dual graph requires a pure complex")
-    table = c.ridge_neighbours
-    edges = [(i, j) for i, row in enumerate(table) for _, others in row for j in others if j > i]
-    return make_graph(range(len(c.facets)), edges)
+    return graph_from_rows(range(len(c.facets)), c.facet_adjacency)
 
 
 # --- isomorphism (desk scale) ------------------------------------------------
@@ -610,11 +668,37 @@ def _bits(mask: int):
         mask ^= low
 
 
+def clique_counts(g: Graph) -> tuple[int, ...]:
+    """Number of cliques of g with k + 1 vertices at position k.
+
+    One depth-first search over the neighbourhood bitsets.  A clique grows
+    only by common neighbours above its highest vertex, so each clique is
+    reached once, and the cliques one vertex larger than a reached one are
+    counted by the popcount of those neighbours, not one by one.
+    """
+    up = [nbhd >> i + 1 << i + 1 for i, nbhd in enumerate(g.closed_neighbourhoods)]
+    counts = [0] * (len(up) + 1)
+
+    def grow(candidates: int, k: int) -> None:
+        # candidates: the vertices that extend the k-vertex clique being grown
+        counts[k] += candidates.bit_count()
+        k += 1
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            if more := candidates & up[low.bit_length() - 1]:
+                grow(more, k)
+
+    grow((1 << len(up)) - 1, 0)
+    del grow  # the closure holds grow: a cycle, as in max_cliques
+    return tuple(counts[: counts.index(0)])
+
+
 def flag_complex(g: Graph, labels: Mapping[int, str] | None = None,
                  surface: SurfaceSpec | None = None) -> Complex:
-    """Complex whose maximal faces are the maximal cliques of g."""
+    """Complex whose maximal faces are the maximal cliques of g; it keeps g."""
     cliques = max_cliques(g)
     if labels is None:
         labels = {v: str(v) for v in g.vertices}
     # Bron-Kerbosch reports each maximal clique once: already an antichain
-    return _complex(labels, cliques, surface)
+    return _complex(labels, cliques, surface, g)

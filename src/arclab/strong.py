@@ -85,11 +85,18 @@ def dominated_vertices(c: Complex) -> list[tuple[int, int]]:
     return _dominated(c.stars, c.facets)
 
 
-def _picker(order: str, seed: int) -> Callable[[list[tuple[int, int]]], tuple[int, int]]:
-    """The step a core takes from its sorted (vertex, lowest witness) list."""
+def _picker(order: str, seed: int) -> Callable[[Mapping[int, object]], int]:
+    """The vertex a core removes next, from its dominated vertices by id.
+
+    "canonical" takes the lowest id; "random" draws from the sorted ids with
+    the given seed.
+    """
     if order not in ("canonical", "random"):
         raise ValueError("order must be 'canonical' or 'random'")
-    return (lambda dom: dom[0]) if order == "canonical" else random.Random(seed).choice
+    if order == "canonical":
+        return min
+    rng = random.Random(seed)
+    return lambda dom: rng.choice(sorted(dom))
 
 
 def core(
@@ -99,14 +106,24 @@ def core(
 
     order="canonical" removes the lowest-id dominated vertex each round;
     order="random" picks uniformly using the given seed.
+
+    Each dominated vertex's lowest witness is kept across rounds.  Deleting
+    v replaces only the facets through v, so a vertex in none of them keeps
+    its star, and each other vertex keeps the part of its star that meets
+    it.  Only the vertices of those facets are tested again.
     """
     pick = _picker(order, seed)
     editor = FacetEditor(c)
+    dom = dict(_dominated(editor.stars, editor.slots))
     steps: list[tuple[int, int]] = []
-    while dom := _dominated(editor.stars, editor.slots):
-        v, w = pick(dom)
-        steps.append((v, w))
-        editor.delete(frozenset((v,)))
+    while dom:
+        v = pick(dom)
+        steps.append((v, dom.pop(v)))
+        for u in editor.delete(frozenset((v,))) - {v}:
+            if witnesses := _dominating(editor.stars, editor.slots, u):
+                dom[u] = min(witnesses)
+            else:
+                dom.pop(u, None)
     return editor.to_complex(), StrongTrace(tuple(steps))
 
 
@@ -132,12 +149,14 @@ def graph_dominating_set(g: Graph, alive: int, i: int) -> int:
     memo = g.dominating_sets
     dom = memo.get(key)
     if dom is None:
-        dom = mine
-        for u in _bits(mine):
-            dom &= nbhds[u]
-            if dom == 1 << i:
+        dom, rest, me = mine, mine, 1 << i
+        while rest:
+            low = rest & -rest
+            dom &= nbhds[low.bit_length() - 1]
+            if dom == me:
                 break
-        dom = memo[key] = dom & ~(1 << i)
+            rest ^= low
+        dom = memo[key] = dom & ~me
     return dom
 
 
@@ -162,10 +181,10 @@ def graph_core(g: Graph, order: str = "canonical", seed: int = 0,
     dom = {i: d for i in _bits(alive) if (d := graph_dominating_set(g, alive, i))}
     steps: list[tuple[int, int]] = []
     while dom:
-        i, w = pick([(j, (d & -d).bit_length() - 1) for j, d in sorted(dom.items())])
-        steps.append((g.vertices[i], g.vertices[w]))
+        i = pick(dom)
+        d = dom.pop(i)
+        steps.append((g.vertices[i], g.vertices[(d & -d).bit_length() - 1]))
         alive &= ~(1 << i)
-        del dom[i]
         for j in _bits(nbhds[i] & alive):
             if d := graph_dominating_set(g, alive, j):
                 dom[j] = d

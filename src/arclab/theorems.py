@@ -17,7 +17,6 @@ import itertools
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from typing import Iterator
 
@@ -495,10 +494,8 @@ def _ridge_arc(pair: tuple[int, int]) -> Arc:
     return b_arc(j, i)
 
 
-def _mobius_stages(
-    n: int, ids: dict[Arc, int]
-) -> Iterator[tuple[frozenset[int], frozenset[tuple[int, int]], list[int]]]:
-    """The stages (I, J, deleted arc ids) of the Moebius core argument, in check order.
+def _mobius_stages(n: int) -> Iterator[tuple[frozenset[int], frozenset[tuple[int, int]]]]:
+    """The stages (I, J) of the Moebius core argument, in check order.
 
     A stage deletes the loops M_j (j in I) and the ridge b-arcs at the cyclic
     pairs in J, each with both ends in I; I = {} is the full complex.
@@ -509,8 +506,7 @@ def _mobius_stages(
             inside = [p for p in jn if p[0] in I and p[1] in I]
             for r in range(len(inside) + 1):
                 for J in itertools.combinations(inside, r):
-                    removed = [ids[loop_b(j)] for j in I] + [ids[_ridge_arc(p)] for p in J]
-                    yield frozenset(I), frozenset(J), removed
+                    yield frozenset(I), frozenset(J)
 
 
 def _dihedral_generators(s: SurfaceSpec):
@@ -628,12 +624,12 @@ def thm_mobius_not_strong(n: int) -> Report:
 
     stages = 0
     covered: set = set()
-    for I, J, removed in _mobius_stages(n, ids):
+    for I, J in _mobius_stages(n):
         stages += 1
         if (I, J) in covered:
             continue
         covered |= _stage_orbit(group, I, J)
-        alive = everyone & ~sum(1 << v for v in removed)
+        alive = everyone & ~sum(1 << loops[j] for j in I) & ~sum(1 << ridge[p] for p in J)
         dom = {v: d for v in _bits(alive) if (d := graph_dominating_set(graph, alive, v))}
         expected = {loops[j] for j in range(1, n + 1) if j not in I}
         expected |= {
@@ -981,6 +977,9 @@ def run_all(
             return Report().add(name, "suite-error", name, "fail", message=repr(exc))
 
     if jobs > 1:
+        # imported here: at module level it adds to the set-up time of every run
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(run_one, tasks))
     else:

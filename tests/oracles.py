@@ -16,6 +16,8 @@ from arclab.arcs import (
     arc_ids,
     b_arc,
     cc_arc,
+    disjoint,
+    enumerate_arcs,
     loop_b,
     loop_c,
     mobius_crown,
@@ -25,6 +27,7 @@ from arclab.arcs import (
 from arclab.build import arc_complex, disjointness_graph, induced_arc_complex, inner_complex
 from arclab.collapse import face_order, trace, verify_trace
 from arclab.simplicial import (
+    FacetEditor,
     facets_containing,
     faces,
     is_cone,
@@ -32,9 +35,10 @@ from arclab.simplicial import (
     join_all,
     link,
     make_complex,
+    make_graph,
     vertex_deletion,
 )
-from arclab.strong import StrongTrace, dominated_vertices, dominating_set
+from arclab.strong import StrongTrace, _dominated, dominated_vertices, dominating_set
 
 
 @lru_cache(maxsize=None)
@@ -67,6 +71,15 @@ def mobius_core_arcs_disjoint(n: int, pair1: tuple[int, int], pair2: tuple[int, 
         if all(seq[i] != seq[(i + 1) % 4] for i in range(4)):
             return True
     return False
+
+
+def pair_loop_graph(s, keep=lambda arc: True):
+    """The disjointness graph of s on the arcs `keep` accepts, by arc id,
+    with every pair tested by `disjoint`: the construction the bitset rows
+    of `build` replaced."""
+    arcs = [(i, a) for i, a in enumerate(enumerate_arcs(s)) if keep(a)]
+    edges = [(i, j) for (i, x), (j, y) in itertools.combinations(arcs, 2) if disjoint(s, x, y)]
+    return make_graph([i for i, _ in arcs], edges)
 
 
 def euler_by_inclusion_exclusion(facets) -> int:
@@ -610,6 +623,18 @@ def rebuilding_core(c, order="canonical", seed=0):
         steps.append((v, w))
         c = vertex_deletion(c, v)
     return c, StrongTrace(tuple(steps))
+
+
+def rescanning_core(c, order="canonical", seed=0):
+    """`core` on one editor, with every vertex's dominating set rescanned each round."""
+    pick = (lambda dom: dom[0]) if order == "canonical" else random.Random(seed).choice
+    editor = FacetEditor(c)
+    steps = []
+    while dom := _dominated(editor.stars, editor.slots):
+        v, w = pick(dom)
+        steps.append((v, w))
+        editor.delete(frozenset((v,)))
+    return editor.to_complex(), StrongTrace(tuple(steps))
 
 
 def _rebuilding_replay(c, t):

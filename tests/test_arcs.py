@@ -28,7 +28,7 @@ from arclab.arcs import (
     wrap_length,
 )
 from arclab.build import arc_complex, disjointness_graph, inner_complex
-from oracles import mobius_core_arcs_disjoint
+from oracles import mobius_core_arcs_disjoint, pair_loop_graph
 
 ALL_SURFACES = (
     [polygon(n) for n in range(3, 9)]
@@ -165,7 +165,7 @@ def test_crown_loop_link_formula():
         assert neighbors == {f"c:{i}"} | nested
 
 
-# --- the pair loop that builds the arc complexes ------------------------------------
+# --- the disjointness graph that builds the arc complexes ----------------------------
 
 PAIR_LOOP_SURFACES = (
     [polygon(n) for n in (4, 6, 7)]
@@ -202,6 +202,26 @@ def test_the_pair_loop_keeps_exactly_the_validated_disjoint_pairs(s):
         inner = inner_complex(s)
         assert inner.vertex_ids == tuple(i for i, a in enumerate(arcs) if a.kind != B_ARC)
         assert skeleton_pairs(inner) == validated_disjoint_pairs(s, kept)
+
+
+KERNEL_SURFACES = (
+    [polygon(n) for n in range(3, 15)]
+    + [crown(n) for n in range(1, 13)]
+    + [mobius_crown(n) for n in range(1, 13)]
+    + [integral_strip(m, n) for m in range(1, 10) for n in range(1, 10)]
+)
+
+
+@pytest.mark.parametrize("s", KERNEL_SURFACES, ids=lambda s: s.describe())
+def test_disjointness_rows_match_the_pair_loop(s):
+    g, oracle = disjointness_graph(s), pair_loop_graph(s)
+    assert g == oracle
+    assert g.closed_neighbourhoods == oracle.closed_neighbourhoods
+    if s.family in ("crown", "mobius"):
+        # the c-arcs come first, so the inner graph is a prefix of the rows
+        g, oracle = inner_complex(s).graph, pair_loop_graph(s, lambda a: a.kind != B_ARC)
+        assert g == oracle
+        assert g.closed_neighbourhoods == oracle.closed_neighbourhoods
 
 
 # --- symmetry gates --------------------------------------------------------------

@@ -21,8 +21,10 @@ from arclab.certify import (
 from arclab.collapse import DEFAULT_BUDGET, DISPROVEN, INCONCLUSIVE, PROVEN, is_collapsible
 from arclab.simplicial import (
     dual_graph,
+    dumps_canonical,
     euler_characteristic,
     link,
+    loads_complex,
     make_complex,
     make_graph,
 )
@@ -41,6 +43,16 @@ def labeled(facets):
     return make_complex({v: f"v{v}" for v in ids}, facets)
 
 # --- pseudomanifolds ---------------------------------------------------------------
+
+@pytest.mark.parametrize("family,n", [("polygon", 7), ("crown", 4), ("mobius", 3), ("inner-mobius", 5)])
+def test_a_json_round_trip_drops_the_graph_but_not_the_f_vector_or_the_certificate(
+    family, n, complex_of
+):
+    c = complex_of(family, n)
+    loaded = loads_complex(dumps_canonical(c))
+    assert c.graph is not None and loaded.graph is None and loaded == c
+    assert loaded.f_vector == c.f_vector
+    assert certify(loaded) == certify(c)
 
 def test_hexagon_complex_is_a_closed_pseudomanifold(complex_of):
     report = pseudomanifold_check(complex_of("polygon", 6))
@@ -116,7 +128,9 @@ def test_ridge_neighbours_match_the_ridge_dict(c):
     )
     pm = pseudomanifold_check(c)
     assert (pm.status, pm.strongly_connected, pm.boundary) == ridge_dict_pseudomanifold_check(c)
-    assert list(dual_graph(c).edges) == ridge_dict_dual_edges(c)
+    g = dual_graph(c)
+    assert list(g.edges) == ridge_dict_dual_edges(c)
+    assert g.closed_neighbourhoods == make_graph(g.vertices, g.edges).closed_neighbourhoods
     result = shelling_search(c, 200)
     assert (result.status, result.order, result.nodes) == reference_shelling_search(c, 200)
 
@@ -185,6 +199,11 @@ def test_validate_shelling_rejects_bad_orders(complex_of):
 def test_validate_shelling_requires_permutation(complex_of):
     c = complex_of("polygon", 5)
     assert not validate_shelling(c, list(c.facets)[:-1])
+    order = list(shelling_search(c).order)
+    assert validate_shelling(c, order)
+    assert not validate_shelling(c, order + order[-1:])  # a facet twice
+    assert not validate_shelling(c, order[:-1] + order[:1])  # one twice, one missing
+    assert not validate_shelling(c, order[:-1] + [frozenset({99})])  # not a facet of c
 
 @st.composite
 def complexes_with_orders(draw):

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from arclab.arcs import crown, integral_strip, mobius_crown, polygon
 from arclab.build import arc_complex, disjointness_graph, inner_complex
 from arclab.simplicial import (
+    _complex,
+    clique_counts,
     complex_from_json,
     complex_to_json,
     dimension,
@@ -145,6 +147,25 @@ def test_max_cliques_matches_naive_enumeration_once_each(g):
     cliques = max_cliques(g)
     assert len(cliques) == len(set(cliques))
     assert set(cliques) == naive_max_cliques(g.vertices, g.edges)
+
+
+@st.composite
+def dense_graphs(draw):
+    """A random graph on up to 14 vertices with non-contiguous ids and any density."""
+    ids = sorted(draw(st.sets(st.integers(min_value=-20, max_value=60), max_size=14)))
+    pairs = list(itertools.combinations(ids, 2))
+    density = draw(st.floats(0, 1))
+    keep = draw(st.lists(st.floats(0, 1), min_size=len(pairs), max_size=len(pairs)))
+    return make_graph(ids, [p for p, k in zip(pairs, keep) if k < density])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(sparse_graphs(), dense_graphs()))
+def test_clique_count_f_vectors_match_the_facet_walk(g):
+    c = flag_complex(g)
+    walked = _complex(c.labels, c.facets)  # the same complex with no graph kept
+    assert c.graph is g and walked.graph is None and walked == c
+    assert c.f_vector == clique_counts(g) == walked.f_vector
 
 
 def test_max_cliques_leaves_no_reference_cycle():

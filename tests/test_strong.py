@@ -34,6 +34,7 @@ from oracles import (
     rebuilding_strong_to_elementary,
     rebuilding_verify_strong_trace,
     remove_dominated,
+    rescanning_core,
     rescanning_graph_core,
     scan_strong_to_elementary,
 )
@@ -267,6 +268,20 @@ def complexes(draw):
     facets = draw(st.lists(st.frozensets(st.integers(0, 7), min_size=1, max_size=5),
                            min_size=1, max_size=8))
     return labeled(facets)
+
+@settings(max_examples=200, deadline=None)
+@given(complexes())
+def test_core_retesting_only_the_removed_star_matches_the_rescanning_oracle(c):
+    for order, seed in [("canonical", 0)] + [("random", seed) for seed in range(5)]:
+        assert core(c, order, seed) == rescanning_core(c, order, seed)
+
+
+@pytest.mark.parametrize("family,n", [("crown", 4), ("mobius", 3), ("mobius", 4), ("strip", 5)])
+def test_core_matches_the_rescanning_oracle_on_arc_complexes(family, n, complex_of):
+    c = complex_of(family, n, 4) if family == "strip" else complex_of(family, n)
+    for order, seed in [("canonical", 0)] + [("random", seed) for seed in range(8)]:
+        assert core(c, order, seed) == rescanning_core(c, order, seed)
+
 
 # --- the editor against the complex-rebuilding strong collapses -------------------------
 

@@ -395,8 +395,10 @@ def test_mobius_four_stage_predictions():
 def test_mobius_core_graph_stages_match_the_facet_stage_check(n):
     s = mobius_crown(n)
     graph = disjointness_graph(s)
+    ids = arc_ids(s)
     stages = 0
-    for _, _, removed in theorems._mobius_stages(n, arc_ids(s)):
+    for I, J in theorems._mobius_stages(n):
+        removed = [ids[loop_b(j)] for j in I] + [ids[theorems._ridge_arc(p)] for p in J]
         alive = (1 << len(graph.vertices)) - 1 & ~sum(1 << v for v in removed)
         dom = {}
         for v in graph.vertices:
