@@ -299,48 +299,6 @@ def disjoint(s: SurfaceSpec, x: Arc, y: Arc) -> bool:
     )
 
 
-# --- symmetries (used by the equivariance gates) ----------------------------
-
-
-def rotated(s: SurfaceSpec, arc: Arc, shift: int = 1) -> Arc:
-    """Shift all boundary labels by `shift` (mod n); not defined for strips."""
-    if s.family == STRIP:
-        raise ValueError("integral strips have no rotational symmetry")
-    n = s.n
-
-    def r(v: int) -> int:
-        return (v + shift - 1) % n + 1
-
-    if arc.kind == DIAG:
-        return diag(r(arc.a), r(arc.b))
-    if arc.kind == C_ARC:
-        return c_arc(r(arc.a))
-    if arc.kind == CC_ARC:
-        return cc_arc(r(arc.a), r(arc.b))
-    return b_arc(r(arc.a), r(arc.b))
-
-
-def reflected(s: SurfaceSpec, arc: Arc) -> Arc:
-    """Relabel v -> n+1-v (and i -> m+1-i on the blue row of a strip)."""
-    n = s.n
-
-    def r(v: int) -> int:
-        return n + 1 - v
-
-    if s.family == STRIP:
-        return strip_arc(s.m + 1 - arc.a, r(arc.b))
-    if arc.kind == DIAG:
-        return diag(r(arc.a), r(arc.b))
-    if arc.kind == C_ARC:
-        return c_arc(r(arc.a))
-    if arc.kind == CC_ARC:
-        return cc_arc(r(arc.a), r(arc.b))
-    # reflection reverses the boundary orientation, so the polygon side of
-    # (p, q) becomes the clockwise interval from the image of q to the image
-    # of p
-    return b_arc(r(arc.b), r(arc.a))
-
-
 # --- fans (mobius) ----------------------------------------------------------
 
 
@@ -482,22 +440,6 @@ def tile_tree(s: SurfaceSpec, arcs) -> TileTree:
         edges=tuple(edges),
         node_labels=tuple(labels),
     )
-
-
-def degree(s: SurfaceSpec, arcs) -> int:
-    """Degree of a face: branches plus roots of its b-arc part."""
-    return tile_tree(s, arcs).degree
-
-
-def is_sapling(s: SurfaceSpec, arcs) -> bool:
-    """Whether a boundary simplex has no nesting among its b-arcs."""
-    arcs = sorted(set(arcs))
-    if any(a.kind != B_ARC for a in arcs):
-        raise ValueError("saplings are boundary simplices (b-arcs only)")
-    if not arcs:
-        raise ValueError("the empty face is not a sapling")
-    tree = tile_tree(s, arcs)
-    return len(tree.branches) == len(arcs)
 
 
 def saplings_of_degree(s: SurfaceSpec, deg: int) -> list[tuple[Arc, ...]]:

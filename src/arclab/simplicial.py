@@ -80,19 +80,6 @@ def graph_from_rows(vertices: Iterable[int], rows: Sequence[int]) -> Graph:
     return g
 
 
-def make_graph(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> Graph:
-    vs = tuple(sorted(set(vertices)))
-    vset = set(vs)
-    es = set()
-    for u, v in edges:
-        if u == v:
-            raise ValueError(f"loop edge at {u}")
-        if u not in vset or v not in vset:
-            raise ValueError(f"edge ({u},{v}) uses an undeclared vertex")
-        es.add((min(u, v), max(u, v)))
-    return Graph(vs, tuple(sorted(es)))
-
-
 @dataclass(frozen=True)
 class Complex:
     """Simplicial complex as canonical vertex ids plus maximal faces.
@@ -285,10 +272,6 @@ def make_complex(
             "declare them as singleton faces"
         )
     return _complex(label_map, facets, surface)
-
-
-def point_complex(v: int, label: str) -> Complex:
-    return make_complex({v: label}, [[v]])
 
 
 def empty_complex() -> Complex:

@@ -138,7 +138,7 @@ def graph_dominating_set(g: Graph, alive: int, i: int) -> int:
     i, is a function of i and N[i] & alive alone, not of the rest of
     `alive`; the early exit at {i} only skips intersections that could not
     change it.  So each result is kept in `g.dominating_sets` under that
-    key, and every later stage or core of g that asks the same question
+    key, and every later check or core of g that asks the same question
     reads it back instead of intersecting again.
     """
     if not alive >> i & 1:
@@ -173,7 +173,7 @@ def graph_core(g: Graph, order: str = "canonical", seed: int = 0,
     x changes it only for the neighbours of x.  For the same reason
     `graph_dominating_set` answers each (i, N[i] & alive) once per graph,
     from `g.dominating_sets`, so cores of one graph in other orders, and
-    the stage checks run on it, share the intersections.
+    the suite checks run on it, share the intersections.
     """
     pick = _picker(order, seed)
     alive = (1 << len(g.vertices)) - 1 if alive is None else alive

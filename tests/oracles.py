@@ -10,24 +10,38 @@ import itertools
 import random
 from collections import deque
 from functools import lru_cache
+from typing import Iterable
 
 from arclab.arcs import (
+    B_ARC,
+    C_ARC,
+    CC_ARC,
+    DIAG,
+    STRIP,
+    Arc,
+    SurfaceSpec,
     _nested_in,
     arc_ids,
     b_arc,
+    c_arc,
     cc_arc,
+    diag,
     disjoint,
     enumerate_arcs,
     loop_b,
     loop_c,
     mobius_crown,
     polygon,
+    strip_arc,
+    tile_tree,
     wrap_length,
 )
 from arclab.build import arc_complex, disjointness_graph, induced_arc_complex, inner_complex
 from arclab.collapse import face_order, trace, verify_trace
 from arclab.simplicial import (
+    Complex,
     FacetEditor,
+    Graph,
     facets_containing,
     faces,
     is_cone,
@@ -35,10 +49,16 @@ from arclab.simplicial import (
     join_all,
     link,
     make_complex,
-    make_graph,
     vertex_deletion,
 )
-from arclab.strong import StrongTrace, _dominated, dominated_vertices, dominating_set
+from arclab.strong import (
+    StrongTrace,
+    _dominated,
+    core,
+    dominated_vertices,
+    dominating_set,
+    graph_core,
+)
 
 
 @lru_cache(maxsize=None)
@@ -322,22 +342,14 @@ def facet_stage_domination(s, graph, removed) -> dict[int, set]:
     return {v: dominating_set(X, v) for v, _ in dominated_vertices(X)}
 
 
-def every_mobius_stage_check(n) -> set:
-    """The Moebius-core stage check at every stage, one by one, with no symmetry.
+def mobius_stages(n):
+    """The stages (I, J) of the Moebius core argument, one by one.
 
-    Each stage (I, J) deletes the loops M_j (j in I) and the ridge b-arcs
-    joining i and i+1 for the cyclic pairs (i, i+1) in J, both ends in I.
-    Its dominated vertices must be exactly the loops M_j (j not in I) and
-    the ridge b-arcs at the pairs inside I but not in J, each dominated by
-    its witness: L_j, or the c-arc joining the pair.  Raises AssertionError
-    at the first stage that breaks this; returns the set of every (I, J).
+    A stage deletes the loops M_j (j in I) and the ridge b-arcs joining i and
+    i+1 for the cyclic pairs (i, i+1) in J, both ends in I; I = {} is the
+    full complex.
     """
-    s = mobius_crown(n)
-    graph = disjointness_graph(s)
-    ids = arc_ids(s)
     pairs = [(i, i % n + 1) for i in range(1, n + 1)]
-    ridge = {(i, j): ids[b_arc(j, i)] for i, j in pairs}
-    stages = set()
     for I in itertools.chain.from_iterable(
         itertools.combinations(range(1, n + 1), k) for k in range(n + 1)
     ):
@@ -345,16 +357,58 @@ def every_mobius_stage_check(n) -> set:
         for J in itertools.chain.from_iterable(
             itertools.combinations(inside, k) for k in range(len(inside) + 1)
         ):
-            removed = {ids[loop_b(j)] for j in I} | {ridge[p] for p in J}
-            alive = sum(1 << v for v in graph.vertices if v not in removed)
-            dom = {v: intersecting_dominating_set(graph, alive, v)
-                   for v in graph.vertices if alive >> v & 1}
-            expected = {ids[loop_b(j)]: ids[loop_c(j)] for j in range(1, n + 1) if j not in I}
-            expected |= {ridge[p]: ids[cc_arc(*p)] for p in inside if p not in J}
-            assert {v for v, d in dom.items() if d} == set(expected), (I, J)
-            assert all(dom[v] >> w & 1 for v, w in expected.items()), (I, J)
-            stages.add((frozenset(I), frozenset(J)))
+            yield frozenset(I), frozenset(J)
+
+
+def mobius_ridge_arc(pair):
+    """The ridge b-arc joining the ends of the cyclic pair (i, j): its polygon
+    side runs from j back around to i."""
+    return b_arc(pair[1], pair[0])
+
+
+def every_mobius_stage_check(n, graph=None) -> set:
+    """The Moebius-core stage check at every stage, one by one, with no lemma.
+
+    At each stage (I, J) of `mobius_stages`, on `graph` (default: the
+    disjointness graph of the Moebius crown), the dominated vertices must be
+    exactly the loops M_j (j not in I) and the ridge b-arcs at the pairs
+    inside I but not in J, each dominated by its witness: L_j, or the c-arc
+    joining the pair.  Raises AssertionError at the first stage that breaks
+    this; returns the set of every (I, J).
+    """
+    s = mobius_crown(n)
+    graph = disjointness_graph(s) if graph is None else graph
+    ids = arc_ids(s)
+    stages = set()
+    for I, J in mobius_stages(n):
+        inside = [(i, i % n + 1) for i in I if i % n + 1 in I]
+        removed = {ids[loop_b(j)] for j in I} | {ids[mobius_ridge_arc(p)] for p in J}
+        alive = sum(1 << v for v in graph.vertices if v not in removed)
+        dom = {v: intersecting_dominating_set(graph, alive, v)
+               for v in graph.vertices if alive >> v & 1}
+        expected = {ids[loop_b(j)]: ids[loop_c(j)] for j in range(1, n + 1) if j not in I}
+        expected |= {ids[mobius_ridge_arc(p)]: ids[cc_arc(*p)] for p in inside if p not in J}
+        assert {v for v, d in dom.items() if d} == set(expected), (I, J)
+        assert all(dom[v] >> w & 1 for v, w in expected.items()), (I, J)
+        stages.add((I, J))
     return stages
+
+
+def facet_mobius_core_check(n) -> None:
+    """The Moebius-core suite's cross-check on facets, which the graph checks replaced.
+
+    The canonical core of the arc complex must take the graph core's steps
+    and end at the complex on A minus D, with no vertex left dominated.
+    """
+    s = mobius_crown(n)
+    graph = disjointness_graph(s)
+    ids = arc_ids(s)
+    D = [ids[loop_b(j)] for j in range(1, n + 1)]
+    D += [ids[mobius_ridge_arc((i, i % n + 1))] for i in range(1, n + 1)]
+    terminal, steps = core(arc_complex(s))
+    assert steps == graph_core(graph)[1]
+    assert terminal == induced_arc_complex(s, graph, D)
+    assert dominated_vertices(terminal) == []
 
 
 def factorwise_sapling_link_check(s, L, sap, ids) -> bool:
@@ -719,3 +773,78 @@ def link_apex(editor, v):
     when that link is one nonempty simplex, else None."""
     lk = link(editor.closed_star([v]), [v])
     return is_cone(lk) if len(lk.facets) == 1 and lk.n_vertices >= 1 else None
+
+
+# --- arc symmetries, sapling tests and constructors that only the tests use ---------
+
+
+def rotated(s: SurfaceSpec, arc: Arc, shift: int = 1) -> Arc:
+    """Shift all boundary labels by `shift` (mod n); not defined for strips."""
+    if s.family == STRIP:
+        raise ValueError("integral strips have no rotational symmetry")
+    n = s.n
+
+    def r(v: int) -> int:
+        return (v + shift - 1) % n + 1
+
+    if arc.kind == DIAG:
+        return diag(r(arc.a), r(arc.b))
+    if arc.kind == C_ARC:
+        return c_arc(r(arc.a))
+    if arc.kind == CC_ARC:
+        return cc_arc(r(arc.a), r(arc.b))
+    return b_arc(r(arc.a), r(arc.b))
+
+
+def reflected(s: SurfaceSpec, arc: Arc) -> Arc:
+    """Relabel v -> n+1-v (and i -> m+1-i on the blue row of a strip)."""
+    n = s.n
+
+    def r(v: int) -> int:
+        return n + 1 - v
+
+    if s.family == STRIP:
+        return strip_arc(s.m + 1 - arc.a, r(arc.b))
+    if arc.kind == DIAG:
+        return diag(r(arc.a), r(arc.b))
+    if arc.kind == C_ARC:
+        return c_arc(r(arc.a))
+    if arc.kind == CC_ARC:
+        return cc_arc(r(arc.a), r(arc.b))
+    # reflection reverses the boundary orientation, so the polygon side of
+    # (p, q) becomes the clockwise interval from the image of q to the image
+    # of p
+    return b_arc(r(arc.b), r(arc.a))
+
+
+def degree(s: SurfaceSpec, arcs) -> int:
+    """Degree of a face: branches plus roots of its b-arc part."""
+    return tile_tree(s, arcs).degree
+
+
+def is_sapling(s: SurfaceSpec, arcs) -> bool:
+    """Whether a boundary simplex has no nesting among its b-arcs."""
+    arcs = sorted(set(arcs))
+    if any(a.kind != B_ARC for a in arcs):
+        raise ValueError("saplings are boundary simplices (b-arcs only)")
+    if not arcs:
+        raise ValueError("the empty face is not a sapling")
+    tree = tile_tree(s, arcs)
+    return len(tree.branches) == len(arcs)
+
+
+def make_graph(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> Graph:
+    vs = tuple(sorted(set(vertices)))
+    vset = set(vs)
+    es = set()
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"loop edge at {u}")
+        if u not in vset or v not in vset:
+            raise ValueError(f"edge ({u},{v}) uses an undeclared vertex")
+        es.add((min(u, v), max(u, v)))
+    return Graph(vs, tuple(sorted(es)))
+
+
+def point_complex(v: int, label: str) -> Complex:
+    return make_complex({v: label}, [[v]])

@@ -15,8 +15,6 @@ from arclab.arcs import (
     integral_strip,
     mobius_crown,
     polygon,
-    reflected,
-    rotated,
 )
 from arclab.build import arc_complex
 from arclab.certify import certify, flip_graph, graph_diameter, is_connected
@@ -30,7 +28,6 @@ from arclab.simplicial import (
     join,
     link,
     make_complex,
-    point_complex,
 )
 from arclab.strong import core, is_strongly_collapsible, strong_to_elementary
 from arclab.theorems import (
@@ -40,7 +37,7 @@ from arclab.theorems import (
     thm_mobius_not_strong,
     thm_strip_strong,
 )
-from oracles import apply_collapse, catalan, join_lift_trace
+from oracles import apply_collapse, catalan, join_lift_trace, point_complex, reflected, rotated
 
 
 def _report(k: int, text: str) -> None:

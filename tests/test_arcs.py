@@ -9,18 +9,14 @@ from arclab.arcs import (
     c_arc,
     cc_arc,
     crown,
-    degree,
     disjoint,
     enumerate_arcs,
     fan,
     integral_strip,
-    is_sapling,
     loop_b,
     loop_c,
     mobius_crown,
     polygon,
-    reflected,
-    rotated,
     saplings_of_degree,
     strip_arc,
     tile_tree,
@@ -28,7 +24,14 @@ from arclab.arcs import (
     wrap_length,
 )
 from arclab.build import arc_complex, disjointness_graph, inner_complex
-from oracles import mobius_core_arcs_disjoint, pair_loop_graph
+from oracles import (
+    degree,
+    is_sapling,
+    mobius_core_arcs_disjoint,
+    pair_loop_graph,
+    reflected,
+    rotated,
+)
 
 ALL_SURFACES = (
     [polygon(n) for n in range(3, 9)]

@@ -26,11 +26,11 @@ from arclab.simplicial import (
     link,
     loads_complex,
     make_complex,
-    make_graph,
 )
 from oracles import (
     bfs_is_connected,
     floyd_warshall_diameter,
+    make_graph,
     pairwise_validate_shelling,
     reference_shelling_search,
     ridge_dict_dual_edges,

@@ -25,10 +25,9 @@ from arclab.simplicial import (
     join,
     link,
     make_complex,
-    point_complex,
 )
 from arclab.strong import is_strongly_collapsible, strong_to_elementary
-from oracles import apply_collapse, join_lift_trace
+from oracles import apply_collapse, join_lift_trace, point_complex
 
 
 def labeled(facets, offset=0):

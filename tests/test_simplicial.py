@@ -30,9 +30,7 @@ from arclab.simplicial import (
     link,
     loads_complex,
     make_complex,
-    make_graph,
     max_cliques,
-    point_complex,
     surface_from_json,
     vertex_deletion,
 )
@@ -42,9 +40,11 @@ from oracles import (
     catalan,
     euler_by_inclusion_exclusion,
     SetReplayer,
+    make_graph,
     maximal_faces,
     naive_max_cliques,
     or_loop_stars,
+    point_complex,
     reference_is_collapsible,
     reference_verify_trace,
     restrict,

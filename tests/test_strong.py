@@ -14,7 +14,6 @@ from arclab.simplicial import (
     flag_complex,
     isomorphic,
     make_complex,
-    make_graph,
 )
 from arclab.strong import (
     StrongTrace,
@@ -30,6 +29,7 @@ from arclab.strong import (
 from oracles import (
     apply_collapse,
     intersecting_dominating_set,
+    make_graph,
     rebuilding_core,
     rebuilding_strong_to_elementary,
     rebuilding_verify_strong_trace,

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -19,7 +20,14 @@ from arclab.arcs import (
 )
 from arclab.build import arc_complex, disjointness_graph, induced_arc_complex, inner_complex
 from arclab.collapse import CollapseTrace, trace, verify_trace
-from arclab.simplicial import FacetEditor, _bits, _complex, flag_complex, make_complex, make_graph
+from arclab.simplicial import (
+    FacetEditor,
+    _bits,
+    _complex,
+    flag_complex,
+    graph_from_rows,
+    make_complex,
+)
 from arclab.strong import (
     StrongTrace,
     dominated_vertices,
@@ -29,6 +37,7 @@ from arclab.strong import (
     verify_strong_trace,
 )
 from arclab.theorems import (
+    MOBIUS_CORE_CLAIM,
     Limits,
     TheoremError,
     run_all,
@@ -41,9 +50,13 @@ from arclab.theorems import (
 from oracles import (
     brute_force_faces,
     every_mobius_stage_check,
+    facet_mobius_core_check,
     facet_stage_domination,
     factorwise_sapling_link_check,
     link_apex,
+    make_graph,
+    mobius_ridge_arc,
+    mobius_stages,
     only_facet_through,
     scan_dominating_set,
 )
@@ -397,8 +410,8 @@ def test_mobius_core_graph_stages_match_the_facet_stage_check(n):
     graph = disjointness_graph(s)
     ids = arc_ids(s)
     stages = 0
-    for I, J in theorems._mobius_stages(n):
-        removed = [ids[loop_b(j)] for j in I] + [ids[theorems._ridge_arc(p)] for p in J]
+    for I, J in mobius_stages(n):
+        removed = [ids[loop_b(j)] for j in I] + [ids[mobius_ridge_arc(p)] for p in J]
         alive = (1 << len(graph.vertices)) - 1 & ~sum(1 << v for v in removed)
         dom = {}
         for v in graph.vertices:
@@ -409,50 +422,40 @@ def test_mobius_core_graph_stages_match_the_facet_stage_check(n):
     assert stages == thm_mobius_not_strong(n).claims[0].details["stages_checked"]
 
 
-@pytest.mark.parametrize("n", range(4, 8))
-def test_the_dihedral_orbits_of_the_checked_stages_are_every_stage(monkeypatch, n):
-    orbits = []
-    real = theorems._stage_orbit
-
-    def recording(group, I, J):
-        orbits.append(((I, J), real(group, I, J)))
-        return orbits[-1][1]
-
-    monkeypatch.setattr(theorems, "_stage_orbit", recording)
-    report = thm_mobius_not_strong(n)
+@pytest.mark.parametrize("n", range(4, 9))
+def test_every_stage_check_passes_on_the_stages_the_suite_counts(n):
     every = every_mobius_stage_check(n)
-    assert set().union(*(orbit for _, orbit in orbits)) == every
-    assert len(every) == report.claims[0].details["stages_checked"]
-    # each checked stage lies in its own orbit, and the orbits are disjoint
-    assert all(stage in orbit for stage, orbit in orbits)
-    assert sum(len(orbit) for _, orbit in orbits) == len(every)
-    assert len(orbits) < len(every)
+    assert len(every) == thm_mobius_not_strong(n).claims[0].details["stages_checked"]
 
 
-def swapped_rotation(monkeypatch, x, y):
-    """Make the suite's rotation send the arcs rotating onto x and onto y the other way round."""
-    real = theorems.rotated
-    swap = {x: y, y: x}
-    monkeypatch.setattr(theorems, "rotated", lambda s, a: swap.get(real(s, a), real(s, a)))
+@pytest.mark.parametrize("n", range(4, 13))
+def test_the_matrix_trace_stage_count_is_the_enumeration(n):
+    stages = thm_mobius_not_strong(n).claims[0].details["stages_checked"]
+    assert stages == sum(1 for _ in mobius_stages(n))
 
 
-def test_a_rotation_that_is_not_an_automorphism_fails_the_automorphism_check(monkeypatch):
-    # neither arc is named by the prediction, so only the automorphism check can see it
-    swapped_rotation(monkeypatch, cc_arc(1, 3), cc_arc(1, 4))
-    with pytest.raises(TheoremError, match="rotation is not an automorphism"):
-        thm_mobius_not_strong(5)
+@pytest.mark.parametrize("n", range(4, 8))
+def test_the_canonical_core_on_facets_ends_at_the_complex_on_a_minus_d(n):
+    facet_mobius_core_check(n)
 
 
-def test_a_rotation_that_is_not_a_bijection_fails_the_bijection_check(monkeypatch):
-    real = theorems.rotated
-    monkeypatch.setattr(theorems, "rotated",
-                        lambda s, a: cc_arc(1, 3) if a == cc_arc(1, 4) else real(s, a))
-    with pytest.raises(TheoremError, match="rotation is not a bijection"):
-        thm_mobius_not_strong(5)
+# the first words of the suite's message for each whole-graph check
+CHECK_MESSAGES = {
+    "(a)": rf"^{MOBIUS_CORE_CLAIM}: M:\d+ is not dominated by L:\d+ at every stage",
+    "(b)": rf"^{MOBIUS_CORE_CLAIM}: b-arc at \(\d+, \d+\) is not dominated by its c-arc witness",
+    "(c)": rf"^{MOBIUS_CORE_CLAIM}: a vertex outside D is dominated at some stage",
+    "(d)": rf"^{MOBIUS_CORE_CLAIM}: b-arc at \(\d+, \d+\) is dominated at some stage that keeps M:",
+}
 
 
-@pytest.mark.parametrize("which", range(4))
-def test_a_prediction_that_is_not_equivariant_fails_the_equivariance_check(monkeypatch, which):
+@pytest.mark.parametrize(
+    ("which", "check"),
+    [(0, "(a)"), (1, "(a)"), (2, "(b)"), (3, "(b)")],
+    ids=["loops", "loop-witnesses", "ridges", "ridge-witnesses"],
+)
+def test_a_perturbed_prediction_fails_the_lemma(monkeypatch, which, check):
+    # two loops, L witnesses, ridge b-arcs or c-arc witnesses swap places:
+    # the first two trip check (a), the last two check (b)
     real = theorems._mobius_prediction
 
     def perturbed(n, ids):
@@ -462,8 +465,96 @@ def test_a_prediction_that_is_not_equivariant_fails_the_equivariance_check(monke
         return tuple(maps)
 
     monkeypatch.setattr(theorems, "_mobius_prediction", perturbed)
-    with pytest.raises(TheoremError, match="prediction is not equivariant under the rotation"):
+    with pytest.raises(TheoremError, match=CHECK_MESSAGES[check]):
         thm_mobius_not_strong(5)
+
+
+def toggled(graph, x, y):
+    """graph with the edge between positions x and y removed if present, else added."""
+    rows = list(graph.closed_neighbourhoods)
+    rows[x] ^= 1 << y
+    rows[y] ^= 1 << x
+    return graph_from_rows(graph.vertices, rows)
+
+
+def every_stage_passes_on(n, graph) -> bool:
+    try:
+        every_mobius_stage_check(n, graph)
+    except AssertionError:
+        return False
+    return True
+
+
+def suite_passes_on(monkeypatch, n, graph) -> bool:
+    monkeypatch.setattr(theorems, "disjointness_graph", lambda s: graph)
+    try:
+        thm_mobius_not_strong(n)
+    except TheoremError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    ("x", "y", "check"),
+    [
+        (loop_c(1), b_arc(1, 3), "(a)"),
+        (loop_c(1), cc_arc(1, 2), "(b)"),
+        (loop_c(1), cc_arc(2, 5), "(c)"),
+        (loop_c(1), loop_c(2), "(d)"),
+    ],
+    ids=["a", "b", "c", "d"],
+)
+def test_one_toggled_edge_trips_each_whole_graph_check(monkeypatch, x, y, check):
+    s = mobius_crown(5)
+    ids = arc_ids(s)
+    graph = toggled(disjointness_graph(s), ids[x], ids[y])
+    assert not every_stage_passes_on(5, graph)
+    monkeypatch.setattr(theorems, "disjointness_graph", lambda s: graph)
+    with pytest.raises(TheoremError, match=CHECK_MESSAGES[check]):
+        thm_mobius_not_strong(5)
+
+
+def test_the_suite_passes_on_a_toggled_graph_iff_every_stage_check_does(monkeypatch):
+    graph = disjointness_graph(mobius_crown(4))
+    outcomes = set()
+    for x, y in itertools.combinations(range(len(graph.vertices)), 2):
+        g = toggled(graph, x, y)
+        staged = every_stage_passes_on(4, g)
+        assert suite_passes_on(monkeypatch, 4, g) == staged, (x, y)
+        outcomes.add(staged)
+    assert outcomes == {True, False}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_the_suite_agrees_with_every_stage_check_on_sampled_toggles(data):
+    graph = disjointness_graph(mobius_crown(5))
+    x, y = data.draw(st.sets(st.integers(0, len(graph.vertices) - 1), min_size=2, max_size=2))
+    g = toggled(graph, x, y)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert suite_passes_on(monkeypatch, 5, g) == every_stage_passes_on(5, g)
+
+
+@pytest.mark.parametrize(
+    ("bad", "message"),
+    [(("canonical", 0), "canonical core has the wrong vertex set"),
+     (("random", 19), r"random removal order \(seed 19\) reached a different terminal")],
+)
+def test_every_call_checks_the_canonical_core_and_twenty_random_ones(monkeypatch, bad, message):
+    # the lemma already fixes every core, so only a core that lies can fail here
+    calls = []
+    real = theorems.graph_core
+
+    def recording(g, order="canonical", seed=0):
+        calls.append((order, seed))
+        left, steps = real(g, order=order, seed=seed)
+        return (left ^ 1 if (order, seed) == bad else left), steps
+
+    monkeypatch.setattr(theorems, "graph_core", recording)
+    with pytest.raises(TheoremError, match=message):
+        thm_mobius_not_strong(5)
+    every = [("canonical", 0), *(("random", seed) for seed in range(20))]
+    assert calls == every[:every.index(bad) + 1]
 
 
 def test_ridge_arc_dominated_after_removing_two_adjacent_loops():
