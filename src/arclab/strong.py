@@ -14,9 +14,10 @@ In a flag complex w dominates v iff the closed neighbourhood N[v] lies in
 N[w] (Barmak-Minian 2012; Boissonnat-Pritam 2020), and deleting vertices
 leaves the flag complex of the induced subgraph.  So `graph_dominating_set`
 and `graph_core` read domination off the graph's neighbourhood bitsets and
-an `alive` mask, with no facets built, and each distinct (v, N[v] & alive)
-is answered once per graph.  The crown, inner-Moebius, strip and
-Moebius-core suites run on them.
+an `alive` mask, with no facets built: each distinct (v, N[v] & alive) is
+answered once per graph, by witnesses against candidate dominators
+(`_dominators`).  The crown, inner-Moebius, strip and Moebius-core suites
+run on them.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from itertools import combinations
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .collapse import CollapseTrace, face_order, trace
-from .simplicial import Complex, Face, FacetEditor, Graph, _bits
+from .simplicial import Complex, Face, FacetEditor, Graph
 
 
 @dataclass(frozen=True)
@@ -127,36 +128,45 @@ def core(
     return editor.to_complex(), StrongTrace(tuple(steps))
 
 
+def _dominators(nbhds: Sequence[int], test: int, candidates: int) -> int:
+    """Bitset of the w in `candidates` whose closed neighbourhood holds `test`.
+
+    Each round tries the lowest candidate w.  A witness u in test - N[w]
+    (the highest) settles every candidate at once: the graph is symmetric,
+    so u is missing from N[w'] iff w' is missing from N[u], and ANDing the
+    candidates with N[u] drops w and every other w' that u rules out.
+    With no witness, w dominates.  So each round settles at least one
+    candidate with two ANDs.
+    """
+    found = 0
+    while candidates:
+        w = candidates & -candidates
+        if miss := test & ~nbhds[w.bit_length() - 1]:
+            candidates &= nbhds[miss.bit_length() - 1]
+        else:
+            found |= w
+            candidates ^= w
+    return found
+
+
 def graph_dominating_set(g: Graph, alive: int, i: int) -> int:
     """Bitset of the vertices dominating vertex i in the flag complex of g on `alive`.
 
     Vertices, `alive` and the result index positions in `g.vertices`.  w
-    dominates i iff N[i] & alive lies in N[w], that is, iff w lies in N[u]
-    for every u in N[i] & alive: the intersection of those N[u], without i.
-
-    The result, N[i] & alive intersected with N[u] for each u in it, minus
-    i, is a function of i and N[i] & alive alone, not of the rest of
-    `alive`; the early exit at {i} only skips intersections that could not
-    change it.  So each result is kept in `g.dominating_sets` under that
-    key, and every later check or core of g that asks the same question
-    reads it back instead of intersecting again.
+    dominates i iff N[i] & alive lies in N[w], and any such w lies in
+    N[i] & alive, so the result is a function of i and N[i] & alive alone,
+    not of the rest of `alive`.  So each result is kept in
+    `g.dominating_sets` under that key, and every later check or core of g
+    that asks the same question reads it back instead of asking again.
     """
     if not alive >> i & 1:
         raise ValueError(f"vertex position {i} is not alive")
     nbhds = g.closed_neighbourhoods
     mine = nbhds[i] & alive
-    key = (i, mine)
     memo = g.dominating_sets
-    dom = memo.get(key)
+    dom = memo.get((i, mine))
     if dom is None:
-        dom, rest, me = mine, mine, 1 << i
-        while rest:
-            low = rest & -rest
-            dom &= nbhds[low.bit_length() - 1]
-            if dom == me:
-                break
-            rest ^= low
-        dom = memo[key] = dom & ~me
+        dom = memo[i, mine] = _dominators(nbhds, mine, mine & ~(1 << i))
     return dom
 
 
@@ -167,30 +177,47 @@ def graph_core(g: Graph, order: str = "canonical", seed: int = 0,
     Returns the bitset of the positions left and, by vertex id, the same
     trace step for step as `core` of the induced subgraph's flag complex:
     positions follow the sorted ids, so both pick from the same sorted list.
+    "random" draws k below the number of dominated positions and takes the
+    k-th lowest, the index `rng.choice` of their sorted list draws.
 
-    The dominating sets are kept up to date, not rescanned each round: at
-    a fixed `alive` the set of i depends only on N[i] & alive, so removing
-    x changes it only for the neighbours of x.  For the same reason
-    `graph_dominating_set` answers each (i, N[i] & alive) once per graph,
-    from `g.dominating_sets`, so cores of one graph in other orders, and
-    the suite checks run on it, share the intersections.
+    The dominated positions are kept up to date, not rescanned each round:
+    at a fixed `alive` the dominating set of i depends only on N[i] & alive,
+    so removing x changes it only for the neighbours of x, which are asked
+    again.  Each question is answered as `graph_dominating_set` answers it,
+    from and into `g.dominating_sets`, so cores of one graph in other
+    orders, and the suite checks run on it, share the answers.
     """
-    pick = _picker(order, seed)
+    if order not in ("canonical", "random"):
+        raise ValueError("order must be 'canonical' or 'random'")
+    rng = random.Random(seed)
     alive = (1 << len(g.vertices)) - 1 if alive is None else alive
     nbhds = g.closed_neighbourhoods
-    dom = {i: d for i in _bits(alive) if (d := graph_dominating_set(g, alive, i))}
+    memo = g.dominating_sets
+    ask, dominated = alive, 0
     steps: list[tuple[int, int]] = []
-    while dom:
-        i = pick(dom)
-        d = dom.pop(i)
+    while True:
+        while ask:
+            low = ask & -ask
+            ask ^= low
+            j = low.bit_length() - 1
+            mine = nbhds[j] & alive
+            d = memo.get((j, mine))
+            if d is None:
+                d = memo[j, mine] = _dominators(nbhds, mine, mine ^ low)
+            dominated = dominated | low if d else dominated & ~low
+        if not dominated:
+            return alive, StrongTrace(tuple(steps))
+        pick = dominated
+        if order == "random":
+            for _ in range(rng.randrange(dominated.bit_count())):
+                pick &= pick - 1
+        low = pick & -pick
+        i = low.bit_length() - 1
+        d = memo[i, nbhds[i] & alive]
         steps.append((g.vertices[i], g.vertices[(d & -d).bit_length() - 1]))
-        alive &= ~(1 << i)
-        for j in _bits(nbhds[i] & alive):
-            if d := graph_dominating_set(g, alive, j):
-                dom[j] = d
-            else:
-                dom.pop(j, None)
-    return alive, StrongTrace(tuple(steps))
+        alive ^= low
+        dominated ^= low
+        ask = nbhds[i] & alive
 
 
 def is_strongly_collapsible(c: Complex) -> tuple[bool, StrongTrace]:

@@ -57,6 +57,7 @@ from .simplicial import (
 )
 from .strong import (
     StrongTrace,
+    _dominators,
     core,
     graph_core,
     graph_dominating_set,
@@ -545,7 +546,7 @@ def thm_mobius_not_strong(n: int) -> Report:
 
     def dominators(v: int, kept: int) -> list[int]:
         """The neighbours w of v with no witness in `kept` against dominating v."""
-        return [w for w in _bits(nbhds[v] & ~(1 << v)) if not nbhds[v] & ~nbhds[w] & kept]
+        return list(_bits(_dominators(nbhds, nbhds[v] & kept, nbhds[v] & ~(1 << v))))
 
     for j, m in loops.items():
         _require(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arclab.arcs import arc_ids, loop_b, loop_c, mobius_crown
+from arclab.arcs import arc_ids, crown, loop_b, loop_c, mobius_crown
 from arclab.build import disjointness_graph
 
 from arclab.collapse import verify_trace
@@ -17,6 +17,7 @@ from arclab.simplicial import (
 )
 from arclab.strong import (
     StrongTrace,
+    _dominators,
     core,
     dominated_vertices,
     dominating_set,
@@ -171,6 +172,37 @@ def test_incremental_graph_core_matches_the_rescanning_oracle_on_mobius_crowns(n
     assert graph_core(g) == rescanning_graph_core(g)
     for seed in range(20):
         assert graph_core(g, "random", seed) == rescanning_graph_core(g, "random", seed)
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_ids_graphs(), st.data())
+def test_witness_driven_dominators_match_the_definition(g, data):
+    size = len(g.vertices)
+    nbhds = g.closed_neighbourhoods
+    masks = st.integers(0, (1 << size) - 1)
+    for _ in range(data.draw(st.integers(1, 8))):
+        test, candidates = data.draw(masks), data.draw(masks)
+        expected = sum(1 << w for w in range(size) if candidates >> w & 1 and not test & ~nbhds[w])
+        assert _dominators(nbhds, test, candidates) == expected
+    # as in the Moebius core's check (d): a test that omits v, against v's neighbours
+    v = data.draw(st.integers(0, size - 1))
+    kept = data.draw(masks) & ~(1 << v)
+    scanned = [w for w in range(size) if w != v and nbhds[v] >> w & 1 and not nbhds[v] & ~nbhds[w] & kept]
+    assert _dominators(nbhds, nbhds[v] & kept, nbhds[v] & ~(1 << v)) == sum(1 << w for w in scanned)
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_random_graph_cores_match_the_rescanning_oracle_on_crowns(n):
+    # many b-arcs are dominated at once, so the random pick runs at large counts
+    g = disjointness_graph(crown(n))
+    for seed in range(5):
+        assert graph_core(g, "random", seed) == rescanning_graph_core(g, "random", seed)
+
+@pytest.mark.parametrize(("n", "entries"), [(6, 782), (10, 9633)])
+def test_the_moebius_suites_cores_ask_the_same_distinct_questions(n, entries):
+    g = disjointness_graph(mobius_crown(n))
+    graph_core(g)
+    for seed in range(20):
+        graph_core(g, "random", seed)
+    assert len(g.dominating_sets) == entries
 
 @settings(max_examples=200, deadline=None)
 @given(sparse_ids_graphs(), st.data())

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -510,8 +511,20 @@ def test_one_toggled_edge_trips_each_whole_graph_check(monkeypatch, x, y, check)
     graph = toggled(disjointness_graph(s), ids[x], ids[y])
     assert not every_stage_passes_on(5, graph)
     monkeypatch.setattr(theorems, "disjointness_graph", lambda s: graph)
-    with pytest.raises(TheoremError, match=CHECK_MESSAGES[check]):
+    with pytest.raises(TheoremError, match=CHECK_MESSAGES[check]) as failed:
         thm_mobius_not_strong(5)
+    if check in ("(c)", "(d)"):
+        # the dominators named are those the neighbour-by-neighbour scan finds
+        loops, _, ridge, _ = theorems._mobius_prediction(5, ids)
+        K = (1 << len(graph.vertices)) - 1 & ~sum(1 << v for v in (*loops.values(), *ridge.values()))
+        if check == "(c)":
+            v, kept = failed.value.details["arc"], K
+        else:
+            i, j, e = map(int, re.search(r"at \((\d+), (\d+)\).*?M:(\d+)", str(failed.value)).groups())
+            v, kept = ridge[i, j], K | 1 << loops[e]
+        nbhds = graph.closed_neighbourhoods
+        scanned = [w for w in _bits(nbhds[v] & ~(1 << v)) if not nbhds[v] & ~nbhds[w] & kept]
+        assert scanned and failed.value.details["by"] == scanned == sorted(scanned)
 
 
 def test_the_suite_passes_on_a_toggled_graph_iff_every_stage_check_does(monkeypatch):
