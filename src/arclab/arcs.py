@@ -31,7 +31,7 @@ order test in `_mobc_disjoint` captures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 POLYGON = "polygon"
 CROWN = "crown"
@@ -299,73 +299,7 @@ def disjoint(s: SurfaceSpec, x: Arc, y: Arc) -> bool:
     )
 
 
-# --- fans (mobius) ----------------------------------------------------------
-
-
-def fan(s: SurfaceSpec, i: int, j: int, k: int) -> list[Arc]:
-    """The simplex of c-arcs {(i,j), (i,j+1), ..., (i,k)} of a Moebius crown.
-
-    The second index runs cyclically from j to k.  With i == j == k the fan
-    wraps all the way around: all n c-arcs based at i (a fan triangulation,
-    which is a maximal face).
-    """
-    if s.family != MOBIUS:
-        raise ValueError("fans are defined on the non-orientable crown")
-    n = s.n
-    for v in (i, j, k):
-        if not (1 <= v <= n):
-            raise ValueError(f"fan index {v} out of range 1..{n}")
-    if i == j == k:
-        seconds = [(i - 1 + t) % n + 1 for t in range(n)]
-    elif j <= k:
-        seconds = list(range(j, k + 1))
-    else:
-        seconds = list(range(j, n + 1)) + list(range(1, k + 1))
-    return [cc_arc(i, x) for x in seconds]
-
-
-# --- tiles and botany -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Tile:
-    """One complementary region of a boundary simplex."""
-
-    kind: str  # "polygon", "crown" or "mobius"
-    size: int  # number of boundary vertices of the tile
-    arc: Arc | None  # bounding b-arc; None for the trunk
-
-
-@dataclass(frozen=True)
-class TileTree:
-    """Botany of a boundary simplex: trunk, tiles, branches, roots."""
-
-    tiles: tuple[Tile, ...]  # tiles[0] is the trunk
-    branches: tuple[Arc, ...]  # outermost b-arcs, bounding the trunk
-    roots: tuple[int, ...]  # boundary edges (p, p+1) on the trunk, by p
-    degree: int  # branches + roots
-    edges: tuple[tuple[int, int], ...] = field(default=())  # dual-tree edges
-    node_labels: tuple[str, ...] = field(default=())
-
-
-def _b_part(s: SurfaceSpec, arcs) -> list[Arc]:
-    barcs = []
-    for a in arcs:
-        validate_arc(s, a)
-        if a.kind == B_ARC:
-            barcs.append(a)
-    return sorted(barcs)
-
-
-def _check_pairwise_disjoint(s: SurfaceSpec, arcs: list[Arc]) -> None:
-    for idx, x in enumerate(arcs):
-        for y in arcs[idx + 1 :]:
-            if x == y:
-                raise ValueError(f"repeated arc {x.label()}")
-            if not disjoint(s, x, y):
-                raise ValueError(
-                    f"{x.label()} and {y.label()} intersect; not a face"
-                )
+# --- saplings ---------------------------------------------------------------
 
 
 def _nested_in(n: int, inner: Arc, outer: Arc) -> bool:
@@ -378,68 +312,6 @@ def _nested_in(n: int, inner: Arc, outer: Arc) -> bool:
         if po <= pi + k * n and pi + wi + k * n <= po + wo:
             return True
     return False
-
-
-def tile_tree(s: SurfaceSpec, arcs) -> TileTree:
-    """Decompose the surface along the b-arcs of a face of its arc complex.
-
-    c-arcs of the face are ignored: they live in the trunk and do not affect
-    branches, roots or degree.
-    """
-    if s.family not in (CROWN, MOBIUS):
-        raise ValueError("tile trees are defined for crowns")
-    n = s.n
-    barcs = _b_part(s, list(arcs))
-    _check_pairwise_disjoint(s, sorted(set(arcs)))
-    parent: dict[Arc, Arc | None] = {}
-    for x in barcs:
-        enclosing = [y for y in barcs if y != x and _nested_in(n, x, y)]
-        parent[x] = (
-            min(enclosing, key=lambda y: wrap_length(y, n)) if enclosing else None
-        )
-    children: dict[Arc | None, list[Arc]] = {a: [] for a in barcs}
-    children[None] = []
-    for x, p in parent.items():
-        children[p].append(x)
-    outermost = sorted(children[None])
-
-    covered: set[int] = set()
-    for x in outermost:
-        p, w = (x.a - 1) % n, wrap_length(x, n)
-        covered.update((p + t) % n for t in range(w))
-    roots = tuple(e + 1 for e in range(n) if e not in covered)
-
-    trunk_kind = CROWN if s.family == CROWN else MOBIUS
-    degree = len(outermost) + len(roots)
-    trunk = Tile(trunk_kind, degree if barcs or roots else n, None)
-
-    tiles: list[Tile] = [trunk]
-    index_of: dict[Arc | None, int] = {None: 0}
-    for x in barcs:
-        p, w = (x.a - 1) % n, wrap_length(x, n)
-        kids = children[x]
-        covered_inside = sum(wrap_length(y, n) for y in kids)
-        own_edges = w - covered_inside
-        tiles.append(Tile(POLYGON, 1 + len(kids) + own_edges, x))
-        index_of[x] = len(tiles) - 1
-
-    edges: list[tuple[int, int]] = []
-    labels = [f"trunk:{trunk.kind}:{trunk.size}"]
-    for t in tiles[1:]:
-        labels.append(f"tile:polygon:{t.size}:{t.arc.label()}")
-    for x in barcs:
-        edges.append((index_of[parent[x]], index_of[x]))
-    for p in roots:
-        labels.append(f"root:{p}")
-        edges.append((0, len(labels) - 1))
-    return TileTree(
-        tiles=tuple(tiles),
-        branches=tuple(outermost),
-        roots=roots,
-        degree=degree,
-        edges=tuple(edges),
-        node_labels=tuple(labels),
-    )
 
 
 def saplings_of_degree(s: SurfaceSpec, deg: int) -> list[tuple[Arc, ...]]:

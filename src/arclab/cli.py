@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import __version__
-from .arcs import SurfaceSpec
+from .arcs import SurfaceSpec, enumerate_arcs
 from .build import arc_complex, disjointness_graph
 from .certify import certify, flip_graph, graph_diameter, is_connected
 from .collapse import DEFAULT_BUDGET, PROVEN, is_collapsible, trace, verify_trace
@@ -61,14 +61,14 @@ def _load_complex(path: str):
 
 def cmd_gen(args) -> int:
     s = SurfaceSpec(args.surface, args.n, args.m)
-    c = arc_complex(s)
-    if c.n_vertices == 0:
+    arcs = enumerate_arcs(s)
+    if not arcs:
         print(f"warning: {s.describe()} has no nontrivial arcs", file=sys.stderr)
     if args.format == "dot":
-        g = disjointness_graph(s)
-        _write(args.out, graph_to_dot(g, c.labels, name="arcs"))
+        labels = {i: a.label() for i, a in enumerate(arcs)}
+        _write(args.out, graph_to_dot(disjointness_graph(s), labels, name="arcs"))
     else:
-        _write(args.out, dumps_canonical(c))
+        _write(args.out, dumps_canonical(arc_complex(s)))
     return 0
 
 
@@ -119,10 +119,11 @@ def cmd_core(args) -> int:
         _write(args.out, dumps_canonical(terminal))
     if args.trace_out:
         _write(args.trace_out, json.dumps(t.to_json(), indent=2) + "\n")
-    print(
-        f"core: {terminal.n_vertices} vertices, {len(terminal.facets)} facets "
-        f"({len(t)} removals)"
-    )
+    if "-" not in (args.out, args.trace_out):  # stdout carries JSON otherwise
+        print(
+            f"core: {terminal.n_vertices} vertices, {len(terminal.facets)} facets "
+            f"({len(t)} removals)"
+        )
     return 0
 
 

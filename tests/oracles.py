@@ -16,7 +16,9 @@ from arclab.arcs import (
     B_ARC,
     C_ARC,
     CC_ARC,
+    CROWN,
     DIAG,
+    MOBIUS,
     STRIP,
     Arc,
     SurfaceSpec,
@@ -33,7 +35,7 @@ from arclab.arcs import (
     mobius_crown,
     polygon,
     strip_arc,
-    tile_tree,
+    validate_arc,
     wrap_length,
 )
 from arclab.build import arc_complex, disjointness_graph, induced_arc_complex, inner_complex
@@ -817,9 +819,32 @@ def reflected(s: SurfaceSpec, arc: Arc) -> Arc:
     return b_arc(r(arc.b), r(arc.a))
 
 
+def _branches(s: SurfaceSpec, arcs) -> list[Arc]:
+    """The outermost b-arcs of a face of a crown's arc complex.
+
+    Every arc is validated and every pair tested for disjointness first, so a
+    set of arcs that is not a face raises ValueError.  c-arcs live in the
+    trunk of the tile tree, so they are checked but bound no branch.
+    """
+    if s.family not in (CROWN, MOBIUS):
+        raise ValueError("tile trees are defined for crowns")
+    arcs = sorted(set(arcs))
+    for a in arcs:
+        validate_arc(s, a)
+    for x, y in itertools.combinations(arcs, 2):
+        if not disjoint(s, x, y):
+            raise ValueError(f"{x.label()} and {y.label()} intersect; not a face")
+    barcs = [a for a in arcs if a.kind == B_ARC]
+    return [x for x in barcs if not any(_nested_in(s.n, x, y) for y in barcs)]
+
+
 def degree(s: SurfaceSpec, arcs) -> int:
-    """Degree of a face: branches plus roots of its b-arc part."""
-    return tile_tree(s, arcs).degree
+    """Degree of a face: its branches plus its roots, the boundary edges
+    (p, p+1) that no branch covers."""
+    n = s.n
+    branches = _branches(s, arcs)
+    covered = {(x.a - 1 + t) % n for x in branches for t in range(wrap_length(x, n))}
+    return len(branches) + n - len(covered)
 
 
 def is_sapling(s: SurfaceSpec, arcs) -> bool:
@@ -829,8 +854,7 @@ def is_sapling(s: SurfaceSpec, arcs) -> bool:
         raise ValueError("saplings are boundary simplices (b-arcs only)")
     if not arcs:
         raise ValueError("the empty face is not a sapling")
-    tree = tile_tree(s, arcs)
-    return len(tree.branches) == len(arcs)
+    return len(_branches(s, arcs)) == len(arcs)
 
 
 def make_graph(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> Graph:

@@ -11,7 +11,6 @@ from arclab.arcs import (
     crown,
     disjoint,
     enumerate_arcs,
-    fan,
     integral_strip,
     loop_b,
     loop_c,
@@ -19,7 +18,6 @@ from arclab.arcs import (
     polygon,
     saplings_of_degree,
     strip_arc,
-    tile_tree,
     validate_arc,
     wrap_length,
 )
@@ -261,61 +259,22 @@ def test_reflection_equivariance(s):
         assert disjoint(s, x, y) == disjoint(s, reflected(s, x), reflected(s, y))
 
 
-# --- fans -------------------------------------------------------------------------
-
-
-def test_full_fan_is_all_arcs_at_base_vertex():
-    s = mobius_crown(3)
-    f = fan(s, 2, 2, 2)
-    assert set(f) == {cc_arc(1, 2), cc_arc(2, 2), cc_arc(2, 3)}
-
-
-def test_single_arc_fan():
-    s = mobius_crown(5)
-    assert fan(s, 2, 4, 4) == [cc_arc(2, 4)]
-
-
-@pytest.mark.parametrize("n", range(2, 9))
-def test_fan_members_are_pairwise_disjoint(n):
-    s = mobius_crown(n)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(j, n + 1):
-                members = fan(s, i, j, k)
-                for x, y in itertools.combinations(members, 2):
-                    assert disjoint(s, x, y)
-
-
-def test_fan_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        fan(mobius_crown(3), 1, 2, 5)
-
-
 # --- botany -----------------------------------------------------------------------
 
 
 def test_loop_is_a_degree_one_sapling():
     s = mobius_crown(3)
-    t = tile_tree(s, [loop_b(1)])
-    assert t.degree == 1
-    assert t.branches == (loop_b(1),)
-    assert t.roots == ()
+    assert degree(s, [loop_b(1)]) == 1  # one branch, no roots
     assert is_sapling(s, [loop_b(1)])
 
 
 def test_minimal_arc_has_degree_n_minus_one():
     s = mobius_crown(4)
-    t = tile_tree(s, [b_arc(4, 2)])
-    assert t.degree == 3
-    assert len(t.branches) == 1 and len(t.roots) == 2
+    assert degree(s, [b_arc(4, 2)]) == 3  # one branch, two roots
 
 
 def test_empty_face_tile_tree():
-    s = crown(5)
-    t = tile_tree(s, [])
-    assert t.degree == 5
-    assert t.branches == () and len(t.roots) == 5
-    assert t.tiles[0].size == 5
+    assert degree(crown(5), []) == 5  # no branches, five roots
 
 
 def test_nested_barcs_are_not_a_sapling():
@@ -344,37 +303,10 @@ def test_degree_ignores_c_arcs():
 
 def test_tile_tree_rejects_crossing_arcs():
     s = crown(4)
-    with pytest.raises(ValueError):
-        tile_tree(s, [b_arc(1, 3), b_arc(2, 4)])
-
-
-def test_tile_tree_dual_tree_is_a_tree():
-    s = mobius_crown(6)
-    face = [loop_b(1), b_arc(1, 4), b_arc(1, 3)]
-    t = tile_tree(s, face)
-    nodes = len(t.node_labels)
-    assert len(t.edges) == nodes - 1
-    # connectivity by union-find
-    parent = list(range(nodes))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in t.edges:
-        parent[find(u)] = find(v)
-    assert len({find(x) for x in range(nodes)}) == 1
-
-
-def test_polygon_tile_sizes():
-    s = crown(5)
-    t = tile_tree(s, [loop_b(1), b_arc(1, 3)])
-    sizes = {tile.arc: tile.size for tile in t.tiles if tile.arc is not None}
-    assert sizes[loop_b(1)] == 5  # loop tile: arc + child arc + 3 free edges
-    assert sizes[b_arc(1, 3)] == 3
-    assert t.tiles[0].size == 1  # trunk sees one branch, no roots
+    with pytest.raises(ValueError, match="intersect"):
+        degree(s, [b_arc(1, 3), b_arc(2, 4)])
+    with pytest.raises(ValueError, match="intersect"):
+        is_sapling(s, [b_arc(1, 3), b_arc(2, 4)])
 
 
 def test_saplings_of_degree_enumeration():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from arclab import cli
 from arclab.cli import main
 
 
@@ -52,6 +53,19 @@ def test_gen_dot_output(capsys):
         1 for x, y in combinations(enumerate_arcs(s), 2) if disjoint(s, x, y)
     )
     assert out.count(" -- ") == expected
+
+
+def test_gen_dot_builds_no_complex(monkeypatch, capsys):
+    def refuse(s):
+        raise AssertionError("gen --format dot built the arc complex")
+
+    monkeypatch.setattr(cli, "arc_complex", refuse)
+    code, out, _ = run(capsys, "gen", "--surface", "polygon", "--n", "6", "--format", "dot")
+    assert code == 0 and out.count(";") == 9 + 21  # nine diagonals, 21 disjoint pairs
+    assert '"d:1-3";' in out and '"d:1-3" -- "d:1-4";' in out
+    code, out, err = run(capsys, "gen", "--surface", "polygon", "--n", "3", "--format", "dot")
+    assert code == 0 and "no nontrivial arcs" in err
+    assert out == "graph arcs {\n}\n"
 
 
 def test_gen_rejects_bad_flags(capsys):
@@ -138,6 +152,16 @@ def test_core_of_mobius_four(tmp_path, capsys):
     trace_data = json.loads(trace_out.read_text())
     assert len(trace_data) == 8
     assert {"removed", "witness"} <= set(trace_data[0])
+
+
+def test_core_to_stdout_is_one_json_document(tmp_path, capsys):
+    src = tmp_path / "m4.json"
+    run(capsys, "gen", "--surface", "mobius", "--n", "4", "--out", str(src))
+    # json.loads fails on any summary line printed after the document
+    code, out, _ = run(capsys, "core", "--in", str(src), "--out", "-")
+    assert code == 0 and len(json.loads(out)["vertices"]) == 14
+    code, out, _ = run(capsys, "core", "--in", str(src), "--trace-out", "-")
+    assert code == 0 and len(json.loads(out)) == 8
 
 
 def test_flip_diameter_of_crown_four(tmp_path, capsys):

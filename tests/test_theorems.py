@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arclab import theorems
+from arclab import simplicial, theorems
 from arclab.arcs import (
     arc_ids,
     b_arc,
@@ -28,6 +28,7 @@ from arclab.simplicial import (
     flag_complex,
     graph_from_rows,
     make_complex,
+    max_cliques,
 )
 from arclab.strong import (
     StrongTrace,
@@ -610,6 +611,47 @@ def test_strip_two_two_is_reported_outside_hypothesis():
     claim = report.claims[0]
     assert claim.status == "info"
     assert "0-sphere" in claim.details["note"]
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 1)])
+def test_a_strip_with_no_arc_reports_the_empty_face(m, n):
+    claim = thm_strip_strong(m, n).claims[0]
+    assert claim.status == "info"
+    assert (claim.details["vertices"], claim.details["facets"], claim.details["dimension"]) == (0, 1, -1)
+
+
+def test_maximal_chains_count_the_maximal_cliques_of_every_strip_up_to_nine():
+    for m, n in itertools.product(range(1, 10), repeat=2):
+        g = disjointness_graph(integral_strip(m, n))
+        # with no vertex the one facet is the empty face, which max_cliques omits
+        assert theorems._maximal_chains(g) == (len(max_cliques(g)) or 1), (m, n)
+
+
+def test_maximal_chains_match_the_lattice_path_count_up_to_twenty():
+    for m, n in itertools.product(range(1, 21), repeat=2):
+        g = disjointness_graph(integral_strip(m, n))
+        assert theorems._maximal_chains(g) == math.comb(m + n - 2, m - 1), (m, n)
+
+
+def test_the_strip_suite_builds_no_facet(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the strip suite built facets")
+
+    # flag_complex reaches max_cliques through the simplicial module
+    for name in ("flag_complex", "max_cliques"):
+        monkeypatch.setattr(simplicial, name, refuse)
+        monkeypatch.setattr(theorems, name, refuse, raising=False)
+    for m, n in [(1, 2), (1, 6), (6, 1), (2, 2), (3, 2), (5, 7)]:
+        assert thm_strip_strong(m, n).all_passed
+
+
+@pytest.mark.parametrize("m,n,message", [(1, 6, "not a simplex"), (6, 1, "not a simplex"),
+                                         (2, 2, "should be a 0-sphere")])
+def test_one_toggled_edge_fails_the_strip_edge_cases(monkeypatch, m, n, message):
+    graph = toggled(disjointness_graph(integral_strip(m, n)), 0, 1)
+    monkeypatch.setattr(theorems, "disjointness_graph", lambda s: graph)
+    with pytest.raises(TheoremError, match=message):
+        thm_strip_strong(m, n)
 
 
 STRIPS = [(m, k - m) for k in range(5, 10) for m in range(2, k - 1)]  # 5 <= m+n <= 9
