@@ -113,6 +113,8 @@ def cmd_collapse(args) -> int:
 
 
 def cmd_core(args) -> int:
+    if args.out == args.trace_out == "-":
+        raise SystemExit("core: --out - and --trace-out - both name stdout; give one of them a file")
     c = _load_complex(args.input)
     terminal, t = core(c, order=args.order, seed=args.seed)
     if args.out:

@@ -360,10 +360,6 @@ class FacetEditor:
         """The facets that contain `face`, in slot order."""
         return [self.slots[i] for i in _bits(self.star_mask(face))]
 
-    def closed_star(self, face: Iterable[int]) -> Complex:
-        """The subcomplex generated by the facets that contain `face`."""
-        return _complex(self.labels, self.containing(face), self.surface)
-
     def delete(self, face: Face) -> None:
         """Remove every face containing the nonempty `face`.
 

@@ -8,7 +8,8 @@ isomorphism, which makes the greedy decision procedure complete.
 On facets, `core`, `verify_strong_trace` and `strong_to_elementary` run on
 one `FacetEditor`: each reads dominating sets off the editor's star index,
 removes a vertex by one `FacetEditor.delete`, and builds a `Complex` only
-for the terminal.
+for the terminal.  `core` serves the command line, which takes any complex;
+the suites convert strong traces with `strong_to_elementary`.
 
 In a flag complex w dominates v iff the closed neighbourhood N[v] lies in
 N[w] (Barmak-Minian 2012; Boissonnat-Pritam 2020), and deleting vertices
@@ -16,8 +17,8 @@ leaves the flag complex of the induced subgraph.  So `graph_dominating_set`
 and `graph_core` read domination off the graph's neighbourhood bitsets and
 an `alive` mask, with no facets built: each distinct (v, N[v] & alive) is
 answered once per graph, by witnesses against candidate dominators
-(`_dominators`).  The crown, inner-Moebius, strip and Moebius-core suites
-run on them.
+(`_dominators`).  Every suite computes its cores with them, the trunk of
+each Moebius-collapse link model included.
 """
 
 from __future__ import annotations
@@ -218,12 +219,6 @@ def graph_core(g: Graph, order: str = "canonical", seed: int = 0,
         alive ^= low
         dominated ^= low
         ask = nbhds[i] & alive
-
-
-def is_strongly_collapsible(c: Complex) -> tuple[bool, StrongTrace]:
-    """True iff the core is a single vertex; also returns the trace found."""
-    terminal, t = core(c)
-    return terminal.n_vertices == 1, t
 
 
 def _replay(editor: FacetEditor, t: StrongTrace) -> Iterator[tuple[int, int]]:

@@ -770,10 +770,16 @@ def only_facet_through(editor, v):
     return through[0] if len(through) == 1 else None
 
 
+def closed_star(editor: FacetEditor, face: Iterable[int]) -> Complex:
+    """The subcomplex generated by the editor's facets that contain `face`."""
+    facets = editor.containing(face)
+    return make_complex({v: editor.labels[v] for v in set().union(*facets)}, facets, editor.surface)
+
+
 def link_apex(editor, v):
     """The strip's witness for v: `is_cone` of the link of v in its closed star
     when that link is one nonempty simplex, else None."""
-    lk = link(editor.closed_star([v]), [v])
+    lk = link(closed_star(editor, [v]), [v])
     return is_cone(lk) if len(lk.facets) == 1 and lk.n_vertices >= 1 else None
 
 

@@ -164,6 +164,16 @@ def test_core_to_stdout_is_one_json_document(tmp_path, capsys):
     assert code == 0 and len(json.loads(out)) == 8
 
 
+def test_core_rejects_both_outputs_on_stdout_before_loading(monkeypatch, capsys):
+    def refuse(path):
+        raise AssertionError("core loaded its input before checking its outputs")
+
+    monkeypatch.setattr(cli, "_load_complex", refuse)
+    code, out, err = run(capsys, "core", "--in", "m4.json", "--out", "-", "--trace-out", "-")
+    assert code == 2 and out == ""
+    assert "both name stdout" in err
+
+
 def test_flip_diameter_of_crown_four(tmp_path, capsys):
     src = tmp_path / "c4.json"
     run(capsys, "gen", "--surface", "crown", "--n", "4", "--out", str(src))

@@ -26,8 +26,8 @@ from arclab.simplicial import (
     link,
     make_complex,
 )
-from arclab.strong import is_strongly_collapsible, strong_to_elementary
-from oracles import apply_collapse, join_lift_trace, point_complex
+from arclab.strong import core, strong_to_elementary
+from oracles import apply_collapse, closed_star, join_lift_trace, point_complex
 
 
 def labeled(facets, offset=0):
@@ -63,7 +63,7 @@ def test_apply_collapse_rejects_non_free():
 
 def test_corrupted_trace_detected(complex_of):
     c = complex_of("mobius", 2)
-    ok, strong = is_strongly_collapsible(c)
+    _, strong = core(c)
     t = strong_to_elementary(c, strong)
     assert verify_trace(c, t).valid
     bad = list(t.steps)
@@ -142,8 +142,8 @@ def test_join_lift_full_collapse_to_factor():
     rng = random.Random(5)
     x = random_complex(rng, range(5))
     y = labeled([[10, 11], [11, 12]])
-    ok, strong = is_strongly_collapsible(y)
-    assert ok
+    terminal, strong = core(y)
+    assert terminal.n_vertices == 1
     t = strong_to_elementary(y, strong)
     lifted = join_lift_trace(x, t)
     verdict = verify_trace(join(x, y), lifted)
@@ -185,8 +185,8 @@ def test_expansion_of_degree_two_sapling():
     sap = saplings_of_degree(s, 2)[0]
     sap_ids = frozenset(ids[a] for a in sap)
     lk = link(current, sap_ids)
-    ok, strong = is_strongly_collapsible(lk)
-    assert ok
+    terminal, strong = core(lk)
+    assert terminal.n_vertices == 1
     expansion = welker_expand(current, sap_ids, strong_to_elementary(lk, strong))
     verdict = verify_trace(current, expansion)
     assert verdict.valid
@@ -298,22 +298,28 @@ def test_euler_characteristic_preserved_along_steps():
 def suite_replays(monkeypatch, n):
     """The steps thm_mobius_collapse(n) stands for, in order, rebuilt
     test-side: each sapling's expansion, `welker_expand` of its mapped model
-    trace on its star in the suite's editor, then the tail the suite
-    replays on its editor.  Each sapling's face deletion is also checked to
-    leave the facets that replaying its expansion on a copy of the editor
-    leaves.  Returns the editors the tail replays on, the steps, the
-    saplings compared and the report."""
+    trace on its star in the suite's editor, then the tail, the mapped model
+    trace of the empty sapling, whose link is what the rounds leave.  Each
+    sapling's face deletion is also checked to leave the facets that
+    replaying its expansion on a copy of the editor leaves.  Returns the
+    facets the rounds leave, the steps, the saplings compared and the
+    report."""
     from arclab import theorems
     from arclab.collapse import replay
     from arclab.simplicial import FacetEditor
     from test_theorems import sapling_link_trace
 
-    editors, steps, compared, pending, models = [], [], [], {}, {}
+    remainders, steps, compared, pending, models = [], [], [], {}, {}
     check = theorems._sapling_link_length
 
     def mapping(s, link_facets, sap, ids, suite_models):
         length = check(s, link_facets, sap, ids, suite_models)
-        pending[frozenset(ids[a] for a in sap)] = sapling_link_trace(s, sap, ids, models)
+        link_trace = sapling_link_trace(s, sap, ids, models)
+        if sap:
+            pending[frozenset(ids[a] for a in sap)] = link_trace
+        else:  # the empty sapling: its link is the editor, and nothing is deleted
+            remainders.append(link_facets)
+            steps.extend(link_trace.steps)
         return length
 
     class ComparingEditor(FacetEditor):
@@ -321,7 +327,7 @@ def suite_replays(monkeypatch, n):
             link_trace = pending.pop(face, None)
             if link_trace is None:
                 return super().delete(face)
-            expansion = welker_expand(self.closed_star(face), face, link_trace)
+            expansion = welker_expand(closed_star(self, face), face, link_trace)
             expanded = self.copy()
             assert replay(expanded, expansion) is None
             super().delete(face)
@@ -329,17 +335,11 @@ def suite_replays(monkeypatch, n):
             steps.extend(expansion.steps)
             compared.append(face)
 
-    def recording(editor, t):
-        editors.append(editor)
-        steps.extend(t.steps)
-        return replay(editor, t)
-
     monkeypatch.setattr(theorems, "_sapling_link_length", mapping)
     monkeypatch.setattr(theorems, "FacetEditor", ComparingEditor)
-    monkeypatch.setattr(theorems, "replay", recording)
     report = theorems.thm_mobius_collapse(n)
-    assert not pending
-    return editors, trace(steps), compared, report
+    assert not pending and len(remainders) == 1
+    return remainders[0], trace(steps), compared, report
 
 
 def test_replaying_the_mobius_master_trace_reuses_freed_slots(monkeypatch):
@@ -347,17 +347,20 @@ def test_replaying_the_mobius_master_trace_reuses_freed_slots(monkeypatch):
     past the most facets live at once over the steps the suite stands for."""
     from arclab.simplicial import FacetEditor
 
-    editors, master, _, _ = suite_replays(monkeypatch, 4)
+    remainder, master, _, _ = suite_replays(monkeypatch, 4)
     full = arc_complex(mobius_crown(4))
     editor = FacetEditor(full)
     most_live = len(full.facets)
+    reached = False
     for free, _ in master.steps:
+        reached |= set(editor.facets()) == remainder
         editor.delete(free)
         most_live = max(most_live, len(editor.facets()))
         assert len(editor.slots) <= most_live
     assert len(master) > 100 and len(editor.facets()) == 1
-    # the suite replays its tail on one editor, which ends where this one does
-    assert len(editors) == 1 and editors[0].facets() == editor.facets()
+    # the suite checks what its rounds leave, the inner complex, as the
+    # empty sapling's link, and the master trace passes through it
+    assert remainder == set(inner_complex(mobius_crown(4)).facets) and reached
 
 
 @pytest.mark.parametrize("n", range(1, 6))

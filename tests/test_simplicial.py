@@ -287,7 +287,7 @@ def test_join_pentagon_complex_with_point_f_vector(complex_of):
 
 
 def test_join_of_strongly_collapsible_factors_is_strongly_collapsible(complex_of):
-    from arclab.strong import is_strongly_collapsible
+    from arclab.strong import core
 
     a = complex_of("crown", 3)
     b = arc_complex(crown(2))
@@ -295,8 +295,8 @@ def test_join_of_strongly_collapsible_factors_is_strongly_collapsible(complex_of
         {v + 100: "b" + l for v, l in b.vertex_labels},
         [[v + 100 for v in f] for f in b.facets],
     )
-    assert is_strongly_collapsible(a)[0] and is_strongly_collapsible(shifted)[0]
-    assert is_strongly_collapsible(join(a, shifted))[0]
+    assert core(a)[0].n_vertices == core(shifted)[0].n_vertices == 1
+    assert core(join(a, shifted))[0].n_vertices == 1
 
 
 @settings(max_examples=60, deadline=None)

@@ -23,7 +23,6 @@ from arclab.strong import (
     dominating_set,
     graph_core,
     graph_dominating_set,
-    is_strongly_collapsible,
     strong_to_elementary,
     verify_strong_trace,
 )
@@ -249,15 +248,15 @@ def test_graph_dominating_set_rejects_a_dead_vertex():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_crowns_strongly_collapsible(n, complex_of):
-    assert is_strongly_collapsible(complex_of("crown", n))[0]
+    assert core(complex_of("crown", n))[0].n_vertices == 1
 
 @pytest.mark.parametrize("n", (4, 5))
 def test_mobius_full_not_strongly_collapsible(n, complex_of):
-    assert not is_strongly_collapsible(complex_of("mobius", n))[0]
+    assert core(complex_of("mobius", n))[0].n_vertices > 1
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_inner_mobius_strongly_collapsible(n, complex_of):
-    assert is_strongly_collapsible(complex_of("inner-mobius", n))[0]
+    assert core(complex_of("inner-mobius", n))[0].n_vertices == 1
 
 # --- elementary conversion ---------------------------------------------------------
 
@@ -269,16 +268,16 @@ def test_edge_conversion():
 
 def test_mobius_two_strong_trace_converts_to_point(complex_of):
     c = complex_of("mobius", 2)
-    ok, t = is_strongly_collapsible(c)
-    assert ok
+    terminal, t = core(c)
+    assert terminal.n_vertices == 1
     elem = strong_to_elementary(c, t)
     verdict = verify_trace(c, elem)
     assert verdict.valid and verdict.terminal.n_vertices == 1
 
 def test_crown_schedule_converts_to_full_collapse(complex_of):
     c = complex_of("crown", 4)
-    ok, t = is_strongly_collapsible(c)
-    assert ok
+    terminal, t = core(c)
+    assert terminal.n_vertices == 1
     verdict = verify_trace(c, strong_to_elementary(c, t))
     assert verdict.valid and verdict.terminal.n_vertices == 1
 

@@ -267,7 +267,8 @@ def sapling_links(monkeypatch, n):
     """(surface, link, sapling, ids, link trace) for every sapling
     thm_mobius_collapse(n) deletes, as the suite finds them, after each has
     passed the suite's check; the link trace is `sapling_link_trace`'s, and
-    the suite counts its length."""
+    the suite counts its length.  The last is the empty sapling, whose link
+    is what the rounds leave and whose trace is the suite's tail."""
     seen, models = [], {}
     check = theorems._sapling_link_length
 
@@ -282,7 +283,8 @@ def sapling_links(monkeypatch, n):
     monkeypatch.setattr(theorems, "_sapling_link_length", recording)
     report = thm_mobius_collapse(n)
     monkeypatch.undo()
-    assert len(seen) == sum(report.claims[0].details["rounds"])
+    assert len(seen) == sum(report.claims[0].details["rounds"]) + 1
+    assert seen[-1][2] == ()
     return seen
 
 
@@ -316,8 +318,10 @@ def test_each_sapling_model_is_built_once_per_call(monkeypatch):
         built.clear(), models.clear(), replays.clear()
         assert thm_mobius_collapse(5).all_passed
         assert len(built) == len(set(built)) > 2
-        # one model per (sorted wrap lengths, trunk degree), each replayed once
-        assert len(models) == len(set(models)) == len(replays) == 6
+        # one model per (sorted wrap lengths, trunk degree), each replayed
+        # once; the last is the empty sapling's, the inner complex
+        assert len(models) == len(set(models)) == len(replays) == 7
+        assert models[-1] == ((), 5)
 
 
 def two_arc_sapling_link(monkeypatch):
@@ -328,21 +332,24 @@ def two_arc_sapling_link(monkeypatch):
 
 
 def test_a_link_with_a_facet_dropped_or_added_fails_naming_the_sapling(monkeypatch):
-    s, L, sap, ids = two_arc_sapling_link(monkeypatch)
-    labels = L.labels
-    kept = L.facets[1:]
-    dropped = make_complex({v: labels[v] for v in set().union(*kept)}, kept)
-    stray = min(set(ids.values()) - set(labels))  # an arc outside the link
-    added = make_complex({**labels, stray: "stray"}, [*L.facets, [stray]])
-    cached: dict = {}
-    theorems._sapling_link_length(s, set(L.facets), sap, ids, cached)
-    for changed in (dropped, added):
-        for models in ({}, cached):  # whether or not the sapling's model is cached
-            with pytest.raises(TheoremError) as caught:
-                theorems._sapling_link_length(s, set(changed.facets), sap, ids, models)
-            assert "link is not the join" in str(caught.value)
-            assert caught.value.details["sapling"] == [b.label() for b in sap]
-        assert not factorwise_sapling_link_check(s, changed, sap, ids)
+    links = [x[:4] for x in sapling_links(monkeypatch, 4)]
+    two_arc = next(x for x in links if len(x[2]) == 2)
+    remainder = links[-1]  # the empty sapling's link: what the rounds leave
+    for s, L, sap, ids in (two_arc, remainder):
+        labels = L.labels
+        kept = L.facets[1:]
+        dropped = make_complex({v: labels[v] for v in set().union(*kept)}, kept)
+        stray = min(set(ids.values()) - set(labels))  # an arc outside the link
+        added = make_complex({**labels, stray: "stray"}, [*L.facets, [stray]])
+        cached: dict = {}
+        theorems._sapling_link_length(s, set(L.facets), sap, ids, cached)
+        for changed in (dropped, added):
+            for models in ({}, cached):  # whether or not the sapling's model is cached
+                with pytest.raises(TheoremError) as caught:
+                    theorems._sapling_link_length(s, set(changed.facets), sap, ids, models)
+                assert "link is not the join" in str(caught.value)
+                assert caught.value.details["sapling"] == [b.label() for b in sap]
+            assert not factorwise_sapling_link_check(s, changed, sap, ids)
 
 
 def test_a_trunk_map_shifted_by_one_fails_naming_the_sapling(monkeypatch):
@@ -358,7 +365,7 @@ def test_a_trunk_map_shifted_by_one_fails_naming_the_sapling(monkeypatch):
         assert caught.value.details["sapling"] == [b.label() for b in sap]
 
 
-@pytest.mark.parametrize("key", [((2,), 3), ((2, 2), 2), ((3,), 2), ((2, 3), 2)])
+@pytest.mark.parametrize("key", [((2,), 3), ((2, 2), 2), ((3,), 2), ((2, 3), 2), ((), 4)])
 def test_a_model_trace_with_a_step_dropped_or_altered_fails_naming_the_model(monkeypatch, key):
     _, t = theorems._link_model(key, {})
     convert = theorems.strong_to_elementary
