@@ -1,9 +1,11 @@
 """Arc complexes of the four surfaces, as flag complexes of disjointness.
 
-The disjointness graph is built from bitset rows, one family rule each,
+The disjointness graph is its bitset rows, built by one family rule each
 instead of testing every pair of arcs: the rows are the closed
 neighbourhoods over positions in `enumerate_arcs(s)`, which are the arc
-ids.  `tests/oracles.py` keeps the pair test as the check of every rule.
+ids, and they are the `Graph` itself.  Every complex here is the flag
+complex of those rows or of a restriction of them.  `tests/oracles.py`
+keeps the pair test as the check of every rule.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .arcs import (
     validate_arc,
     wrap_length,
 )
-from .simplicial import Complex, Graph, flag_complex, graph_from_rows
+from .simplicial import Complex, Graph, flag_complex
 
 
 def _classes(n: int, keys) -> list[int]:
@@ -156,7 +158,7 @@ def _rows(s: SurfaceSpec, arcs: list[Arc]) -> list[int]:
 def disjointness_graph(s: SurfaceSpec) -> Graph:
     """Graph on canonical arc ids with edges between disjoint classes."""
     arcs = enumerate_arcs(s)
-    return graph_from_rows(range(len(arcs)), _rows(s, arcs))
+    return Graph(tuple(range(len(arcs))), tuple(_rows(s, arcs)))
 
 
 def _labels(arcs: list[Arc]) -> dict[int, str]:
@@ -165,8 +167,7 @@ def _labels(arcs: list[Arc]) -> dict[int, str]:
 
 def arc_complex(s: SurfaceSpec) -> Complex:
     """Full arc complex of s: faces are pairwise-disjoint arc collections."""
-    arcs = enumerate_arcs(s)
-    return flag_complex(graph_from_rows(range(len(arcs)), _rows(s, arcs)), _labels(arcs), s)
+    return flag_complex(disjointness_graph(s), _labels(enumerate_arcs(s)), s)
 
 
 def inner_complex(s: SurfaceSpec) -> Complex:
@@ -175,8 +176,8 @@ def inner_complex(s: SurfaceSpec) -> Complex:
         raise ValueError("inner complexes are defined for crowns")
     arcs = enumerate_arcs(s)
     c = sum(a.kind != B_ARC for a in arcs)  # the c-arcs come first
-    rows = [row & (1 << c) - 1 for row in _rows(s, arcs)[:c]]
-    return flag_complex(graph_from_rows(range(c), rows), _labels(arcs[:c]), s)
+    rows = tuple(row & (1 << c) - 1 for row in _rows(s, arcs)[:c])
+    return flag_complex(Graph(tuple(range(c)), rows), _labels(arcs[:c]), s)
 
 
 def induced_arc_complex(s: SurfaceSpec, graph: Graph, removed_ids) -> Complex:
@@ -184,11 +185,14 @@ def induced_arc_complex(s: SurfaceSpec, graph: Graph, removed_ids) -> Complex:
 
     `graph` is `disjointness_graph(s)`.  Vertex deletions of a flag complex
     are the flag complex of the induced graph, so this is equivalent to
-    iterated `vertex_deletion` but is built from the restricted graph.
+    iterated `vertex_deletion` but is built from the restricted graph: the
+    kept rows, renumbered to the kept positions.
     """
     removed = frozenset(removed_ids)
-    induced = Graph(
-        tuple(v for v in graph.vertices if v not in removed),
-        tuple((u, v) for u, v in graph.edges if u not in removed and v not in removed),
+    kept = [i for i, v in enumerate(graph.vertices) if v not in removed]
+    rows = tuple(
+        sum(1 << k for k, j in enumerate(kept) if graph.closed_neighbourhoods[i] >> j & 1)
+        for i in kept
     )
+    induced = Graph(tuple(graph.vertices[i] for i in kept), rows)
     return flag_complex(induced, _labels(enumerate_arcs(s)), s)

@@ -66,7 +66,7 @@ def cmd_gen(args) -> int:
         print(f"warning: {s.describe()} has no nontrivial arcs", file=sys.stderr)
     if args.format == "dot":
         labels = {i: a.label() for i, a in enumerate(arcs)}
-        _write(args.out, graph_to_dot(disjointness_graph(s), labels, name="arcs"))
+        _write(args.out, graph_to_dot(disjointness_graph(s), labels))
     else:
         _write(args.out, dumps_canonical(arc_complex(s)))
     return 0

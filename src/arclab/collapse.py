@@ -157,10 +157,6 @@ def welker_expand(c: Complex, face: Iterable[int], link_trace: CollapseTrace) ->
     return trace(steps)
 
 
-def _canonical_state(facets: list[Face]) -> tuple:
-    return tuple(sorted(tuple(sorted(f)) for f in facets))
-
-
 def _codim1_moves(editor: FacetEditor) -> list[Pair]:
     moves: list[Pair] = []
     for i, facet in enumerate(editor.slots):
@@ -204,7 +200,7 @@ def is_collapsible(c: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult:
         return SearchResult(DISPROVEN)
 
     root = FacetEditor(c)
-    seen = {_canonical_state(root.facets())}
+    seen = {frozenset(root.facets())}  # states, keyed by their facet sets
     nodes = 1
     if nodes >= budget:
         return SearchResult(INCONCLUSIVE, nodes=nodes)
@@ -215,7 +211,7 @@ def is_collapsible(c: Complex, budget: int = DEFAULT_BUDGET) -> SearchResult:
             facets = child.facets()
             if _is_point(facets):
                 return SearchResult(PROVEN, trace(path + [move]), nodes)
-            key = _canonical_state(facets)
+            key = frozenset(facets)
             if key in seen:
                 continue
             seen.add(key)

@@ -5,8 +5,10 @@ text labels) plus the antichain of maximal faces.  Star queries go through
 one index, `Complex.stars`, built on first use: each vertex maps to the
 bitset of the facets that contain it.  The facets across each ridge, and
 the facet adjacency, are read off that index and cached on the complex as
-well.  A flag complex keeps its graph, and counts its faces as the graph's
-cliques; any other complex counts them on `stars`.
+well.  A `Graph` is its closed-neighbourhood bitsets, one row per vertex;
+its sorted edges are read off the rows on demand.  A flag complex keeps
+its graph, and counts its faces as the graph's cliques; any other complex
+counts them on `stars`.
 `FacetEditor` is the one mutable form, used for face deletions and
 collapse replays.  Other face queries enumerate on demand.  The complex
 with no vertices is represented by the single maximal face {} so that
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from operator import and_
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from .arcs import SurfaceSpec
 
@@ -32,24 +34,27 @@ EMPTY_FACE: Face = frozenset()
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on integer vertex ids."""
+    """Simple undirected graph on integer vertex ids, stored as its closed neighbourhoods.
+
+    closed_neighbourhoods[i] is the bitset of the positions of vertices[i]
+    and its neighbours: it holds bit i and is symmetric with the others.
+    Bits index positions in `vertices`, so any integer ids work.
+    """
 
     vertices: tuple[int, ...]  # sorted
-    edges: tuple[tuple[int, int], ...]  # each sorted, no loops, no repeats
+    closed_neighbourhoods: tuple[int, ...]
 
-    @cached_property
-    def closed_neighbourhoods(self) -> tuple[int, ...]:
-        """Position i -> bitset of the positions of vertices[i] and its neighbours.
-
-        Bits index positions in `vertices`, so any integer ids work.  Not a
-        field, so equality and hashing ignore it.
-        """
-        position = {v: i for i, v in enumerate(self.vertices)}
-        nbhds = [1 << i for i in range(len(self.vertices))]
-        for u, v in self.edges:
-            nbhds[position[u]] |= 1 << position[v]
-            nbhds[position[v]] |= 1 << position[u]
-        return tuple(nbhds)
+    @property
+    def edges(self) -> list[tuple[int, int]]:
+        """The sorted vertex pairs, read off the bits above each row's own."""
+        vs, edges = self.vertices, []
+        for i, u in enumerate(vs):
+            above = self.closed_neighbourhoods[i] >> i + 1
+            while above:
+                low = above & -above
+                edges.append((u, vs[i + low.bit_length()]))
+                above ^= low
+        return edges
 
     @cached_property
     def dominating_sets(self) -> dict[tuple[int, int], int]:
@@ -58,26 +63,6 @@ class Graph:
         Not a field, so equality and hashing ignore it.
         """
         return {}
-
-
-def graph_from_rows(vertices: Iterable[int], rows: Sequence[int]) -> Graph:
-    """The graph on the sorted `vertices` whose closed neighbourhoods are `rows`.
-
-    rows[i] is a bitset over positions that holds bit i and is symmetric
-    with the others.  The edges are read off the bits above each row's own,
-    so they come out sorted, and the rows become `closed_neighbourhoods`.
-    """
-    vs = tuple(vertices)
-    edges = []
-    for i, u in enumerate(vs):
-        above = rows[i] >> i + 1
-        while above:
-            low = above & -above
-            edges.append((u, vs[i + low.bit_length()]))
-            above ^= low
-    g = Graph(vs, tuple(edges))
-    vars(g)["closed_neighbourhoods"] = tuple(rows)  # fills the cached property
-    return g
 
 
 @dataclass(frozen=True)
@@ -441,7 +426,7 @@ def dual_graph(c: Complex) -> Graph:
     """Facet adjacency along shared codimension-one faces (pure input)."""
     if not is_pure(c):
         raise ValueError("dual graph requires a pure complex")
-    return graph_from_rows(range(len(c.facets)), c.facet_adjacency)
+    return Graph(tuple(range(len(c.facets))), c.facet_adjacency)
 
 
 # --- isomorphism (desk scale) ------------------------------------------------
@@ -552,6 +537,8 @@ def complex_from_json(d: dict) -> Complex:
     for key in ("vertices", "facets"):
         if key not in d:
             raise ValueError(f"complex: missing field {key!r}")
+        if not isinstance(d[key], list):
+            raise ValueError(f"complex: {key} must be a list")
     labels: dict[int, str] = {}
     for i, entry in enumerate(d["vertices"]):
         if (
@@ -564,8 +551,8 @@ def complex_from_json(d: dict) -> Complex:
             raise ValueError(f"vertices[{i}]: duplicate id {entry['id']}")
         labels[entry["id"]] = entry["label"]
     for i, f in enumerate(d["facets"]):
-        if not isinstance(f, list) or not all(_is_int(v) for v in f):
-            raise ValueError(f"facets[{i}]: expected a list of vertex ids")
+        if not isinstance(f, list) or not all(_is_int(v) for v in f) or len(set(f)) < len(f):
+            raise ValueError(f"facets[{i}]: expected a list of distinct vertex ids")
         unknown = set(f) - set(labels)
         if unknown:
             raise ValueError(f"facets[{i}]: unknown vertex ids {sorted(unknown)}")
@@ -582,12 +569,12 @@ def loads_complex(text: str) -> Complex:
     return complex_from_json(json.loads(text))
 
 
-def graph_to_dot(g: Graph, labels: Mapping[int, str] | None = None, name: str = "arcs") -> str:
+def graph_to_dot(g: Graph, labels: Mapping[int, str] | None = None) -> str:
     def fmt(v: int) -> str:
         text = labels[v] if labels else str(v)
         return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
-    lines = [f"graph {name} {{"]
+    lines = ["graph arcs {"]
     lines.extend(f"  {fmt(v)};" for v in g.vertices)
     lines.extend(f"  {fmt(u)} -- {fmt(v)};" for u, v in g.edges)
     lines.append("}")

@@ -53,7 +53,6 @@ from .simplicial import (
     _complex,
     dimension,
     euler_characteristic,
-    is_cone,
 )
 from .strong import (
     StrongTrace,
@@ -667,7 +666,7 @@ def thm_strip_strong(m: int, n: int) -> Report:
         point = graph_core(graph)[0].bit_count() == 1
         _require(not point, STRIP_CLAIM, "the (2,2) strip should be a 0-sphere", m=m, n=n)
         _require(
-            vertices == 2 and not graph.edges,
+            graph.closed_neighbourhoods == (1, 2),
             STRIP_CLAIM,
             "the (2,2) strip is not two isolated points",
             m=m,
@@ -779,7 +778,11 @@ def structural_propositions() -> Report:
     """Order-free structural facts feeding the core obstruction."""
     report = Report()
     for n in range(4, 7):
-        apex = is_cone(inner_complex(mobius_crown(n)))
+        # a flag complex is a cone over v iff N[v] holds every vertex
+        s = mobius_crown(n)
+        everything = (1 << sum(a.kind == "cc" for a in enumerate_arcs(s))) - 1  # c-arcs first
+        rows = disjointness_graph(s).closed_neighbourhoods
+        apex = next((v for v in _bits(everything) if rows[v] & everything == everything), None)
         report.add("inner-mobius-not-a-cone", "inner-mobius-no-apex", n,
                    "pass" if apex is None else "fail", apex=apex)
     for n in range(2, 7):

@@ -873,7 +873,12 @@ def make_graph(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> Gra
         if u not in vset or v not in vset:
             raise ValueError(f"edge ({u},{v}) uses an undeclared vertex")
         es.add((min(u, v), max(u, v)))
-    return Graph(vs, tuple(sorted(es)))
+    position = {v: i for i, v in enumerate(vs)}
+    rows = [1 << i for i in range(len(vs))]
+    for u, v in es:
+        rows[position[u]] |= 1 << position[v]
+        rows[position[v]] |= 1 << position[u]
+    return Graph(vs, tuple(rows))
 
 
 def point_complex(v: int, label: str) -> Complex:

@@ -103,6 +103,9 @@ def test_check_rejects_malformed_file(tmp_path, capsys):
     ('{"vertices": [{"id": true, "label": "a"}], "facets": [[true]]}', "vertices[0]"),
     ('{"surface": {"family": "strip", "n": 3}, "vertices": [{"id": 0, "label": "a"}],'
      ' "facets": [[0]]}', "strip needs"),
+    ('{"vertices": 5, "facets": []}', "vertices must be a list"),
+    ('{"vertices": [], "facets": 7}', "facets must be a list"),
+    ('{"vertices": [{"id": 0, "label": "a"}], "facets": [[0, 0]]}', "distinct vertex ids"),
 ])
 def test_check_rejects_coerced_input(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.json"

@@ -3,7 +3,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arclab.arcs import crown, integral_strip, mobius_crown, polygon
@@ -147,6 +147,28 @@ def test_max_cliques_matches_naive_enumeration_once_each(g):
     cliques = max_cliques(g)
     assert len(cliques) == len(set(cliques))
     assert set(cliques) == naive_max_cliques(g.vertices, g.edges)
+
+
+@st.composite
+def sparse_edge_lists(draw):
+    """Up to 9 non-contiguous vertex ids and an edge list over them, with repeats
+    and both orientations of a pair."""
+    ids = sorted(draw(st.sets(st.integers(min_value=-20, max_value=60), max_size=9)))
+    if len(ids) < 2:
+        return ids, []
+    pair = st.lists(st.sampled_from(ids), min_size=2, max_size=2, unique=True).map(tuple)
+    return ids, draw(st.lists(pair, max_size=20))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_edge_lists())
+@example(([], []))
+@example(([-3, 5, 40], [(40, -3), (-3, 40)]))  # 5 is isolated
+def test_edges_are_read_off_the_rows_sorted_and_deduplicated(case):
+    ids, es = case
+    g = make_graph(ids, es)
+    assert g.vertices == tuple(ids)
+    assert g.edges == sorted({(min(e), max(e)) for e in es})
 
 
 @st.composite
@@ -640,6 +662,16 @@ def test_json_errors_carry_paths():
         complex_from_json(
             {"vertices": [{"id": 0, "label": "a"}, {"id": 0}], "facets": [[0]]}
         )
+
+
+@pytest.mark.parametrize("d,message", [
+    ({"vertices": 5, "facets": []}, "vertices must be a list"),
+    ({"vertices": [], "facets": 7}, "facets must be a list"),
+    ({"vertices": [{"id": 0, "label": "a"}], "facets": [[0, 0]]}, r"facets\[0\]: .* distinct"),
+])
+def test_json_rejects_non_lists_and_repeated_facet_ids(d, message):
+    with pytest.raises(ValueError, match=message):
+        complex_from_json(d)
 
 
 def test_json_rejects_boolean_vertex_ids():

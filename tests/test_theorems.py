@@ -23,10 +23,10 @@ from arclab.build import arc_complex, disjointness_graph, induced_arc_complex, i
 from arclab.collapse import CollapseTrace, trace, verify_trace
 from arclab.simplicial import (
     FacetEditor,
+    Graph,
     _bits,
     _complex,
     flag_complex,
-    graph_from_rows,
     make_complex,
     max_cliques,
 )
@@ -483,7 +483,7 @@ def toggled(graph, x, y):
     rows = list(graph.closed_neighbourhoods)
     rows[x] ^= 1 << y
     rows[y] ^= 1 << x
-    return graph_from_rows(graph.vertices, rows)
+    return Graph(graph.vertices, tuple(rows))
 
 
 def every_stage_passes_on(n, graph) -> bool:
