@@ -94,6 +94,13 @@ def _mobius_c_rows(n: int, arcs: list[Arc]) -> list[int]:
     return rows
 
 
+def _c_rows(s: SurfaceSpec, c_arcs: list[Arc]) -> list[int]:
+    """The rows of the c-arcs of a crown or Moebius crown among themselves."""
+    if s.family == CROWN:
+        return [(1 << len(c_arcs)) - 1] * len(c_arcs)  # they meet only at the interior point
+    return _mobius_c_rows(s.n, c_arcs)
+
+
 def _crown_rows(s: SurfaceSpec, arcs: list[Arc]) -> list[int]:
     """Rows of a crown or Moebius crown: the c-arcs first, then the b-arcs.
 
@@ -125,10 +132,7 @@ def _crown_rows(s: SurfaceSpec, arcs: list[Arc]) -> list[int]:
         touch[arcs[k].a - 1] |= 1 << k
         touch[arcs[k].b - 1] |= 1 << k
 
-    if s.family == CROWN:
-        rows = [c_mask] * c  # crown c-arcs meet only at the interior point
-    else:
-        rows = _mobius_c_rows(n, arcs[:c])
+    rows = _c_rows(s, arcs[:c])
     for k in range(c):
         rows[k] |= b_mask & ~(inside[arcs[k].a - 1] | inside[arcs[k].b - 1])
     for k, side in zip(range(c, len(arcs)), sides):
@@ -176,8 +180,7 @@ def inner_complex(s: SurfaceSpec) -> Complex:
         raise ValueError("inner complexes are defined for crowns")
     arcs = enumerate_arcs(s)
     c = sum(a.kind != B_ARC for a in arcs)  # the c-arcs come first
-    rows = tuple(row & (1 << c) - 1 for row in _rows(s, arcs)[:c])
-    return flag_complex(Graph(tuple(range(c)), rows), _labels(arcs[:c]), s)
+    return flag_complex(Graph(tuple(range(c)), tuple(_c_rows(s, arcs[:c]))), _labels(arcs[:c]), s)
 
 
 def induced_arc_complex(s: SurfaceSpec, graph: Graph, removed_ids) -> Complex:

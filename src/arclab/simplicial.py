@@ -634,8 +634,9 @@ def _bits(mask: int):
         mask ^= low
 
 
-def clique_counts(g: Graph) -> tuple[int, ...]:
-    """Number of cliques of g with k + 1 vertices at position k.
+def clique_counts(g: Graph, within: int | None = None) -> tuple[int, ...]:
+    """Number of cliques of g with k + 1 vertices at position k, among the
+    positions in `within` (default: all).
 
     One depth-first search over the neighbourhood bitsets.  A clique grows
     only by common neighbours above its highest vertex, so each clique is
@@ -655,7 +656,7 @@ def clique_counts(g: Graph) -> tuple[int, ...]:
             if more := candidates & up[low.bit_length() - 1]:
                 grow(more, k)
 
-    grow((1 << len(up)) - 1, 0)
+    grow((1 << len(up)) - 1 if within is None else within, 0)
     del grow  # the closure holds grow: a cycle, as in max_cliques
     return tuple(counts[: counts.index(0)])
 

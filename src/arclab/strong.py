@@ -8,8 +8,10 @@ isomorphism, which makes the greedy decision procedure complete.
 On facets, `core`, `verify_strong_trace` and `strong_to_elementary` run on
 one `FacetEditor`: each reads dominating sets off the editor's star index,
 removes a vertex by one `FacetEditor.delete`, and builds a `Complex` only
-for the terminal.  `core` serves the command line, which takes any complex;
-the suites convert strong traces with `strong_to_elementary`.
+for the terminal.  `core` serves the command line, which takes any complex.
+`strong_to_elementary` is the construction behind the Moebius collapse's
+trace lengths: the suite counts the faces it would pair on the graph, and
+the tests replay it on the link models.
 
 In a flag complex w dominates v iff the closed neighbourhood N[v] lies in
 N[w] (Barmak-Minian 2012; Boissonnat-Pritam 2020), and deleting vertices

@@ -5,11 +5,13 @@ and named witnesses included) on the actual complexes and cross-checks the
 outcome against order-free computations (cores, searches, certificates).
 Witness identity is part of the reproduced claim: when a named witness
 fails, the suite fails loudly and reports the actual dominating set.
-The strong-collapse suites replay on the disjointness graph and an alive
-mask, since their complexes are flag complexes, and every order-free core
-is a `graph_core`.  The Moebius collapse verifies each link model's
-collapse once and face-deletes the saplings on a `FacetEditor`; the inner
-complex the rounds leave is checked as the model of the empty sapling.
+Every arc complex is a flag complex, so the collapse suites run on the
+disjointness graph and bitset masks, and every order-free core is a
+`graph_core`.  In the Moebius collapse the link of a sapling sigma is the
+flag complex on V_sigma, its common neighbours v with sigma + v still a
+face, when every earlier sapling has a vertex outside sigma + V_sigma; it
+is compared row for row with its model, the graph join of its tiles and
+trunk, whose elementary trace is counted, not built.
 """
 
 from __future__ import annotations
@@ -44,23 +46,16 @@ from .arcs import (
 )
 from .build import arc_complex, disjointness_graph, inner_complex
 from .certify import certify, flip_graph, graph_diameter
-from .collapse import CollapseTrace, verify_trace
 from .simplicial import (
     Complex,
-    FacetEditor,
     Graph,
     _bits,
-    _complex,
+    clique_counts,
     dimension,
     euler_characteristic,
+    max_cliques,
 )
-from .strong import (
-    StrongTrace,
-    _dominators,
-    graph_core,
-    graph_dominating_set,
-    strong_to_elementary,
-)
+from .strong import StrongTrace, _dominators, graph_core, graph_dominating_set
 
 
 class TheoremError(AssertionError):
@@ -251,22 +246,22 @@ def thm_inner_mobius(n: int) -> Report:
 MOBIUS_COLLAPSE_CLAIM = "mobius-collapse"
 
 
-def _tile(W: int, models: dict) -> tuple[Complex, list[Arc]]:
-    """polygon(W+1)'s arc complex and its diagonals, built once per `models` dict."""
+def _tile(W: int, models: dict) -> tuple[Graph, list[Arc]]:
+    """polygon(W+1)'s disjointness graph and its diagonals, built once per `models` dict."""
     if ("tile", W) not in models:
         tile = polygon(W + 1)
-        models["tile", W] = arc_complex(tile), enumerate_arcs(tile)
+        models["tile", W] = disjointness_graph(tile), enumerate_arcs(tile)
     return models["tile", W]
 
 
-def _trunk(deg: int, models: dict) -> tuple[Complex, list[tuple[int, Arc]], tuple[int, StrongTrace]]:
-    """The inner complex of mobius_crown(deg), its c-arcs by id, and the
-    `graph_core` of its graph, built once per `models` dict."""
+def _trunk(deg: int, models: dict) -> tuple[Graph, list[tuple[int, Arc]], tuple[int, StrongTrace]]:
+    """The graph of the inner complex of mobius_crown(deg), its c-arcs by
+    id, and its `graph_core`, built once per `models` dict."""
     if ("trunk", deg) not in models:
         trunk = mobius_crown(deg)
-        inner = inner_complex(trunk)
+        graph = inner_complex(trunk).graph
         c_arcs = [(v, c) for v, c in enumerate(enumerate_arcs(trunk)) if c.kind == "cc"]
-        models["trunk", deg] = inner, c_arcs, graph_core(inner.graph)
+        models["trunk", deg] = graph, c_arcs, graph_core(graph)
     return models["trunk", deg]
 
 
@@ -300,85 +295,91 @@ def _sapling_arc_map(
     return (widths, len(o)), arc_map
 
 
-def _link_model(key: tuple[tuple[int, ...], int], models: dict) -> tuple[Complex, CollapseTrace]:
-    """The model join J of `key` (as `_sapling_arc_map` numbers it), and its
-    collapse to a vertex, verified on J.
+def _link_model(key: tuple[tuple[int, ...], int], models: dict) -> tuple[Graph, StrongTrace, int]:
+    """The graph of the model join J of `key` (as `_sapling_arc_map` numbers
+    it), its strong collapse to a vertex, checked on that graph, and the
+    length of the elementary collapse it stands for.
 
-    J = X * T, X the join of the tiles and T the trunk, collapses strongly.
-    A vertex that u dominates in T is dominated by u in X * T, since every
-    facet of the join through it is x + t with t through it.  T is a flag
-    complex, so its core is `graph_core` of its graph; it leaves the cone
-    X * w, and each tile vertex then goes with witness w.
-    `strong_to_elementary` checks every witness on J, and `verify_trace`
-    replays the elementary trace on J.
+    J = X * T, X the join of the tiles and T the trunk, all flag, is the
+    flag complex of the graph join: each factor's rows at its offset, ORed
+    with every other factor's vertices.  A vertex that u dominates in T is
+    dominated by u in X * T.  T's `graph_core` leaves the cone X * w, and
+    each tile vertex then goes with witness w; `_replay` checks each step.
+    A deletion (v, w) is the elementary collapses v + S -> v + S + w, for S
+    a clique of N(v) - {v, w} among the vertices left, the empty one
+    included (Barmak-Minian 2012; `strong_to_elementary`), so they are
+    counted with `clique_counts`, and no face is built.
     """
     widths, deg = key
     model = [list(widths), deg]
-    factors: list[list[frozenset[int]]] = []
-    labels: dict[int, str] = {}
-    offset = 0
-    for k, W in enumerate(widths):
-        tile, diagonals = _tile(W, models)
-        factors.append([frozenset(offset + v for v in f) for f in tile.facets])
-        labels.update((offset + v, f"{k}.{label}") for v, label in tile.vertex_labels)
-        offset += len(diagonals)
     trunk, _, (left, strong) = _trunk(deg, models)
     _require(left.bit_count() == 1, MOBIUS_COLLAPSE_CLAIM,
              "trunk inner complex is not strongly collapsible", model=model)
-    factors.append([frozenset(offset + v for v in f) for f in trunk.facets])
-    labels.update((offset + v, label) for v, label in trunk.vertex_labels)
-    J = _complex(labels, [frozenset().union(*parts) for parts in itertools.product(*factors)])
-    w = offset + trunk.graph.vertices[left.bit_length() - 1]
-    steps = [(offset + v, offset + u) for v, u in strong.steps]
-    steps += [(x, w) for x in J.vertex_ids if x < offset]
-    try:
-        t = strong_to_elementary(J, StrongTrace(tuple(steps)))
-    except ValueError as exc:
-        raise TheoremError(MOBIUS_COLLAPSE_CLAIM, f"link model witness fails: {exc}",
-                           model=model) from None
-    verdict = verify_trace(J, t)
-    _require(
-        verdict.valid and verdict.terminal.n_vertices == 1,
-        MOBIUS_COLLAPSE_CLAIM,
-        "the model trace does not collapse its join to a vertex",
-        model=model,
-        step=verdict.failed_step,
-        reason=verdict.reason,
-    )
-    return J, t
+    factors = [_tile(W, models)[0].closed_neighbourhoods for W in widths]
+    factors.append(trunk.closed_neighbourhoods)
+    everything = (1 << sum(map(len, factors))) - 1
+    rows: list[int] = []
+    for factor in factors:
+        offset = len(rows)  # ends at the trunk's
+        own = (1 << len(factor)) - 1 << offset
+        rows += [row << offset | everything & ~own for row in factor]
+    J = Graph(tuple(range(len(rows))), tuple(rows))
+    w = offset + left.bit_length() - 1
+    steps = [(offset + v, offset + u) for v, u in strong.steps] + [(x, w) for x in range(offset)]
+    _replay(J, everything, steps, MOBIUS_COLLAPSE_CLAIM, model=model)
+    length, alive = 0, everything
+    for v, u in steps:
+        alive ^= 1 << v
+        length += sum(clique_counts(J, rows[v] & alive & ~(1 << u))) + 1
+    return J, StrongTrace(tuple(steps)), length
 
 
 def _sapling_link_length(
-    s: SurfaceSpec, link_facets: set[frozenset[int]], sap: tuple[Arc, ...],
+    s: SurfaceSpec, graph: Graph, earlier: list[int], sap: tuple[Arc, ...],
     ids: dict[Arc, int], models: dict,
 ) -> int:
-    """Check a sapling's link, given by its facets, against its model join;
-    returns the length of the model's collapse trace.
+    """Check a sapling's link against its model join, on the graph; returns
+    the length of the model's collapse trace.
 
-    The arc map must be injective and carry the model's facets onto
-    `link_facets` exactly; it is then a simplicial isomorphism from the
-    model onto the link, and an isomorphism carries each elementary collapse
-    to one.  So the model's trace, verified once per key and `models` dict,
-    mapped through the arc map collapses the link to a vertex.
-
-    The empty sapling () is checked after the rounds: its link is the whole
-    complex, its key is ((), n) and its arc map is the identity onto the
-    c-arcs, so its model is the inner complex of s and nothing else.
+    Y is the full complex minus every face that holds one of the `earlier`
+    saplings (masks of arc ids), and the sapling sigma is a face of Y.
+    Every face of lk_Y(sigma) lies in V, the common neighbours v of sigma
+    with no earlier s' where s' - sigma = {v}.  A clique tau in V is
+    missing from the link iff sigma + tau holds an earlier s', so then
+    s' - sigma lies in tau: lk_Y(sigma) is the flag complex on V iff every
+    earlier sapling has a vertex outside sigma + V.  The arc map must be a
+    bijection onto V carrying J's rows onto the rows restricted to V; flag
+    complexes are equal iff their graphs are, so it is an isomorphism from
+    the model onto the link, and carries the model's collapse to one of it.
+    The empty sapling () is checked after the rounds: its link is Y, its
+    key ((), n), and its arc map the identity onto the c-arcs, which V must
+    be; its model is the inner complex of s and nothing else.
     """
+    rows = graph.closed_neighbourhoods
+    sigma = sum(1 << ids[b] for b in sap)
+    common = (1 << len(rows)) - 1
+    for u in _bits(sigma):
+        common &= rows[u]
+    V = common & ~sigma
+    for p in earlier:
+        if (d := p & ~sigma) & d - 1 == 0:  # s' - sigma is one vertex
+            V &= ~d
+    sapling = [b.label() for b in sap]
+    _require(all(p & ~(sigma | V) for p in earlier), MOBIUS_COLLAPSE_CLAIM,
+             "an earlier sapling lies in the link's vertex set", sapling=sapling)
     key, arc_map = _sapling_arc_map(s.n, sap, ids, models)
     if key not in models:
-        J, t = _link_model(key, models)
-        models[key] = J.facets, len(t)
-    facets, length = models[key]
-    sapling = [b.label() for b in sap]
-    _require(len(set(arc_map.values())) == len(arc_map), MOBIUS_COLLAPSE_CLAIM,
-             "tile maps are not injective", sapling=sapling)
-    _require(
-        {frozenset(map(arc_map.__getitem__, f)) for f in facets} == link_facets,
-        MOBIUS_COLLAPSE_CLAIM,
-        "link is not the join of its tile complexes under the arc maps",
-        sapling=sapling,
-    )
+        models[key] = _link_model(key, models)
+    J, _, length = models[key]
+    image = [arc_map[x] for x in range(len(arc_map))]
+    onto = set(image)
+    _require(sum(1 << a for a in onto) == V and len(onto) == len(image),
+             MOBIUS_COLLAPSE_CLAIM, "the arc map is not a bijection onto the link's vertices",
+             sapling=sapling)
+    _require(all(sum(1 << image[y] for y in _bits(row)) == rows[a] & V
+                 for a, row in zip(image, J.closed_neighbourhoods)),
+             MOBIUS_COLLAPSE_CLAIM, "link is not the join of its tile complexes under the arc maps",
+             sapling=sapling)
     return length
 
 
@@ -386,76 +387,56 @@ def thm_mobius_collapse(n: int) -> Report:
     """Elementary collapse of the full Moebius-crown complex to a point.
 
     Round d face-deletes every sapling of degree d via its link collapse;
-    no face may contain two saplings of the same round.  The editor Y
-    starts at the full complex.  tau -> tau - sigma maps the faces of Y
-    through a sapling sigma one-to-one onto those of lk(sigma), keeping
-    containment, and every facet through a face that contains sigma lies in
-    its star; so (sigma + a, sigma + b) is a collapse of Y iff (a, b) is one
-    of the link, and a collapse of the link to a vertex w followed by
-    (sigma, sigma + w) leaves the face-deletion of sigma (Welker's link
-    lemma).  Each link is compared facet for facet with the image of its
-    model join under an injective arc map, and each model's collapse is
-    replayed once per call on the model: an isomorphism carries collapses
-    to collapses.  So Y face-deletes each sapling directly, and
-    `trace_length` counts the model trace plus one step per sapling.
-    What round n-1 leaves is checked the same way, as the link of the
-    empty sapling, whose model is the inner complex: Y must equal it facet
-    for facet, and its verified collapse to a vertex ends the trace.
+    no face may contain two saplings of the same round.  Y starts at the
+    full complex.  tau -> tau - sigma maps the faces of Y through a sapling
+    sigma one-to-one onto those of lk(sigma), keeping containment, and
+    every facet through a face that contains sigma lies in its star; so
+    (sigma + a, sigma + b) is a collapse of Y iff (a, b) is one of the link,
+    and a collapse of the link to a vertex w followed by (sigma, sigma + w)
+    leaves the face-deletion of sigma (Welker's link lemma).
+
+    The complex is flag, so Y is the disjointness graph G and the masks of
+    the saplings deleted so far: a face of Y is a clique holding none of
+    them, and a b-arc survives iff it is no one-arc sapling among them.
+    Each link is the flag complex of G on V_sigma (`_sapling_link_length`),
+    the image of its model join, whose collapse is checked once per call on
+    the join's rows (`_link_model`).  So `trace_length` counts the model
+    traces plus one step per sapling, and then the trace of the empty
+    sapling, whose link is what the rounds leave and whose model is the
+    inner complex.  Only `facets`, the maximal cliques of G, builds faces.
     """
     s = mobius_crown(n)
-    full = arc_complex(s)
+    graph = disjointness_graph(s)
     ids = arc_ids(s)
-    Y = FacetEditor(full)
     models: dict = {}  # tiles by wrap length, trunks by degree, model joins by key
+    earlier: list[int] = []  # the masks of the saplings deleted so far
     replayed = 0
     round_sizes: list[int] = []
+
+    def face(mask: int) -> bool:
+        return _simplex(graph, mask) and all(p & ~mask for p in earlier)
+
     for deg in range(1, n):
         saps = saplings_of_degree(s, deg)
         round_sizes.append(len(saps))
-        for s1, s2 in itertools.combinations(saps, 2):
-            union = frozenset(ids[a] for a in s1) | frozenset(ids[a] for a in s2)
-            _require(
-                not Y.star_mask(union),
-                MOBIUS_COLLAPSE_CLAIM,
-                "two same-round saplings span a common face",
-                n=n,
-                degree=deg,
-                pair=[[a.label() for a in s1], [a.label() for a in s2]],
-            )
-        for sap in saps:
-            sap_ids = frozenset(ids[a] for a in sap)
-            _require(
-                Y.star_mask(sap_ids),
-                MOBIUS_COLLAPSE_CLAIM,
-                "predicted sapling is not a face",
-                n=n,
-                degree=deg,
-                sapling=[a.label() for a in sap],
-            )
-            link_facets = {f - sap_ids for f in Y.containing(sap_ids)}
-            replayed += _sapling_link_length(s, link_facets, sap, ids, models) + 1
-            Y.delete(sap_ids)
-        _require(
-            all(
-                wrap_length(a, n) <= n - deg
-                for a in enumerate_arcs(s)
-                if a.kind == "b" and Y.star_mask([ids[a]])
-            ),
-            MOBIUS_COLLAPSE_CLAIM,
-            "a b-arc scheduled for this round survived it",
-            n=n,
-            degree=deg,
-        )
-    replayed += _sapling_link_length(s, set(Y.facets()), (), ids, models)
-    return Report().add(
-        MOBIUS_COLLAPSE_CLAIM,
-        "mobius-collapse-to-point",
-        n,
-        vertices=full.n_vertices,
-        facets=len(full.facets),
-        rounds=round_sizes,
-        trace_length=replayed,
-    )
+        masks = [sum(1 << ids[a] for a in sap) for sap in saps]
+        for (s1, m1), (s2, m2) in itertools.combinations(zip(saps, masks), 2):
+            if face(m1 | m2):  # labels only on failure: the pairs are many
+                pair = [[a.label() for a in s1], [a.label() for a in s2]]
+                raise TheoremError(MOBIUS_COLLAPSE_CLAIM, "two same-round saplings span a common face",
+                                   n=n, degree=deg, pair=pair)
+        for sap, mask in zip(saps, masks):
+            _require(face(mask), MOBIUS_COLLAPSE_CLAIM, "predicted sapling is not a face",
+                     n=n, degree=deg, sapling=[a.label() for a in sap])
+            replayed += _sapling_link_length(s, graph, earlier, sap, ids, models) + 1
+            earlier.append(mask)
+        survivors = [a for a, i in ids.items() if a.kind == "b" and 1 << i not in earlier]
+        _require(all(wrap_length(a, n) <= n - deg for a in survivors), MOBIUS_COLLAPSE_CLAIM,
+                 "a b-arc scheduled for this round survived it", n=n, degree=deg)
+    replayed += _sapling_link_length(s, graph, earlier, (), ids, models)
+    return Report().add(MOBIUS_COLLAPSE_CLAIM, "mobius-collapse-to-point", n,
+                        vertices=len(graph.vertices), facets=len(max_cliques(graph)),
+                        rounds=round_sizes, trace_length=replayed)
 
 
 # --- mobius non-strong-collapsibility ----------------------------------------------

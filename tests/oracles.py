@@ -23,8 +23,10 @@ from arclab.arcs import (
     Arc,
     SurfaceSpec,
     _nested_in,
+    _strictly_inside,
     arc_ids,
     b_arc,
+    b_arc_from_wrap,
     c_arc,
     cc_arc,
     diag,
@@ -34,6 +36,7 @@ from arclab.arcs import (
     loop_c,
     mobius_crown,
     polygon,
+    saplings_of_degree,
     strip_arc,
     validate_arc,
     wrap_length,
@@ -44,6 +47,7 @@ from arclab.simplicial import (
     Complex,
     FacetEditor,
     Graph,
+    _complex,
     facets_containing,
     faces,
     is_cone,
@@ -60,7 +64,9 @@ from arclab.strong import (
     dominated_vertices,
     dominating_set,
     graph_core,
+    strong_to_elementary,
 )
+from arclab.theorems import MOBIUS_COLLAPSE_CLAIM, Report, TheoremError
 
 
 @lru_cache(maxsize=None)
@@ -447,6 +453,149 @@ def factorwise_sapling_link_check(s, L, sap, ids) -> bool:
         and isomorphic(trunk, inner_complex(mobius_crown(deg)))
         and join_all(factors + [trunk]) == L
     )
+
+
+# --- the Moebius collapse on a FacetEditor: the path the graph suite replaced -------
+
+
+def _tile(W: int, models: dict) -> tuple[Complex, list[Arc]]:
+    """polygon(W+1)'s arc complex and its diagonals, built once per `models` dict."""
+    if ("tile", W) not in models:
+        tile = polygon(W + 1)
+        models["tile", W] = arc_complex(tile), enumerate_arcs(tile)
+    return models["tile", W]
+
+
+def _trunk(deg: int, models: dict):
+    """The inner complex of mobius_crown(deg), its c-arcs by id, and the
+    `graph_core` of its graph, built once per `models` dict."""
+    if ("trunk", deg) not in models:
+        trunk = mobius_crown(deg)
+        inner = inner_complex(trunk)
+        c_arcs = [(v, c) for v, c in enumerate(enumerate_arcs(trunk)) if c.kind == CC_ARC]
+        models["trunk", deg] = inner, c_arcs, graph_core(inner.graph)
+    return models["trunk", deg]
+
+
+def sapling_arc_map(n: int, sap: tuple[Arc, ...], ids: dict[Arc, int], models: dict):
+    """The model key of a sapling's link and the arc map from the model's vertices.
+
+    The tile under a sapling arc b spans W = wrap_length(b) boundary edges
+    from p = b.a, and its diagonal d:i-j of polygon(W+1) is the b-arc from
+    p+i-1 spanning j-i edges.  The trunk's boundary vertices o_1 < ... <
+    o_deg are those strictly inside no sapling arc, and cc:i-j of its inner
+    complex is cc(o_i, o_j).  The key is (the sorted wrap lengths, deg); the
+    model's vertices are the tiles' diagonals in sorted-width order, then
+    the trunk's c-arcs, each factor at its offset.
+    """
+    tiles = sorted(sap, key=lambda b: wrap_length(b, n))
+    widths = tuple(wrap_length(b, n) for b in tiles)
+    arc_map: dict[int, int] = {}
+    for b, W in zip(tiles, widths):
+        offset, diagonals = len(arc_map), _tile(W, models)[1]
+        arc_map.update(
+            (offset + v, ids[b_arc_from_wrap((b.a + d.a - 2) % n + 1, d.b - d.a, n)])
+            for v, d in enumerate(diagonals)
+        )
+    o = [v for v in range(1, n + 1) if not any(_strictly_inside(n, v, b) for b in sap)]
+    offset, c_arcs = len(arc_map), _trunk(len(o), models)[1]
+    arc_map.update((offset + v, ids[cc_arc(o[c.a - 1], o[c.b - 1])]) for v, c in c_arcs)
+    return (widths, len(o)), arc_map
+
+
+def link_model(key, models: dict):
+    """The model join J of `key` as a `Complex` built from the factors' facets,
+    and its elementary collapse to a vertex, verified on J: the trunk's
+    `graph_core`, then every tile vertex onto the trunk's last vertex w, each
+    converted by `strong_to_elementary` and replayed by `verify_trace`."""
+    widths, deg = key
+    model = [list(widths), deg]
+    factors: list[list[frozenset[int]]] = []
+    labels: dict[int, str] = {}
+    offset = 0
+    for k, W in enumerate(widths):
+        tile, diagonals = _tile(W, models)
+        factors.append([frozenset(offset + v for v in f) for f in tile.facets])
+        labels.update((offset + v, f"{k}.{label}") for v, label in tile.vertex_labels)
+        offset += len(diagonals)
+    trunk, _, (left, strong) = _trunk(deg, models)
+    if left.bit_count() != 1:
+        raise TheoremError(MOBIUS_COLLAPSE_CLAIM, "trunk inner complex is not strongly collapsible",
+                           model=model)
+    factors.append([frozenset(offset + v for v in f) for f in trunk.facets])
+    labels.update((offset + v, label) for v, label in trunk.vertex_labels)
+    J = _complex(labels, [frozenset().union(*parts) for parts in itertools.product(*factors)])
+    w = offset + trunk.graph.vertices[left.bit_length() - 1]
+    steps = [(offset + v, offset + u) for v, u in strong.steps]
+    steps += [(x, w) for x in J.vertex_ids if x < offset]
+    try:
+        t = strong_to_elementary(J, StrongTrace(tuple(steps)))
+    except ValueError as exc:
+        raise TheoremError(MOBIUS_COLLAPSE_CLAIM, f"link model witness fails: {exc}",
+                           model=model) from None
+    verdict = verify_trace(J, t)
+    if not (verdict.valid and verdict.terminal.n_vertices == 1):
+        raise TheoremError(MOBIUS_COLLAPSE_CLAIM, "the model trace does not collapse its join to a vertex",
+                           model=model, step=verdict.failed_step, reason=verdict.reason)
+    return J, t
+
+
+def sapling_link_length(s, link_facets: set, sap: tuple[Arc, ...], ids: dict[Arc, int],
+                        models: dict) -> int:
+    """Check a sapling's link, given by its facets, against its model join;
+    returns the length of the model's collapse trace.  The arc map must be
+    injective and carry the model's facets onto `link_facets` exactly."""
+    key, arc_map = sapling_arc_map(s.n, sap, ids, models)
+    if key not in models:
+        J, t = link_model(key, models)
+        models[key] = J.facets, len(t)
+    facets, length = models[key]
+    sapling = [b.label() for b in sap]
+    if len(set(arc_map.values())) != len(arc_map):
+        raise TheoremError(MOBIUS_COLLAPSE_CLAIM, "tile maps are not injective", sapling=sapling)
+    if {frozenset(map(arc_map.__getitem__, f)) for f in facets} != link_facets:
+        raise TheoremError(MOBIUS_COLLAPSE_CLAIM,
+                           "link is not the join of its tile complexes under the arc maps",
+                           sapling=sapling)
+    return length
+
+
+def editor_mobius_collapse(n: int) -> Report:
+    """`thm_mobius_collapse` on the full complex's facets: a `FacetEditor`
+    face-deletes each sapling after checking its link facet for facet against
+    its model join, and what the rounds leave is checked the same way, as
+    the empty sapling's link.  Same details as the suite."""
+    s = mobius_crown(n)
+    full = arc_complex(s)
+    ids = arc_ids(s)
+    Y = FacetEditor(full)
+    models: dict = {}
+    replayed = 0
+    round_sizes: list[int] = []
+    for deg in range(1, n):
+        saps = saplings_of_degree(s, deg)
+        round_sizes.append(len(saps))
+        for s1, s2 in itertools.combinations(saps, 2):
+            union = frozenset(ids[a] for a in s1) | frozenset(ids[a] for a in s2)
+            if Y.star_mask(union):
+                raise TheoremError(MOBIUS_COLLAPSE_CLAIM, "two same-round saplings span a common face",
+                                   n=n, degree=deg, pair=[[a.label() for a in s1], [a.label() for a in s2]])
+        for sap in saps:
+            sap_ids = frozenset(ids[a] for a in sap)
+            if not Y.star_mask(sap_ids):
+                raise TheoremError(MOBIUS_COLLAPSE_CLAIM, "predicted sapling is not a face",
+                                   n=n, degree=deg, sapling=[a.label() for a in sap])
+            link_facets = {f - sap_ids for f in Y.containing(sap_ids)}
+            replayed += sapling_link_length(s, link_facets, sap, ids, models) + 1
+            Y.delete(sap_ids)
+        if any(wrap_length(a, n) > n - deg for a in enumerate_arcs(s)
+               if a.kind == B_ARC and Y.star_mask([ids[a]])):
+            raise TheoremError(MOBIUS_COLLAPSE_CLAIM, "a b-arc scheduled for this round survived it",
+                               n=n, degree=deg)
+    replayed += sapling_link_length(s, set(Y.facets()), (), ids, models)
+    return Report().add(MOBIUS_COLLAPSE_CLAIM, "mobius-collapse-to-point", n,
+                        vertices=full.n_vertices, facets=len(full.facets), rounds=round_sizes,
+                        trace_length=replayed)
 
 
 # --- scans and the set-indexed replayer that the facet-bitset index replaced ---

@@ -217,15 +217,13 @@ KERNEL_SURFACES = (
 def test_disjointness_rows_match_the_pair_loop(s):
     g, oracle = disjointness_graph(s), pair_loop_graph(s)
     assert g == oracle
-    assert g.closed_neighbourhoods == oracle.closed_neighbourhoods
     arcs = enumerate_arcs(s)  # pairs of ids in lexicographic order, so sorted
     pairs = itertools.combinations(range(len(arcs)), 2)
     assert g.edges == [(i, j) for i, j in pairs if disjoint(s, arcs[i], arcs[j])]
     if s.family in ("crown", "mobius"):
-        # the c-arcs come first, so the inner graph is a prefix of the rows
+        # the c-arcs come first, so the inner graph is on their ids 0..c-1
         g, oracle = inner_complex(s).graph, pair_loop_graph(s, lambda a: a.kind != B_ARC)
         assert g == oracle
-        assert g.closed_neighbourhoods == oracle.closed_neighbourhoods
 
 
 # --- symmetry gates --------------------------------------------------------------

@@ -297,20 +297,20 @@ def test_euler_characteristic_preserved_along_steps():
 
 def suite_replays(monkeypatch, n):
     """The steps thm_mobius_collapse(n) stands for, in order, rebuilt
-    test-side: each sapling's expansion, `welker_expand` of its mapped model
-    trace on its star in the suite's editor, then the tail, the mapped model
-    trace of the empty sapling, whose link is what the rounds leave.  Each
-    sapling's face deletion is also checked to leave the facets that
-    replaying its expansion on a copy of the editor leaves.  Returns the
-    facets the rounds leave, the steps, the saplings compared and the
-    report."""
-    from arclab import theorems
+    test-side on its editor oracle: each sapling's expansion, `welker_expand`
+    of its mapped model trace on its star in the oracle's editor, then the
+    tail, the mapped model trace of the empty sapling, whose link is what
+    the rounds leave.  Each sapling's face deletion is also checked to leave
+    the facets that replaying its expansion on a copy of the editor leaves.
+    Returns the facets the rounds leave, the steps, the saplings compared
+    and the oracle's report."""
+    import oracles
     from arclab.collapse import replay
     from arclab.simplicial import FacetEditor
     from test_theorems import sapling_link_trace
 
     remainders, steps, compared, pending, models = [], [], [], {}, {}
-    check = theorems._sapling_link_length
+    check = oracles.sapling_link_length
 
     def mapping(s, link_facets, sap, ids, suite_models):
         length = check(s, link_facets, sap, ids, suite_models)
@@ -335,9 +335,9 @@ def suite_replays(monkeypatch, n):
             steps.extend(expansion.steps)
             compared.append(face)
 
-    monkeypatch.setattr(theorems, "_sapling_link_length", mapping)
-    monkeypatch.setattr(theorems, "FacetEditor", ComparingEditor)
-    report = theorems.thm_mobius_collapse(n)
+    monkeypatch.setattr(oracles, "sapling_link_length", mapping)
+    monkeypatch.setattr(oracles, "FacetEditor", ComparingEditor)
+    report = oracles.editor_mobius_collapse(n)
     assert not pending and len(remainders) == 1
     return remainders[0], trace(steps), compared, report
 
@@ -365,10 +365,13 @@ def test_replaying_the_mobius_master_trace_reuses_freed_slots(monkeypatch):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_the_steps_the_mobius_collapse_replays_collapse_the_full_complex_to_a_point(monkeypatch, n):
+    from arclab.theorems import thm_mobius_collapse
+
     _, master, _, report = suite_replays(monkeypatch, n)
     verdict = verify_trace(arc_complex(mobius_crown(n)), master)
     assert verdict.valid and verdict.terminal.n_vertices == 1
     assert len(master) == report.claims[0].details["trace_length"]
+    assert len(master) == thm_mobius_collapse(n).claims[0].details["trace_length"]
 
 
 @pytest.mark.parametrize("n", range(1, 7))

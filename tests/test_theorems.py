@@ -17,6 +17,7 @@ from arclab.arcs import (
     loop_b,
     loop_c,
     mobius_crown,
+    polygon,
     strip_arc,
 )
 from arclab.build import arc_complex, disjointness_graph, induced_arc_complex, inner_complex
@@ -27,6 +28,7 @@ from arclab.simplicial import (
     _bits,
     _complex,
     flag_complex,
+    join_all,
     make_complex,
     max_cliques,
 )
@@ -36,6 +38,7 @@ from arclab.strong import (
     dominating_set,
     graph_core,
     graph_dominating_set,
+    strong_to_elementary,
     verify_strong_trace,
 )
 from arclab.theorems import (
@@ -49,8 +52,10 @@ from arclab.theorems import (
     thm_mobius_not_strong,
     thm_strip_strong,
 )
+import oracles
 from oracles import (
     brute_force_faces,
+    editor_mobius_collapse,
     every_mobius_stage_check,
     facet_mobius_core_check,
     facet_stage_domination,
@@ -249,13 +254,18 @@ def test_mobius_collapse_reports_its_trace_length_and_rounds(n, trace_length):
     assert details["rounds"] == [math.comb(n, d) for d in range(1, n)]
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_mobius_collapse_reports_what_the_editor_oracle_does(n):
+    assert thm_mobius_collapse(n).claims[0].details == editor_mobius_collapse(n).claims[0].details
+
+
 def sapling_link_trace(s, sap, ids, models):
-    """The link trace the suite stands for at a sapling: its model's trace,
-    verified on the model, mapped through the sapling's arc map.  `models`
-    also caches the model traces, by ("trace", key)."""
-    key, arc_map = theorems._sapling_arc_map(s.n, sap, ids, models)
+    """The link trace the editor oracle stands for at a sapling: its model's
+    trace, verified on the model, mapped through the sapling's arc map.
+    `models` also caches the model traces, by ("trace", key)."""
+    key, arc_map = oracles.sapling_arc_map(s.n, sap, ids, models)
     if ("trace", key) not in models:
-        models["trace", key] = theorems._link_model(key, models)[1]
+        models["trace", key] = oracles.link_model(key, models)[1]
 
     def image(face):
         return frozenset(map(arc_map.__getitem__, face))
@@ -264,24 +274,24 @@ def sapling_link_trace(s, sap, ids, models):
 
 
 def sapling_links(monkeypatch, n):
-    """(surface, link, sapling, ids, link trace) for every sapling
-    thm_mobius_collapse(n) deletes, as the suite finds them, after each has
-    passed the suite's check; the link trace is `sapling_link_trace`'s, and
-    the suite counts its length.  The last is the empty sapling, whose link
-    is what the rounds leave and whose trace is the suite's tail."""
+    """(surface, link, sapling, ids, link trace) for every sapling the
+    editor oracle of thm_mobius_collapse(n) deletes, as it finds them, after
+    each has passed its check; the link trace is `sapling_link_trace`'s, and
+    the oracle counts its length.  The last is the empty sapling, whose link
+    is what the rounds leave and whose trace is the tail."""
     seen, models = [], {}
-    check = theorems._sapling_link_length
+    check = oracles.sapling_link_length
 
-    def recording(s, link_facets, sap, ids, suite_models):
-        length = check(s, link_facets, sap, ids, suite_models)
+    def recording(s, link_facets, sap, ids, oracle_models):
+        length = check(s, link_facets, sap, ids, oracle_models)
         L = _complex({i: a.label() for a, i in ids.items()}, link_facets)
         link_trace = sapling_link_trace(s, sap, ids, models)
         assert len(link_trace) == length
         seen.append((s, L, sap, ids, link_trace))
         return length
 
-    monkeypatch.setattr(theorems, "_sapling_link_length", recording)
-    report = thm_mobius_collapse(n)
+    monkeypatch.setattr(oracles, "sapling_link_length", recording)
+    report = editor_mobius_collapse(n)
     monkeypatch.undo()
     assert len(seen) == sum(report.claims[0].details["rounds"]) + 1
     assert seen[-1][2] == ()
@@ -307,13 +317,14 @@ def test_every_sapling_link_trace_collapses_its_link_to_a_vertex_by_codimension_
 
 def test_each_sapling_model_is_built_once_per_call(monkeypatch):
     built, models, replays = [], [], []
-    for name in ("arc_complex", "inner_complex"):
+    for name in ("disjointness_graph", "inner_complex"):
         build = getattr(theorems, name)
         monkeypatch.setattr(theorems, name, lambda s, b=build: built.append((b, s)) or b(s))
     build_model = theorems._link_model
     monkeypatch.setattr(theorems, "_link_model", lambda key, m: models.append(key) or build_model(key, m))
-    verify = theorems.verify_trace
-    monkeypatch.setattr(theorems, "verify_trace", lambda c, t: replays.append(len(t)) or verify(c, t))
+    replay = theorems._replay
+    monkeypatch.setattr(theorems, "_replay", lambda g, alive, steps, *args, **details:
+                        replays.append(len(steps)) or replay(g, alive, steps, *args, **details))
     for _ in range(2):  # the models do not outlive a call
         built.clear(), models.clear(), replays.clear()
         assert thm_mobius_collapse(5).all_passed
@@ -324,8 +335,146 @@ def test_each_sapling_model_is_built_once_per_call(monkeypatch):
         assert models[-1] == ((), 5)
 
 
+def test_every_model_strong_collapse_converts_to_an_elementary_trace_of_the_counted_length(monkeypatch):
+    """For every model thm_mobius_collapse(n) builds, n <= 8: on the flag
+    complex of its join rows, `strong_to_elementary` of the suite's strong
+    trace passes `verify_trace` down to a vertex, and its length is the one
+    the suite counts on the rows."""
+    found = {}  # key -> (J, strong trace, counted length)
+    build_model = theorems._link_model
+    monkeypatch.setattr(theorems, "_link_model",
+                        lambda key, models: found.setdefault(key, build_model(key, models)))
+    for n in range(1, 9):
+        assert thm_mobius_collapse(n).all_passed
+    assert len(found) > 30 and ((), 8) in found and ((8,), 1) in found
+    for key, (J, strong, length) in found.items():
+        c = flag_complex(J)
+        t = strong_to_elementary(c, strong)
+        verdict = verify_trace(c, t)
+        assert verdict.valid and verdict.terminal.n_vertices == 1, key
+        assert len(t) == length, key
+
+
+def test_each_model_is_the_join_of_its_tile_and_trunk_complexes():
+    """The flag complex of a model's join rows is the join of its factors'
+    complexes, offset as `_sapling_arc_map` numbers them."""
+    for key in [((2,), 3), ((2, 2), 2), ((3,), 2), ((2, 3), 2), ((4,), 1), ((), 4)]:
+        J = theorems._link_model(key, {})[0]
+        factors = [arc_complex(polygon(W + 1)) for W in key[0]] + [inner_complex(mobius_crown(key[1]))]
+        parts, offset = [], 0
+        for c in factors:
+            parts.append(make_complex({offset + v: str(offset + v) for v in c.vertex_ids},
+                                      [[offset + v for v in f] for f in c.facets]))
+            offset += c.n_vertices
+        assert set(flag_complex(J).facets) == set(join_all(parts).facets), key
+
+
+def graph_sapling_checks(monkeypatch, n):
+    """(surface, graph, earlier saplings, sapling, ids) for every call of the
+    suite's link check in thm_mobius_collapse(n), each after it passed."""
+    seen = []
+    check = theorems._sapling_link_length
+
+    def recording(s, graph, earlier, sap, ids, models):
+        length = check(s, graph, earlier, sap, ids, models)
+        seen.append((s, graph, list(earlier), sap, ids))
+        return length
+
+    monkeypatch.setattr(theorems, "_sapling_link_length", recording)
+    assert thm_mobius_collapse(n).all_passed
+    monkeypatch.undo()
+    return seen
+
+
+def test_each_link_is_the_flag_complex_on_its_vertex_set(monkeypatch):
+    """The link the editor oracle finds at each sapling is the flag complex
+    of the graph on V_sigma, the suite's link vertices, and no earlier
+    sapling lies inside sigma + V_sigma."""
+    links = sapling_links(monkeypatch, 5)
+    checks = graph_sapling_checks(monkeypatch, 5)
+    assert [x[2] for x in links] == [x[3] for x in checks]
+    for (_, L, _, _, _), (_, graph, earlier, sap, ids) in zip(links, checks):
+        sigma = {ids[b] for b in sap}
+        rows = graph.closed_neighbourhoods
+        V = {v for v in range(len(rows)) if v not in sigma
+             and all(rows[u] >> v & 1 for u in sigma)
+             and not any(set(_bits(p)) <= sigma | {v} for p in earlier)}
+        induced = make_graph(V, [(u, v) for u, v in itertools.combinations(V, 2) if rows[u] >> v & 1])
+        assert (set(max_cliques(induced)) or {frozenset()}) == set(L.facets)
+        assert not any(set(_bits(p)) <= sigma | V for p in earlier)
+
+
+def test_a_flipped_model_row_bit_fails_naming_the_sapling(monkeypatch):
+    """Each pair of a model's vertices, its edge toggled in the join rows,
+    fails the first sapling with that model: the loop M:1, and the empty
+    sapling, whose model is the inner complex."""
+    build_model = theorems._link_model
+    for key, sapling in [(((4,), 1), ["M:1"]), (((), 4), [])]:
+        J = build_model(key, {})[0]
+        size = len(J.vertices)
+        for x, y in itertools.combinations(range(size), 2):
+            flipped = toggled(J, x, y)
+
+            def flipping(k, models, key=key, flipped=flipped):
+                J, strong, length = build_model(k, models)
+                return (flipped, strong, length) if k == key else (J, strong, length)
+
+            monkeypatch.setattr(theorems, "_link_model", flipping)
+            with pytest.raises(TheoremError) as caught:
+                thm_mobius_collapse(4)
+            assert "link is not the join" in str(caught.value)
+            assert caught.value.details["sapling"] == sapling
+    monkeypatch.undo()
+    assert thm_mobius_collapse(4).all_passed
+
+
+def test_a_trunk_map_shifted_by_one_fails_naming_the_sapling(monkeypatch):
+    s, L, sap, ids = two_arc_sapling_link(monkeypatch)
+    cached: dict = {}
+    oracles.sapling_link_length(s, set(L.facets), sap, ids, cached)
+    checks = [x for x in graph_sapling_checks(monkeypatch, 4) if x[3] == sap]
+    assert len(checks) == 1
+    _, graph, earlier, _, _ = checks[0]
+    suite_cached: dict = {}
+    theorems._sapling_link_length(s, graph, earlier, sap, ids, suite_cached)
+    # every trunk arc cc(o_i, o_j) lands on cc(o_i + 1, o_j + 1) instead
+    shifted = lambda i, j: cc_arc(i % s.n + 1, j % s.n + 1)  # noqa: E731
+    monkeypatch.setattr(oracles, "cc_arc", shifted)
+    monkeypatch.setattr(theorems, "cc_arc", shifted)
+    for models in ({}, cached):
+        with pytest.raises(TheoremError) as caught:
+            oracles.sapling_link_length(s, set(L.facets), sap, ids, models)
+        assert "link is not the join" in str(caught.value)
+        assert caught.value.details["sapling"] == [b.label() for b in sap]
+    for models in ({}, suite_cached):
+        with pytest.raises(TheoremError) as caught:
+            theorems._sapling_link_length(s, graph, earlier, sap, ids, models)
+        assert re.search("not a bijection onto the link|link is not the join", str(caught.value))
+        assert caught.value.details["sapling"] == [b.label() for b in sap]
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_a_hidden_earlier_sapling_inside_the_link_fails_the_witness_naming_the_sapling(monkeypatch, n):
+    """Hiding an earlier sapling sigma + tau, tau an edge of the link's
+    graph, removes tau from the link without removing a vertex: the link is
+    no longer the flag complex on V_sigma, and the witness check says so."""
+    for s, graph, earlier, sap, ids in graph_sapling_checks(monkeypatch, n):
+        sigma = sum(1 << ids[b] for b in sap)
+        rows = graph.closed_neighbourhoods
+        V = [v for v in range(len(rows)) if not sigma >> v & 1 and not sigma & ~rows[v]
+             and not any(not p & ~(sigma | 1 << v) for p in earlier)]
+        edge = next(((u, v) for u, v in itertools.combinations(V, 2) if rows[u] >> v & 1), None)
+        if edge is None:
+            continue
+        hidden = earlier + [sigma | 1 << edge[0] | 1 << edge[1]]
+        with pytest.raises(TheoremError) as caught:
+            theorems._sapling_link_length(s, graph, hidden, sap, ids, {})
+        assert "an earlier sapling lies in the link's vertex set" in str(caught.value)
+        assert caught.value.details["sapling"] == [b.label() for b in sap]
+
+
 def two_arc_sapling_link(monkeypatch):
-    """A sapling of two arcs, and its link, as the suite meets them at n = 4."""
+    """A sapling of two arcs, and its link, as the editor oracle meets them at n = 4."""
     links = [x[:4] for x in sapling_links(monkeypatch, 4) if len(x[2]) == 2]
     assert links
     return links[0]
@@ -342,33 +491,20 @@ def test_a_link_with_a_facet_dropped_or_added_fails_naming_the_sapling(monkeypat
         stray = min(set(ids.values()) - set(labels))  # an arc outside the link
         added = make_complex({**labels, stray: "stray"}, [*L.facets, [stray]])
         cached: dict = {}
-        theorems._sapling_link_length(s, set(L.facets), sap, ids, cached)
+        oracles.sapling_link_length(s, set(L.facets), sap, ids, cached)
         for changed in (dropped, added):
             for models in ({}, cached):  # whether or not the sapling's model is cached
                 with pytest.raises(TheoremError) as caught:
-                    theorems._sapling_link_length(s, set(changed.facets), sap, ids, models)
+                    oracles.sapling_link_length(s, set(changed.facets), sap, ids, models)
                 assert "link is not the join" in str(caught.value)
                 assert caught.value.details["sapling"] == [b.label() for b in sap]
             assert not factorwise_sapling_link_check(s, changed, sap, ids)
 
 
-def test_a_trunk_map_shifted_by_one_fails_naming_the_sapling(monkeypatch):
-    s, L, sap, ids = two_arc_sapling_link(monkeypatch)
-    cached: dict = {}
-    theorems._sapling_link_length(s, set(L.facets), sap, ids, cached)
-    # every trunk arc cc(o_i, o_j) lands on cc(o_i + 1, o_j + 1) instead
-    monkeypatch.setattr(theorems, "cc_arc", lambda i, j: cc_arc(i % s.n + 1, j % s.n + 1))
-    for models in ({}, cached):
-        with pytest.raises(TheoremError) as caught:
-            theorems._sapling_link_length(s, set(L.facets), sap, ids, models)
-        assert "link is not the join" in str(caught.value)
-        assert caught.value.details["sapling"] == [b.label() for b in sap]
-
-
 @pytest.mark.parametrize("key", [((2,), 3), ((2, 2), 2), ((3,), 2), ((2, 3), 2), ((), 4)])
 def test_a_model_trace_with_a_step_dropped_or_altered_fails_naming_the_model(monkeypatch, key):
-    _, t = theorems._link_model(key, {})
-    convert = theorems.strong_to_elementary
+    _, t = oracles.link_model(key, {})
+    convert = oracles.strong_to_elementary
     broken = []
     for i, (free, coface) in enumerate(t.steps):
         broken.append(t.steps[:i] + t.steps[i + 1:])
@@ -376,9 +512,9 @@ def test_a_model_trace_with_a_step_dropped_or_altered_fails_naming_the_model(mon
         other = min(set().union(*(c for _, c in t.steps)) - coface)
         broken.append(t.steps[:i] + ((free, coface | {other}),) + t.steps[i + 1:])
     for steps in broken:
-        monkeypatch.setattr(theorems, "strong_to_elementary", lambda c, strong, s=steps: CollapseTrace(s))
+        monkeypatch.setattr(oracles, "strong_to_elementary", lambda c, strong, s=steps: CollapseTrace(s))
         with pytest.raises(TheoremError) as caught:
-            theorems._link_model(key, {})
+            oracles.link_model(key, {})
         assert "does not collapse its join" in str(caught.value)
         assert caught.value.details["model"] == [list(key[0]), key[1]]
     # a wrong witness in the strong trace fails the conversion, naming the model
@@ -387,20 +523,38 @@ def test_a_model_trace_with_a_step_dropped_or_altered_fails_naming_the_model(mon
         w = min(set(c.vertex_ids) - dominating_set(c, v) - {v})
         return convert(c, StrongTrace(((v, w), *rest)))
 
-    monkeypatch.setattr(theorems, "strong_to_elementary", misnamed)
+    monkeypatch.setattr(oracles, "strong_to_elementary", misnamed)
     with pytest.raises(TheoremError) as caught:
-        theorems._link_model(key, {})
+        oracles.link_model(key, {})
     assert "witness fails" in str(caught.value)
     assert caught.value.details["model"] == [list(key[0]), key[1]]
 
 
 def test_a_broken_model_trace_fails_the_suite_naming_the_model(monkeypatch):
-    convert = theorems.strong_to_elementary
-    monkeypatch.setattr(theorems, "strong_to_elementary",
+    """A model trace one step short fails the editor oracle, and a trunk core
+    whose first witness is wrong fails the suite's replay on the join rows."""
+    convert = oracles.strong_to_elementary
+    monkeypatch.setattr(oracles, "strong_to_elementary",
                         lambda c, strong: CollapseTrace(convert(c, strong).steps[:-1]))
     with pytest.raises(TheoremError) as caught:
-        thm_mobius_collapse(4)
+        editor_mobius_collapse(4)
     assert caught.value.details["model"] == [[4], 1]  # the first sapling, a loop, has wrap 4
+    trunk = theorems._trunk
+
+    def misnamed(deg, models):
+        graph, c_arcs, (left, strong) = trunk(deg, models)
+        if strong.steps:
+            (v, _), *rest = strong.steps
+            strong = StrongTrace(((v, v), *rest))  # a vertex never dominates itself
+        return graph, c_arcs, (left, strong)
+
+    monkeypatch.setattr(theorems, "_trunk", misnamed)
+    with pytest.raises(TheoremError) as caught:
+        thm_mobius_collapse(4)
+    assert "step 0" in str(caught.value)
+    # round 1's trunks have one vertex and no step; round 2 starts with a
+    # sapling of two arcs of wrap 2, whose trunk has degree 2
+    assert caught.value.details["model"] == [[2, 2], 2]
 
 
 # --- non-strong-collapsibility ---------------------------------------------------------
