@@ -238,6 +238,22 @@ def arc_ids(s: SurfaceSpec) -> dict[Arc, int]:
     return {arc: i for i, arc in enumerate(enumerate_arcs(s))}
 
 
+def cc_id(n: int, i: int, j: int) -> int:
+    """arc_ids(mobius_crown(n))[cc_arc(i, j)], for i <= j, without building an arc.
+
+    The c-arcs (k, l), k <= l, come first, n - k + 1 of them per k.
+    """
+    return (i - 1) * (2 * n + 2 - i) // 2 + j - i
+
+
+def b_id(n: int, p: int, w: int) -> int:
+    """arc_ids(mobius_crown(n))[b_arc_from_wrap(p, w, n)], without building an arc.
+
+    The b-arcs follow the n(n + 1)/2 c-arcs, n - 1 wrap lengths 2..n per p.
+    """
+    return n * (n + 1) // 2 + (p - 1) * (n - 1) + w - 2
+
+
 # --- disjointness -----------------------------------------------------------
 
 
@@ -302,51 +318,41 @@ def disjoint(s: SurfaceSpec, x: Arc, y: Arc) -> bool:
 # --- saplings ---------------------------------------------------------------
 
 
-def _nested_in(n: int, inner: Arc, outer: Arc) -> bool:
-    """Whether inner's polygon side sits inside outer's (for disjoint arcs)."""
-    pi, wi = (inner.a - 1) % n, wrap_length(inner, n)
-    po, wo = (outer.a - 1) % n, wrap_length(outer, n)
-    if (pi, wi) == (po, wo):
-        return False
-    for k in (-1, 0, 1):
-        if po <= pi + k * n and pi + wi + k * n <= po + wo:
-            return True
-    return False
-
-
 def saplings_of_degree(s: SurfaceSpec, deg: int) -> list[tuple[Arc, ...]]:
     """All saplings of the given degree, as sorted tuples of b-arcs.
 
     A set of pairwise disjoint, pairwise non-nested b-arcs covering a total
     of c boundary edges with b branches has degree b + (n - c); since the
     polygon sides of non-nested disjoint arcs have disjoint interiors, the
-    degree equals n + sum over arcs of (1 - wrap).
+    degree equals n + sum over arcs of (1 - wrap).  Two b-arcs are disjoint
+    and non-nested iff their polygon sides share no boundary edge, so each
+    side is a bitset of edges (edge k from vertex k + 1 to k + 2, mod n)
+    and a sapling is a set of sides with no common bit.
     """
     n = s.n
     barcs = [a for a in enumerate_arcs(s) if a.kind == B_ARC]
     target = n - deg  # required sum of (wrap - 1)
     if target < 0:
         return []
+    full = (1 << n) - 1
+    sides = []  # per b-arc: (wrap - 1, its side's edges)
+    for a in barcs:
+        w = wrap_length(a, n)
+        edges = ((1 << w) - 1) << a.a - 1
+        sides.append((w - 1, (edges | edges >> n) & full))
     out: list[tuple[Arc, ...]] = []
 
-    def extend(start: int, chosen: list[Arc], remaining: int) -> None:
+    def extend(start: int, chosen: list[Arc], used: int, remaining: int) -> None:
         if remaining == 0:
             out.append(tuple(chosen))
             return
         for idx in range(start, len(barcs)):
-            cand = barcs[idx]
-            w = wrap_length(cand, n)
-            if w - 1 > remaining:
-                continue
-            if all(
-                disjoint(s, cand, prev)
-                and not _nested_in(n, cand, prev)
-                and not _nested_in(n, prev, cand)
-                for prev in chosen
-            ):
-                chosen.append(cand)
-                extend(idx + 1, chosen, remaining - (w - 1))
+            cost, edges = sides[idx]
+            if cost <= remaining and not edges & used:
+                chosen.append(barcs[idx])
+                extend(idx + 1, chosen, used | edges, remaining - cost)
                 chosen.pop()
 
-    extend(0, [], target)
+    extend(0, [], 0, target)
+    del extend  # the closure holds extend: a cycle that would keep `out` alive
     return out

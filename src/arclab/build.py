@@ -18,6 +18,7 @@ from .arcs import (
     Arc,
     B_ARC,
     CROWN,
+    MOBIUS,
     POLYGON,
     STRIP,
     SurfaceSpec,
@@ -174,13 +175,22 @@ def arc_complex(s: SurfaceSpec) -> Complex:
     return flag_complex(disjointness_graph(s), _labels(enumerate_arcs(s)), s)
 
 
+def _c_arcs(s: SurfaceSpec) -> list[Arc]:
+    """The c-arcs of a crown or Moebius crown, which come first in `enumerate_arcs(s)`."""
+    if s.family not in (CROWN, MOBIUS):
+        raise ValueError("inner complexes are defined for crowns")
+    return [a for a in enumerate_arcs(s) if a.kind != B_ARC]
+
+
+def inner_graph(s: SurfaceSpec) -> Graph:
+    """The disjointness graph of the c-arcs of s alone, on their ids."""
+    c_arcs = _c_arcs(s)
+    return Graph(tuple(range(len(c_arcs))), tuple(_c_rows(s, c_arcs)))
+
+
 def inner_complex(s: SurfaceSpec) -> Complex:
     """Subcomplex generated by the c-arcs (crown or non-orientable crown)."""
-    if s.family not in ("crown", "mobius"):
-        raise ValueError("inner complexes are defined for crowns")
-    arcs = enumerate_arcs(s)
-    c = sum(a.kind != B_ARC for a in arcs)  # the c-arcs come first
-    return flag_complex(Graph(tuple(range(c)), tuple(_c_rows(s, arcs[:c]))), _labels(arcs[:c]), s)
+    return flag_complex(inner_graph(s), _labels(_c_arcs(s)), s)
 
 
 def induced_arc_complex(s: SurfaceSpec, graph: Graph, removed_ids) -> Complex:

@@ -584,6 +584,19 @@ def graph_to_dot(g: Graph, labels: Mapping[int, str] | None = None) -> str:
 # --- flag complexes -----------------------------------------------------------
 
 
+def _pivot(nbr: list[int], p: int, x: int) -> int:
+    """Bron-Kerbosch pivot: the first vertex of p | x with the most neighbours in p."""
+    pivot, most, pool = -1, -1, p | x
+    while pool:
+        low = pool & -pool
+        i = low.bit_length() - 1
+        k = (nbr[i] & p).bit_count()
+        if k > most:
+            pivot, most = i, k
+        pool ^= low
+    return pivot
+
+
 def max_cliques(g: Graph) -> list[frozenset[int]]:
     """All maximal cliques (Bron-Kerbosch with pivoting, bitmask sets).
 
@@ -601,16 +614,7 @@ def max_cliques(g: Graph) -> list[frozenset[int]]:
             if not x:
                 out.append(frozenset(r))
             return
-        # pivot: the first vertex of p | x with the most neighbours in p
-        pivot, most, pool = -1, -1, p | x
-        while pool:
-            low = pool & -pool
-            i = low.bit_length() - 1
-            k = (nbr[i] & p).bit_count()
-            if k > most:
-                pivot, most = i, k
-            pool ^= low
-        todo = p & ~nbr[pivot]
+        todo = p & ~nbr[_pivot(nbr, p, x)]
         while todo:
             low = todo & -todo
             i = low.bit_length() - 1
@@ -625,6 +629,34 @@ def max_cliques(g: Graph) -> list[frozenset[int]]:
     # alive after the caller drops them, until the next full collection
     del bk
     return out
+
+
+def count_max_cliques(g: Graph) -> int:
+    """len(max_cliques(g)), by the same search, holding no clique.
+
+    Each branch carries only its candidate and excluded bitsets, so memory
+    is the recursion depth, not the number of maximal cliques.
+    """
+    nbr = [nbhd & ~(1 << i) for i, nbhd in enumerate(g.closed_neighbourhoods)]
+
+    def bk(p: int, x: int) -> int:
+        found = 0
+        todo = p & ~nbr[_pivot(nbr, p, x)]
+        while todo:
+            low = todo & -todo
+            i = low.bit_length() - 1
+            if q := p & nbr[i]:
+                found += bk(q, x & nbr[i])
+            elif not x & nbr[i]:
+                found += 1
+            p ^= low
+            x |= low
+            todo ^= low
+        return found
+
+    found = bk((1 << len(nbr)) - 1, 0) if nbr else 0
+    del bk  # the closure holds bk: a cycle, as in max_cliques
+    return found
 
 
 def _bits(mask: int):

@@ -16,7 +16,6 @@ trunk, whose elementary trace is counted, not built.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -26,12 +25,13 @@ from . import __version__
 from .arcs import (
     Arc,
     SurfaceSpec,
-    _strictly_inside,
     arc_ids,
     b_arc,
     b_arc_from_wrap,
+    b_id,
     c_arc,
     cc_arc,
+    cc_id,
     crown,
     disjoint,
     enumerate_arcs,
@@ -44,16 +44,16 @@ from .arcs import (
     strip_arc,
     wrap_length,
 )
-from .build import arc_complex, disjointness_graph, inner_complex
+from .build import arc_complex, disjointness_graph, inner_complex, inner_graph
 from .certify import certify, flip_graph, graph_diameter
 from .simplicial import (
     Complex,
     Graph,
     _bits,
     clique_counts,
+    count_max_cliques,
     dimension,
     euler_characteristic,
-    max_cliques,
 )
 from .strong import StrongTrace, _dominators, graph_core, graph_dominating_set
 
@@ -246,29 +246,30 @@ def thm_inner_mobius(n: int) -> Report:
 MOBIUS_COLLAPSE_CLAIM = "mobius-collapse"
 
 
-def _tile(W: int, models: dict) -> tuple[Graph, list[Arc]]:
-    """polygon(W+1)'s disjointness graph and its diagonals, built once per `models` dict."""
+def _tile(W: int, models: dict) -> tuple[Graph, list[tuple[int, int]]]:
+    """polygon(W+1)'s disjointness graph and its diagonals d:i-j as (i - 1, j - i),
+    built once per `models` dict."""
     if ("tile", W) not in models:
         tile = polygon(W + 1)
-        models["tile", W] = disjointness_graph(tile), enumerate_arcs(tile)
+        models["tile", W] = disjointness_graph(tile), [(d.a - 1, d.b - d.a) for d in enumerate_arcs(tile)]
     return models["tile", W]
 
 
-def _trunk(deg: int, models: dict) -> tuple[Graph, list[tuple[int, Arc]], tuple[int, StrongTrace]]:
-    """The graph of the inner complex of mobius_crown(deg), its c-arcs by
-    id, and its `graph_core`, built once per `models` dict."""
+def _trunk(deg: int, models: dict) -> tuple[Graph, list[tuple[int, int]], tuple[int, StrongTrace]]:
+    """The graph of the inner complex of mobius_crown(deg), its c-arcs cc:i-j
+    as (i, j) by id, and its `graph_core`, built once per `models` dict."""
     if ("trunk", deg) not in models:
         trunk = mobius_crown(deg)
-        graph = inner_complex(trunk).graph
-        c_arcs = [(v, c) for v, c in enumerate(enumerate_arcs(trunk)) if c.kind == "cc"]
+        graph = inner_graph(trunk)
+        c_arcs = [(c.a, c.b) for c in enumerate_arcs(trunk)[:len(graph.vertices)]]
         models["trunk", deg] = graph, c_arcs, graph_core(graph)
     return models["trunk", deg]
 
 
 def _sapling_arc_map(
-    n: int, sap: tuple[Arc, ...], ids: dict[Arc, int], models: dict,
-) -> tuple[tuple[tuple[int, ...], int], dict[int, int]]:
-    """The model key of a sapling's link and the arc map from the model's vertices.
+    n: int, sap: tuple[Arc, ...], models: dict,
+) -> tuple[tuple[tuple[int, ...], int], list[int]]:
+    """The model key of a sapling's link and the arc map, model vertex -> arc id.
 
     The link is the join of the sapling's polygon tiles with the c-arc
     complex of its trunk.  The tile under a sapling arc b spans
@@ -279,20 +280,20 @@ def _sapling_arc_map(
     (the sorted wrap lengths, deg), and the model's vertices are offset ids:
     the tiles in sorted-width order, diagonal v of a tile at the tile's
     offset plus v, then c-arc v of the trunk at the tiles' total plus v.
+    Tiles of one width go in the order of their start p.  The map is a
+    list, and its ids are read off the `enumerate_arcs` layout (`b_id`,
+    `cc_id`).
     """
-    tiles = sorted(sap, key=lambda b: wrap_length(b, n))
-    widths = tuple(wrap_length(b, n) for b in tiles)
-    arc_map: dict[int, int] = {}
-    for b, W in zip(tiles, widths):
-        offset, diagonals = len(arc_map), _tile(W, models)[1]
-        arc_map.update(
-            (offset + v, ids[b_arc_from_wrap((b.a + d.a - 2) % n + 1, d.b - d.a, n)])
-            for v, d in enumerate(diagonals)
-        )
-    o = [v for v in range(1, n + 1) if not any(_strictly_inside(n, v, b) for b in sap)]
-    offset, c_arcs = len(arc_map), _trunk(len(o), models)[1]
-    arc_map.update((offset + v, ids[cc_arc(o[c.a - 1], o[c.b - 1])]) for v, c in c_arcs)
-    return (widths, len(o)), arc_map
+    tiles = sorted((wrap_length(b, n), b.a) for b in sap)
+    image: list[int] = []
+    inside = 0  # bit v - 1 (or v - 1 + n): boundary vertex v strictly inside a sapling arc
+    for W, p in tiles:
+        image += [b_id(n, (p + i - 1) % n + 1, w) for i, w in _tile(W, models)[1]]
+        inside |= (1 << W - 1) - 1 << p
+    inside |= inside >> n
+    o = [v for v in range(1, n + 1) if not inside >> v - 1 & 1]
+    image += [cc_id(n, o[i - 1], o[j - 1]) for i, j in _trunk(len(o), models)[1]]
+    return (tuple(W for W, _ in tiles), len(o)), image
 
 
 def _link_model(key: tuple[tuple[int, ...], int], models: dict) -> tuple[Graph, StrongTrace, int]:
@@ -334,15 +335,38 @@ def _link_model(key: tuple[tuple[int, ...], int], models: dict) -> tuple[Graph, 
     return J, StrongTrace(tuple(steps)), length
 
 
+def _sapling_mask(n: int, sap: tuple[Arc, ...]) -> int:
+    """The bitset of a sapling's arc ids."""
+    return sum(1 << b_id(n, b.a, wrap_length(b, n)) for b in sap)
+
+
+def _common(rows: tuple[int, ...], mask: int) -> int:
+    """The common closed neighbourhood of the vertices in mask (all vertices if none).
+
+    mask is a clique iff it lies in this."""
+    common = (1 << len(rows)) - 1
+    for u in _bits(mask):
+        common &= rows[u]
+    return common
+
+
+def _near(earlier: list[list[int]], mask: int) -> list[int]:
+    """The earlier saplings listed at a vertex of mask.
+
+    `earlier` lists each sapling's mask at its lowest vertex, so every
+    earlier sapling that lies in mask is among these."""
+    return [p for v in _bits(mask) for p in earlier[v]]
+
+
 def _sapling_link_length(
-    s: SurfaceSpec, graph: Graph, earlier: list[int], sap: tuple[Arc, ...],
-    ids: dict[Arc, int], models: dict,
+    n: int, graph: Graph, earlier: list[list[int]], sap: tuple[Arc, ...], models: dict,
 ) -> int:
     """Check a sapling's link against its model join, on the graph; returns
     the length of the model's collapse trace.
 
     Y is the full complex minus every face that holds one of the `earlier`
-    saplings (masks of arc ids), and the sapling sigma is a face of Y.
+    saplings (masks of arc ids, listed at their lowest vertex), and the
+    sapling sigma is a face of Y.
     Every face of lk_Y(sigma) lies in V, the common neighbours v of sigma
     with no earlier s' where s' - sigma = {v}.  A clique tau in V is
     missing from the link iff sigma + tau holds an earlier s', so then
@@ -356,27 +380,28 @@ def _sapling_link_length(
     be; its model is the inner complex of s and nothing else.
     """
     rows = graph.closed_neighbourhoods
-    sigma = sum(1 << ids[b] for b in sap)
-    common = (1 << len(rows)) - 1
-    for u in _bits(sigma):
-        common &= rows[u]
-    V = common & ~sigma
-    for p in earlier:
+    sigma = _sapling_mask(n, sap)
+    V = _common(rows, sigma) & ~sigma
+    near = _near(earlier, sigma | V)  # an s' - sigma = {v} with v outside V changes nothing
+    for p in near:
         if (d := p & ~sigma) & d - 1 == 0:  # s' - sigma is one vertex
             V &= ~d
     sapling = [b.label() for b in sap]
-    _require(all(p & ~(sigma | V) for p in earlier), MOBIUS_COLLAPSE_CLAIM,
+    _require(all(p & ~(sigma | V) for p in near), MOBIUS_COLLAPSE_CLAIM,
              "an earlier sapling lies in the link's vertex set", sapling=sapling)
-    key, arc_map = _sapling_arc_map(s.n, sap, ids, models)
+    key, image = _sapling_arc_map(n, sap, models)
     if key not in models:
         models[key] = _link_model(key, models)
     J, _, length = models[key]
-    image = [arc_map[x] for x in range(len(arc_map))]
-    onto = set(image)
-    _require(sum(1 << a for a in onto) == V and len(onto) == len(image),
+    bits = [1 << a for a in image]
+    onto = sum(bits)
+    _require(onto == V and onto.bit_count() == len(image),
              MOBIUS_COLLAPSE_CLAIM, "the arc map is not a bijection onto the link's vertices",
              sapling=sapling)
-    _require(all(sum(1 << image[y] for y in _bits(row)) == rows[a] & V
+    # a bijection carries a row onto one iff it carries the non-neighbours
+    # onto the non-neighbours, and in a join those lie in one factor
+    everyone = (1 << len(image)) - 1
+    _require(all(sum(bits[y] for y in _bits(everyone & ~row)) == V & ~rows[a]
                  for a, row in zip(image, J.closed_neighbourhoods)),
              MOBIUS_COLLAPSE_CLAIM, "link is not the join of its tile complexes under the arc maps",
              sapling=sapling)
@@ -398,44 +423,53 @@ def thm_mobius_collapse(n: int) -> Report:
     The complex is flag, so Y is the disjointness graph G and the masks of
     the saplings deleted so far: a face of Y is a clique holding none of
     them, and a b-arc survives iff it is no one-arc sapling among them.
-    Each link is the flag complex of G on V_sigma (`_sapling_link_length`),
-    the image of its model join, whose collapse is checked once per call on
-    the join's rows (`_link_model`).  So `trace_length` counts the model
-    traces plus one step per sapling, and then the trace of the empty
-    sapling, whose link is what the rounds leave and whose model is the
-    inner complex.  Only `facets`, the maximal cliques of G, builds faces.
+    A union of saplings is a clique iff it lies in the AND of their common
+    neighbourhoods, and an earlier sapling inside it is found by its lowest
+    vertex.  Each link is the flag complex of G on V_sigma
+    (`_sapling_link_length`), the image of its model join, whose collapse
+    is checked once per call on the join's rows (`_link_model`).  So
+    `trace_length` counts the model traces plus one step per sapling, and
+    then the trace of the empty sapling, whose link is what the rounds
+    leave and whose model is the inner complex.  No face is built: `facets`
+    counts the maximal cliques of G without holding them.
     """
     s = mobius_crown(n)
     graph = disjointness_graph(s)
-    ids = arc_ids(s)
+    rows = graph.closed_neighbourhoods
     models: dict = {}  # tiles by wrap length, trunks by degree, model joins by key
-    earlier: list[int] = []  # the masks of the saplings deleted so far
+    earlier: list[list[int]] = [[] for _ in rows]  # the saplings deleted so far, at their lowest vertex
+    deleted = 0  # the b-arcs deleted as one-arc saplings
     replayed = 0
     round_sizes: list[int] = []
 
-    def face(mask: int) -> bool:
-        return _simplex(graph, mask) and all(p & ~mask for p in earlier)
+    def free(mask: int) -> bool:  # whether the clique mask holds no earlier sapling
+        return all(p & ~mask for p in _near(earlier, mask))
 
     for deg in range(1, n):
         saps = saplings_of_degree(s, deg)
         round_sizes.append(len(saps))
-        masks = [sum(1 << ids[a] for a in sap) for sap in saps]
-        for (s1, m1), (s2, m2) in itertools.combinations(zip(saps, masks), 2):
-            if face(m1 | m2):  # labels only on failure: the pairs are many
-                pair = [[a.label() for a in s1], [a.label() for a in s2]]
-                raise TheoremError(MOBIUS_COLLAPSE_CLAIM, "two same-round saplings span a common face",
-                                   n=n, degree=deg, pair=pair)
-        for sap, mask in zip(saps, masks):
-            _require(face(mask), MOBIUS_COLLAPSE_CLAIM, "predicted sapling is not a face",
-                     n=n, degree=deg, sapling=[a.label() for a in sap])
-            replayed += _sapling_link_length(s, graph, earlier, sap, ids, models) + 1
-            earlier.append(mask)
-        survivors = [a for a, i in ids.items() if a.kind == "b" and 1 << i not in earlier]
-        _require(all(wrap_length(a, n) <= n - deg for a in survivors), MOBIUS_COLLAPSE_CLAIM,
+        masks = [_sapling_mask(n, sap) for sap in saps]
+        commons = [_common(rows, mask) for mask in masks]
+        for i, (m1, c1) in enumerate(zip(masks, commons)):
+            for j in range(i + 1, len(masks)):
+                union = m1 | masks[j]
+                if not union & ~(c1 & commons[j]) and free(union):  # labels only on failure
+                    pair = [[a.label() for a in saps[i]], [a.label() for a in saps[j]]]
+                    raise TheoremError(MOBIUS_COLLAPSE_CLAIM, "two same-round saplings span a common face",
+                                       n=n, degree=deg, pair=pair)
+        for sap, mask, common in zip(saps, masks, commons):
+            _require(mask and not mask & ~common and free(mask), MOBIUS_COLLAPSE_CLAIM,
+                     "predicted sapling is not a face", n=n, degree=deg, sapling=[a.label() for a in sap])
+            replayed += _sapling_link_length(n, graph, earlier, sap, models) + 1
+            earlier[(mask & -mask).bit_length() - 1].append(mask)
+            if not mask & mask - 1:
+                deleted |= mask
+        wide = sum(1 << b_id(n, p, w) for p in range(1, n + 1) for w in range(n - deg + 1, n + 1))
+        _require(not wide & ~deleted, MOBIUS_COLLAPSE_CLAIM,
                  "a b-arc scheduled for this round survived it", n=n, degree=deg)
-    replayed += _sapling_link_length(s, graph, earlier, (), ids, models)
+    replayed += _sapling_link_length(n, graph, earlier, (), models)
     return Report().add(MOBIUS_COLLAPSE_CLAIM, "mobius-collapse-to-point", n,
-                        vertices=len(graph.vertices), facets=len(max_cliques(graph)),
+                        vertices=len(graph.vertices), facets=count_max_cliques(graph),
                         rounds=round_sizes, trace_length=replayed)
 
 

@@ -22,7 +22,6 @@ from arclab.arcs import (
     STRIP,
     Arc,
     SurfaceSpec,
-    _nested_in,
     _strictly_inside,
     arc_ids,
     b_arc,
@@ -972,6 +971,52 @@ def reflected(s: SurfaceSpec, arc: Arc) -> Arc:
     # (p, q) becomes the clockwise interval from the image of q to the image
     # of p
     return b_arc(r(arc.b), r(arc.a))
+
+
+def _nested_in(n: int, inner: Arc, outer: Arc) -> bool:
+    """Whether inner's polygon side sits inside outer's (for disjoint arcs)."""
+    pi, wi = (inner.a - 1) % n, wrap_length(inner, n)
+    po, wo = (outer.a - 1) % n, wrap_length(outer, n)
+    if (pi, wi) == (po, wo):
+        return False
+    for k in (-1, 0, 1):
+        if po <= pi + k * n and pi + wi + k * n <= po + wo:
+            return True
+    return False
+
+
+def pair_test_saplings_of_degree(s: SurfaceSpec, deg: int) -> list[tuple[Arc, ...]]:
+    """`saplings_of_degree` as it was before the boundary-edge masks: each
+    candidate b-arc is tested against every chosen one with `disjoint` and
+    `_nested_in` both ways."""
+    n = s.n
+    barcs = [a for a in enumerate_arcs(s) if a.kind == B_ARC]
+    target = n - deg  # required sum of (wrap - 1)
+    if target < 0:
+        return []
+    out: list[tuple[Arc, ...]] = []
+
+    def extend(start: int, chosen: list[Arc], remaining: int) -> None:
+        if remaining == 0:
+            out.append(tuple(chosen))
+            return
+        for idx in range(start, len(barcs)):
+            cand = barcs[idx]
+            w = wrap_length(cand, n)
+            if w - 1 > remaining:
+                continue
+            if all(
+                disjoint(s, cand, prev)
+                and not _nested_in(n, cand, prev)
+                and not _nested_in(n, prev, cand)
+                for prev in chosen
+            ):
+                chosen.append(cand)
+                extend(idx + 1, chosen, remaining - (w - 1))
+                chosen.pop()
+
+    extend(0, [], target)
+    return out
 
 
 def _branches(s: SurfaceSpec, arcs) -> list[Arc]:

@@ -4,10 +4,13 @@ import pytest
 
 from arclab.arcs import (
     B_ARC,
+    arc_ids,
     b_arc,
     b_arc_from_wrap,
+    b_id,
     c_arc,
     cc_arc,
+    cc_id,
     crown,
     disjoint,
     enumerate_arcs,
@@ -27,6 +30,7 @@ from oracles import (
     is_sapling,
     mobius_core_arcs_disjoint,
     pair_loop_graph,
+    pair_test_saplings_of_degree,
     reflected,
     rotated,
 )
@@ -319,3 +323,40 @@ def test_saplings_of_degree_enumeration():
     for sap in deg2:
         assert is_sapling(s, sap)
         assert degree(s, sap) == 2
+
+
+@pytest.mark.parametrize("s", [f(n) for f in (crown, mobius_crown) for n in range(1, 10)],
+                         ids=lambda s: s.describe())
+def test_edge_mask_saplings_are_the_pair_tested_ones_in_the_same_order(s):
+    for deg in range(0, s.n + 2):
+        assert saplings_of_degree(s, deg) == pair_test_saplings_of_degree(s, deg), deg
+
+
+@pytest.mark.parametrize("s", [f(n) for f in (crown, mobius_crown) for n in range(1, 7)],
+                         ids=lambda s: s.describe())
+def test_saplings_of_degree_are_every_b_arc_face_of_that_degree_with_no_nesting(s):
+    """Every set of pairwise disjoint b-arcs, by brute force, that passes
+    `is_sapling` is listed under its `degree`, once, and nothing else is."""
+    barcs = [a for a in enumerate_arcs(s) if a.kind == B_ARC]
+    by_degree: dict[int, set] = {}
+
+    def grow(face: list, start: int) -> None:
+        if face and is_sapling(s, face):
+            by_degree.setdefault(degree(s, face), set()).add(tuple(face))
+        for k in range(start, len(barcs)):
+            if all(disjoint(s, barcs[k], a) for a in face):
+                grow(face + [barcs[k]], k + 1)
+
+    grow([], 0)
+    assert set(by_degree) <= set(range(1, s.n))
+    for deg in range(1, s.n):
+        found = saplings_of_degree(s, deg)
+        assert len(found) == len(set(found)) and set(found) == by_degree.get(deg, set()), deg
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_id_functions_follow_the_arc_layout(n):
+    s = mobius_crown(n)
+    ids = arc_ids(s)
+    assert {a: (cc_id(n, a.a, a.b) if a.kind == "cc" else b_id(n, a.a, wrap_length(a, n)))
+            for a in ids} == ids

@@ -13,6 +13,7 @@ from arclab.simplicial import (
     clique_counts,
     complex_from_json,
     complex_to_json,
+    count_max_cliques,
     dimension,
     dual_graph,
     dumps_canonical,
@@ -188,6 +189,24 @@ def test_clique_count_f_vectors_match_the_facet_walk(g):
     walked = _complex(c.labels, c.facets)  # the same complex with no graph kept
     assert c.graph is g and walked.graph is None and walked == c
     assert c.f_vector == clique_counts(g) == walked.f_vector
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(sparse_graphs(), dense_graphs()))
+@example(make_graph([], []))
+def test_counted_max_cliques_are_the_listed_ones(g):
+    assert count_max_cliques(g) == len(max_cliques(g))
+
+
+def test_count_max_cliques_leaves_no_reference_cycle():
+    g = make_graph(range(5), [(0, 1), (1, 2), (2, 0), (3, 4)])
+    gc.collect()
+    gc.disable()
+    try:
+        assert count_max_cliques(g) == 2
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_max_cliques_leaves_no_reference_cycle():

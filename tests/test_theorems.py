@@ -12,6 +12,7 @@ from arclab.arcs import (
     b_arc,
     c_arc,
     cc_arc,
+    cc_id,
     crown,
     integral_strip,
     loop_b,
@@ -371,19 +372,31 @@ def test_each_model_is_the_join_of_its_tile_and_trunk_complexes():
 
 def graph_sapling_checks(monkeypatch, n):
     """(surface, graph, earlier saplings, sapling, ids) for every call of the
-    suite's link check in thm_mobius_collapse(n), each after it passed."""
+    suite's link check in thm_mobius_collapse(n), each after it passed; the
+    earlier saplings as one list of masks."""
     seen = []
     check = theorems._sapling_link_length
+    s = mobius_crown(n)
+    ids = arc_ids(s)
 
-    def recording(s, graph, earlier, sap, ids, models):
-        length = check(s, graph, earlier, sap, ids, models)
-        seen.append((s, graph, list(earlier), sap, ids))
+    def recording(n, graph, earlier, sap, models):
+        length = check(n, graph, earlier, sap, models)
+        seen.append((s, graph, [p for listed in earlier for p in listed], sap, ids))
         return length
 
     monkeypatch.setattr(theorems, "_sapling_link_length", recording)
     assert thm_mobius_collapse(n).all_passed
     monkeypatch.undo()
     return seen
+
+
+def at_lowest(graph, masks):
+    """The earlier saplings as the suite's link check takes them: each mask
+    listed at its lowest vertex."""
+    earlier = [[] for _ in graph.vertices]
+    for p in masks:
+        earlier[(p & -p).bit_length() - 1].append(p)
+    return earlier
 
 
 def test_each_link_is_the_flag_complex_on_its_vertex_set(monkeypatch):
@@ -436,11 +449,13 @@ def test_a_trunk_map_shifted_by_one_fails_naming_the_sapling(monkeypatch):
     assert len(checks) == 1
     _, graph, earlier, _, _ = checks[0]
     suite_cached: dict = {}
-    theorems._sapling_link_length(s, graph, earlier, sap, ids, suite_cached)
+    earlier = at_lowest(graph, earlier)
+    theorems._sapling_link_length(s.n, graph, earlier, sap, suite_cached)
     # every trunk arc cc(o_i, o_j) lands on cc(o_i + 1, o_j + 1) instead
     shifted = lambda i, j: cc_arc(i % s.n + 1, j % s.n + 1)  # noqa: E731
     monkeypatch.setattr(oracles, "cc_arc", shifted)
-    monkeypatch.setattr(theorems, "cc_arc", shifted)
+    # the suite reads the same shift off the arc ids
+    monkeypatch.setattr(theorems, "cc_id", lambda n, i, j: cc_id(n, *sorted((i % n + 1, j % n + 1))))
     for models in ({}, cached):
         with pytest.raises(TheoremError) as caught:
             oracles.sapling_link_length(s, set(L.facets), sap, ids, models)
@@ -448,9 +463,29 @@ def test_a_trunk_map_shifted_by_one_fails_naming_the_sapling(monkeypatch):
         assert caught.value.details["sapling"] == [b.label() for b in sap]
     for models in ({}, suite_cached):
         with pytest.raises(TheoremError) as caught:
-            theorems._sapling_link_length(s, graph, earlier, sap, ids, models)
+            theorems._sapling_link_length(s.n, graph, earlier, sap, models)
         assert re.search("not a bijection onto the link|link is not the join", str(caught.value))
         assert caught.value.details["sapling"] == [b.label() for b in sap]
+
+
+def test_an_arc_map_that_hits_an_arc_twice_is_no_bijection(monkeypatch):
+    """An arc map one entry longer than the model, which sends the model
+    vertex of an arc x > 0 to x - 1 and then x - 1 once more: its ids still
+    add up to V's bits, since 2^(x - 1) + 2^(x - 1) = 2^x, so only the count
+    of the map's entries tells that it is no bijection."""
+    arc_map = theorems._sapling_arc_map
+
+    def repeating(n, sap, models):
+        key, image = arc_map(n, sap, models)
+        i = next(i for i, x in enumerate(image) if x)
+        image[i] -= 1
+        return key, image + [image[i]]
+
+    monkeypatch.setattr(theorems, "_sapling_arc_map", repeating)
+    with pytest.raises(TheoremError) as caught:
+        thm_mobius_collapse(3)
+    assert "not a bijection onto the link" in str(caught.value)
+    assert caught.value.details["sapling"] == ["M:1"]
 
 
 @pytest.mark.parametrize("n", (3, 4, 5))
@@ -468,9 +503,61 @@ def test_a_hidden_earlier_sapling_inside_the_link_fails_the_witness_naming_the_s
             continue
         hidden = earlier + [sigma | 1 << edge[0] | 1 << edge[1]]
         with pytest.raises(TheoremError) as caught:
-            theorems._sapling_link_length(s, graph, hidden, sap, ids, {})
+            theorems._sapling_link_length(s.n, graph, at_lowest(graph, hidden), sap, {})
         assert "an earlier sapling lies in the link's vertex set" in str(caught.value)
         assert caught.value.details["sapling"] == [b.label() for b in sap]
+
+
+def injecting(monkeypatch, deg, saps, last=False):
+    """Make thm_mobius_collapse meet `saps`, tuples of arcs, first (or last)
+    in round `deg`."""
+    real = theorems.saplings_of_degree
+
+    def saplings(s, d):
+        if d != deg:
+            return real(s, d)
+        return real(s, d) + saps if last else saps + real(s, d)
+
+    monkeypatch.setattr(theorems, "saplings_of_degree", saplings)
+
+
+def test_two_same_round_saplings_spanning_a_face_fail_naming_the_pair(monkeypatch):
+    # b:1-3 and b:3-1 are disjoint, so their union is a face while round 1
+    # has deleted nothing
+    injecting(monkeypatch, 1, [(b_arc(1, 3),), (b_arc(3, 1),)])
+    with pytest.raises(TheoremError) as caught:
+        thm_mobius_collapse(4)
+    assert "two same-round saplings span a common face" in str(caught.value)
+    assert caught.value.details["pair"] == [["b:1-3"], ["b:3-1"]]
+    assert caught.value.details["degree"] == 1
+
+
+@pytest.mark.parametrize("last", (False, True))
+@pytest.mark.parametrize("deg, sap, why", [
+    # every loop misses both arcs, so a loop and this sapling span a clique
+    # only if the sapling's own rows are left out of the union's
+    (1, (b_arc(1, 3), b_arc(2, 4)), "the two arcs cross: no clique"),
+    (2, (b_arc(1, 3), loop_b(1)), "a clique that holds M:1, deleted in round 1"),
+])
+def test_a_predicted_sapling_that_is_no_face_fails_naming_it(monkeypatch, deg, sap, why, last):
+    injecting(monkeypatch, deg, [sap], last)
+    with pytest.raises(TheoremError) as caught:
+        thm_mobius_collapse(4)
+    assert "predicted sapling is not a face" in str(caught.value), why
+    assert caught.value.details["sapling"] == [b.label() for b in sap]
+    assert caught.value.details["degree"] == deg
+
+
+@pytest.mark.parametrize("deg", (1, 2))
+def test_a_one_arc_sapling_left_out_of_its_round_fails_as_a_survivor(monkeypatch, deg):
+    real = theorems.saplings_of_degree
+    dropped = next(sap for sap in real(mobius_crown(4), deg) if len(sap) == 1)
+    monkeypatch.setattr(theorems, "saplings_of_degree",
+                        lambda s, d: [sap for sap in real(s, d) if sap != dropped])
+    with pytest.raises(TheoremError) as caught:
+        thm_mobius_collapse(4)
+    assert "a b-arc scheduled for this round survived it" in str(caught.value)
+    assert caught.value.details["degree"] == deg
 
 
 def two_arc_sapling_link(monkeypatch):
