@@ -331,8 +331,8 @@ def saplings_of_degree(s: SurfaceSpec, deg: int) -> list[tuple[Arc, ...]]:
     """
     n = s.n
     barcs = [a for a in enumerate_arcs(s) if a.kind == B_ARC]
-    target = n - deg  # required sum of (wrap - 1)
-    if target < 0:
+    target = n - deg  # required sum of (wrap - 1); the empty face is no sapling
+    if target <= 0:
         return []
     full = (1 << n) - 1
     sides = []  # per b-arc: (wrap - 1, its side's edges)

@@ -30,7 +30,6 @@ from .simplicial import (
     Graph,
     _bits,
     dimension,
-    dual_graph,
     euler_characteristic,
     is_pure,
     link,
@@ -139,8 +138,11 @@ def pseudomanifold_check(c: Complex) -> PseudomanifoldReport:
 
 
 def flip_graph(c: Complex) -> Graph:
-    """Dual graph of a pure complex; vertices are facets, edges are flips."""
-    return dual_graph(c)
+    """Dual graph of a pure complex: vertices are facets, edges are flips,
+    the shared codimension-one faces."""
+    if not is_pure(c):
+        raise ValueError("dual graph requires a pure complex")
+    return Graph(tuple(range(len(c.facets))), c.facet_adjacency)
 
 
 # --- shellability -------------------------------------------------------------

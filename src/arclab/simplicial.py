@@ -422,13 +422,6 @@ def join_all(parts: Iterable[Complex]) -> Complex:
     return out
 
 
-def dual_graph(c: Complex) -> Graph:
-    """Facet adjacency along shared codimension-one faces (pure input)."""
-    if not is_pure(c):
-        raise ValueError("dual graph requires a pure complex")
-    return Graph(tuple(range(len(c.facets))), c.facet_adjacency)
-
-
 # --- isomorphism (desk scale) ------------------------------------------------
 
 _ISO_GATE = 25
@@ -666,9 +659,8 @@ def _bits(mask: int):
         mask ^= low
 
 
-def clique_counts(g: Graph, within: int | None = None) -> tuple[int, ...]:
-    """Number of cliques of g with k + 1 vertices at position k, among the
-    positions in `within` (default: all).
+def clique_counts(g: Graph) -> tuple[int, ...]:
+    """Number of cliques of g with k + 1 vertices at position k.
 
     One depth-first search over the neighbourhood bitsets.  A clique grows
     only by common neighbours above its highest vertex, so each clique is
@@ -688,7 +680,7 @@ def clique_counts(g: Graph, within: int | None = None) -> tuple[int, ...]:
             if more := candidates & up[low.bit_length() - 1]:
                 grow(more, k)
 
-    grow((1 << len(up)) - 1 if within is None else within, 0)
+    grow((1 << len(up)) - 1, 0)
     del grow  # the closure holds grow: a cycle, as in max_cliques
     return tuple(counts[: counts.index(0)])
 

@@ -10,7 +10,8 @@ one `FacetEditor`: each reads dominating sets off the editor's star index,
 removes a vertex by one `FacetEditor.delete`, and builds a `Complex` only
 for the terminal.  `core` serves the command line, which takes any complex.
 `strong_to_elementary` is the construction behind the Moebius collapse's
-trace lengths: the suite counts the faces it would pair on the graph, and
+trace lengths: each of its collapses removes two faces and it ends at a
+vertex, so the suite reads a model's trace length off its face count, and
 the tests replay it on the link models.
 
 In a flag complex w dominates v iff the closed neighbourhood N[v] lies in

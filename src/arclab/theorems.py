@@ -11,7 +11,7 @@ disjointness graph and bitset masks, and every order-free core is a
 flag complex on V_sigma, its common neighbours v with sigma + v still a
 face, when every earlier sapling has a vertex outside sigma + V_sigma; it
 is compared row for row with its model, the graph join of its tiles and
-trunk, whose elementary trace is counted, not built.
+trunk, whose elementary trace length is read off the factors' face counts.
 """
 
 from __future__ import annotations
@@ -24,20 +24,15 @@ from dataclasses import dataclass, field, asdict
 from . import __version__
 from .arcs import (
     Arc,
-    SurfaceSpec,
     arc_ids,
-    b_arc,
     b_arc_from_wrap,
     b_id,
     c_arc,
-    cc_arc,
     cc_id,
     crown,
     disjoint,
     enumerate_arcs,
     integral_strip,
-    loop_b,
-    loop_c,
     mobius_crown,
     polygon,
     saplings_of_degree,
@@ -160,7 +155,6 @@ def thm_crown_strong(n: int) -> Report:
     s = crown(n)
     graph = disjointness_graph(s)  # arc ids are positions in graph.vertices
     ids = arc_ids(s)
-    labels = {i: a.label() for a, i in ids.items()}
     c_ids = {i: ids[c_arc(i)] for i in range(1, n + 1)}
     alive = (1 << len(graph.vertices)) - 1
     steps: list[tuple[int, int]] = []
@@ -170,13 +164,10 @@ def thm_crown_strong(n: int) -> Report:
         for beta in batch:
             dom = graph_dominating_set(graph, alive, ids[beta])
             for witness_vertex in {beta.a, beta.b}:
-                _require(
-                    dom >> c_ids[witness_vertex] & 1,
-                    CROWN_CLAIM,
-                    f"{beta.label()} is not dominated by c:{witness_vertex} in round {k}",
-                    n=n,
-                    dominating=sorted(labels[u] for u in _bits(dom)),
-                )
+                if not dom >> c_ids[witness_vertex] & 1:  # labels only on failure
+                    raise TheoremError(CROWN_CLAIM, f"{beta.label()} is not dominated by c:{witness_vertex} "
+                                       f"in round {k}", n=n,
+                                       dominating=sorted(a.label() for a, i in ids.items() if dom >> i & 1))
         round_steps = [(ids[beta], c_ids[beta.b]) for beta in batch]
         alive = _replay(graph, alive, round_steps, CROWN_CLAIM, n=n, round=k)
         steps += round_steps
@@ -212,23 +203,21 @@ def thm_inner_mobius(n: int) -> Report:
     by the flag criterion N[v] in N[w] (Barmak-Minian 2012; Boissonnat-Pritam
     2020); L_{n'} lies only in the fan iff N[L_{n'}] is the fan, a clique.
     """
-    s = mobius_crown(n)
-    graph = disjointness_graph(s)  # arc ids are positions in graph.vertices
-    ids = arc_ids(s)
-    alive = inner = sum(1 << i for a, i in ids.items() if a.kind != "b")
+    graph = disjointness_graph(mobius_crown(n))  # arc ids are positions in graph.vertices
+    alive = inner = (1 << n * (n + 1) // 2) - 1  # the c-arcs come first
     steps: list[tuple[int, int]] = []
     for np_ in range(n, 1, -1):
-        v = ids[loop_c(np_)]
-        fan = sum(1 << ids[cc_arc(i, np_)] for i in range(1, np_ + 1))
+        v = cc_id(n, np_, np_)  # the loop L_{n'}
+        fan = sum(1 << cc_id(n, i, np_) for i in range(1, np_ + 1))
         star = graph.closed_neighbourhoods[v] & alive
         _require(star == fan and _simplex(graph, fan), INNER_CLAIM,
                  f"L:{np_} is not contained solely in the fan at {np_}",
                  n=n, neighbourhood=list(_bits(star)))
-        round_steps = [(v, ids[cc_arc(1, np_)])]
-        round_steps += [(ids[cc_arc(i, np_)], ids[cc_arc(1, i)]) for i in range(np_ - 1, 0, -1)]
+        round_steps = [(v, cc_id(n, 1, np_))]
+        round_steps += [(cc_id(n, i, np_), cc_id(n, 1, i)) for i in range(np_ - 1, 0, -1)]
         alive = _replay(graph, alive, round_steps, INNER_CLAIM, n=n, fan=np_)
         steps += round_steps
-    _require(alive == 1 << ids[loop_c(1)], INNER_CLAIM,
+    _require(alive == 1 << cc_id(n, 1, 1), INNER_CLAIM,
              "terminal complex is not the single arc at vertex 1", n=n)
     point = graph_core(graph, alive=inner)[0].bit_count() == 1
     _require(point, INNER_CLAIM, "order-free core disagrees with schedule", n=n)
@@ -246,23 +235,26 @@ def thm_inner_mobius(n: int) -> Report:
 MOBIUS_COLLAPSE_CLAIM = "mobius-collapse"
 
 
-def _tile(W: int, models: dict) -> tuple[Graph, list[tuple[int, int]]]:
-    """polygon(W+1)'s disjointness graph and its diagonals d:i-j as (i - 1, j - i),
-    built once per `models` dict."""
+def _tile(W: int, models: dict) -> tuple[Graph, list[tuple[int, int]], int]:
+    """polygon(W+1)'s disjointness graph, its diagonals d:i-j as (i - 1, j - i)
+    and its number of faces, the empty one included, built once per `models` dict."""
     if ("tile", W) not in models:
         tile = polygon(W + 1)
-        models["tile", W] = disjointness_graph(tile), [(d.a - 1, d.b - d.a) for d in enumerate_arcs(tile)]
+        graph = disjointness_graph(tile)
+        diagonals = [(d.a - 1, d.b - d.a) for d in enumerate_arcs(tile)]
+        models["tile", W] = graph, diagonals, sum(clique_counts(graph)) + 1
     return models["tile", W]
 
 
-def _trunk(deg: int, models: dict) -> tuple[Graph, list[tuple[int, int]], tuple[int, StrongTrace]]:
+def _trunk(deg: int, models: dict) -> tuple[Graph, list[tuple[int, int]], tuple[int, StrongTrace], int]:
     """The graph of the inner complex of mobius_crown(deg), its c-arcs cc:i-j
-    as (i, j) by id, and its `graph_core`, built once per `models` dict."""
+    as (i, j) by id, its `graph_core` and its number of faces, the empty one
+    included, built once per `models` dict."""
     if ("trunk", deg) not in models:
         trunk = mobius_crown(deg)
         graph = inner_graph(trunk)
         c_arcs = [(c.a, c.b) for c in enumerate_arcs(trunk)[:len(graph.vertices)]]
-        models["trunk", deg] = graph, c_arcs, graph_core(graph)
+        models["trunk", deg] = graph, c_arcs, graph_core(graph), sum(clique_counts(graph)) + 1
     return models["trunk", deg]
 
 
@@ -308,16 +300,21 @@ def _link_model(key: tuple[tuple[int, ...], int], models: dict) -> tuple[Graph, 
     each tile vertex then goes with witness w; `_replay` checks each step.
     A deletion (v, w) is the elementary collapses v + S -> v + S + w, for S
     a clique of N(v) - {v, w} among the vertices left, the empty one
-    included (Barmak-Minian 2012; `strong_to_elementary`), so they are
-    counted with `clique_counts`, and no face is built.
+    included (Barmak-Minian 2012; `strong_to_elementary`).  Each removes
+    two faces, and the collapse ends at one vertex, so its length is
+    (F(J) - 1) / 2, F counting the nonempty faces.  The faces of a join are
+    the unions of one face per factor, the empty one included, so F(J) + 1
+    is the product of the factors' face counts, each with its empty face,
+    and no face of J is built or counted.
     """
     widths, deg = key
     model = [list(widths), deg]
-    trunk, _, (left, strong) = _trunk(deg, models)
+    trunk, _, (left, strong), faces = _trunk(deg, models)
     _require(left.bit_count() == 1, MOBIUS_COLLAPSE_CLAIM,
              "trunk inner complex is not strongly collapsible", model=model)
-    factors = [_tile(W, models)[0].closed_neighbourhoods for W in widths]
-    factors.append(trunk.closed_neighbourhoods)
+    tiles = [_tile(W, models) for W in widths]
+    factors = [tile.closed_neighbourhoods for tile, _, _ in tiles] + [trunk.closed_neighbourhoods]
+    faces *= math.prod(tile_faces for _, _, tile_faces in tiles)
     everything = (1 << sum(map(len, factors))) - 1
     rows: list[int] = []
     for factor in factors:
@@ -328,11 +325,7 @@ def _link_model(key: tuple[tuple[int, ...], int], models: dict) -> tuple[Graph, 
     w = offset + left.bit_length() - 1
     steps = [(offset + v, offset + u) for v, u in strong.steps] + [(x, w) for x in range(offset)]
     _replay(J, everything, steps, MOBIUS_COLLAPSE_CLAIM, model=model)
-    length, alive = 0, everything
-    for v, u in steps:
-        alive ^= 1 << v
-        length += sum(clique_counts(J, rows[v] & alive & ~(1 << u))) + 1
-    return J, StrongTrace(tuple(steps)), length
+    return J, StrongTrace(tuple(steps)), (faces - 2) // 2
 
 
 def _sapling_mask(n: int, sap: tuple[Arc, ...]) -> int:
@@ -427,7 +420,8 @@ def thm_mobius_collapse(n: int) -> Report:
     neighbourhoods, and an earlier sapling inside it is found by its lowest
     vertex.  Each link is the flag complex of G on V_sigma
     (`_sapling_link_length`), the image of its model join, whose collapse
-    is checked once per call on the join's rows (`_link_model`).  So
+    is checked once per call on the join's rows, and whose trace length is
+    (F - 1) / 2 for F its nonempty faces (`_link_model`).  So
     `trace_length` counts the model traces plus one step per sapling, and
     then the trace of the empty sapling, whose link is what the rounds
     leave and whose model is the inner complex.  No face is built: `facets`
@@ -478,25 +472,19 @@ def thm_mobius_collapse(n: int) -> Report:
 MOBIUS_CORE_CLAIM = "mobius-not-strongly-collapsible"
 
 
-def _ridge_arc(pair: tuple[int, int]) -> Arc:
-    # the unique b-arc joining i and i+1 (wrap length n-1): polygon side
-    # from j back around to i
-    i, j = pair
-    return b_arc(j, i)
-
-
-def _mobius_prediction(n: int, ids: dict[Arc, int]) -> tuple[dict, dict, dict, dict]:
-    """The arcs the Moebius core argument names, by boundary vertex or cyclic pair.
+def _mobius_prediction(n: int) -> tuple[dict, dict, dict, dict]:
+    """The arc ids the Moebius core argument names, by boundary vertex or cyclic pair.
 
     The loops M_j with their witnesses L_j, and the ridge b-arcs with their
-    c-arc witnesses.
+    c-arc witnesses.  The ridge b-arc at (i, j) is the one b-arc joining i
+    and j = i + 1: its polygon side runs from j back around to i, n - 1 edges.
     """
     jn = [(i, i % n + 1) for i in range(1, n + 1)]  # the cyclic pairs
     return (
-        {j: ids[loop_b(j)] for j in range(1, n + 1)},
-        {j: ids[loop_c(j)] for j in range(1, n + 1)},
-        {pair: ids[_ridge_arc(pair)] for pair in jn},
-        {pair: ids[cc_arc(*pair)] for pair in jn},
+        {j: b_id(n, j, n) for j in range(1, n + 1)},
+        {j: cc_id(n, j, j) for j in range(1, n + 1)},
+        {(i, j): b_id(n, j, n - 1) for i, j in jn},
+        {(i, j): cc_id(n, min(i, j), max(i, j)) for i, j in jn},
     )
 
 
@@ -534,9 +522,8 @@ def thm_mobius_not_strong(n: int) -> Report:
     the graph must end at K.
     """
     _require(n >= 4, MOBIUS_CORE_CLAIM, "statement needs n >= 4", n=n)
-    s = mobius_crown(n)
-    graph = disjointness_graph(s)  # arc ids are positions in graph.vertices
-    loops, lcs, ridge, witnesses = _mobius_prediction(n, arc_ids(s))
+    graph = disjointness_graph(mobius_crown(n))  # arc ids are positions in graph.vertices
+    loops, lcs, ridge, witnesses = _mobius_prediction(n)
     nbhds = graph.closed_neighbourhoods
     D = sum(1 << v for v in (*loops.values(), *ridge.values()))
     _require(D.bit_count() == 2 * n, MOBIUS_CORE_CLAIM, "removable set D has wrong size", n=n)

@@ -991,8 +991,8 @@ def pair_test_saplings_of_degree(s: SurfaceSpec, deg: int) -> list[tuple[Arc, ..
     `_nested_in` both ways."""
     n = s.n
     barcs = [a for a in enumerate_arcs(s) if a.kind == B_ARC]
-    target = n - deg  # required sum of (wrap - 1)
-    if target < 0:
+    target = n - deg  # required sum of (wrap - 1); the empty face is no sapling
+    if target <= 0:
         return []
     out: list[tuple[Arc, ...]] = []
 

@@ -349,7 +349,7 @@ def test_saplings_of_degree_are_every_b_arc_face_of_that_degree_with_no_nesting(
 
     grow([], 0)
     assert set(by_degree) <= set(range(1, s.n))
-    for deg in range(1, s.n):
+    for deg in range(0, s.n + 2):
         found = saplings_of_degree(s, deg)
         assert len(found) == len(set(found)) and set(found) == by_degree.get(deg, set()), deg
 

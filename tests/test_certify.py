@@ -20,7 +20,6 @@ from arclab.certify import (
 )
 from arclab.collapse import DEFAULT_BUDGET, DISPROVEN, INCONCLUSIVE, PROVEN, is_collapsible
 from arclab.simplicial import (
-    dual_graph,
     dumps_canonical,
     euler_characteristic,
     link,
@@ -128,7 +127,7 @@ def test_ridge_neighbours_match_the_ridge_dict(c):
     )
     pm = pseudomanifold_check(c)
     assert (pm.status, pm.strongly_connected, pm.boundary) == ridge_dict_pseudomanifold_check(c)
-    g = dual_graph(c)
+    g = flip_graph(c)
     assert list(g.edges) == ridge_dict_dual_edges(c)
     assert g.closed_neighbourhoods == make_graph(g.vertices, g.edges).closed_neighbourhoods
     result = shelling_search(c, 200)

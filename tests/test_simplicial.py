@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from arclab.arcs import crown, integral_strip, mobius_crown, polygon
 from arclab.build import arc_complex, disjointness_graph, inner_complex
+from arclab.certify import flip_graph
 from arclab.simplicial import (
     _complex,
     clique_counts,
@@ -15,7 +16,6 @@ from arclab.simplicial import (
     complex_to_json,
     count_max_cliques,
     dimension,
-    dual_graph,
     dumps_canonical,
     empty_complex,
     euler_characteristic,
@@ -618,13 +618,13 @@ def test_single_vertex_is_its_own_apex():
 
 
 def test_hexagon_dual_graph_is_the_associahedron_skeleton(complex_of):
-    g = dual_graph(complex_of("polygon", 6))
+    g = flip_graph(complex_of("polygon", 6))
     assert len(g.vertices) == 14
     assert len(g.edges) == 21
 
 
 def test_mobius_two_dual_graph_is_a_path(complex_of):
-    g = dual_graph(complex_of("mobius", 2))
+    g = flip_graph(complex_of("mobius", 2))
     degrees = sorted(len(v) for v in adjacency(g.vertices, g.edges).values())
     assert len(g.vertices) == 4 and degrees == [1, 1, 2, 2]
 
@@ -632,7 +632,7 @@ def test_mobius_two_dual_graph_is_a_path(complex_of):
 def test_dual_graph_requires_pure():
     c = complex_from_facets([[0, 1, 2], [3, 4]])
     with pytest.raises(ValueError):
-        dual_graph(c)
+        flip_graph(c)
 
 
 def test_isomorphic_to_relabeled_self(complex_of):

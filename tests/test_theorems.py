@@ -28,6 +28,7 @@ from arclab.simplicial import (
     Graph,
     _bits,
     _complex,
+    clique_counts,
     flag_complex,
     join_all,
     make_complex,
@@ -184,6 +185,19 @@ def test_crown_graph_checks_match_their_facet_forms(n):
             assert set(_bits(graph_dominating_set(graph, alive, v))) == scan_dominating_set(current, v)
 
 
+def test_a_missing_crown_witness_fails_naming_the_dominating_set(monkeypatch):
+    """With the edge b:1-3 -- b:2-1 toggled, c:3 no longer dominates b:1-3
+    in round 2; the failure names the arc, the witness and the round, and
+    lists the labels of the dominating set that is left."""
+    s = crown(3)
+    ids = arc_ids(s)
+    graph = toggled(disjointness_graph(s), ids[b_arc(1, 3)], ids[b_arc(2, 1)])
+    monkeypatch.setattr(theorems, "disjointness_graph", lambda s: graph)
+    with pytest.raises(TheoremError, match=r": b:1-3 is not dominated by c:3 in round 2 ") as caught:
+        thm_crown_strong(3)
+    assert caught.value.details == {"n": 3, "dominating": ["c:1"]}
+
+
 # --- inner mobius schedule -------------------------------------------------------------
 
 
@@ -253,6 +267,14 @@ def test_mobius_collapse_reports_its_trace_length_and_rounds(n, trace_length):
     details = thm_mobius_collapse(n).claims[0].details
     assert details["trace_length"] == trace_length
     assert details["rounds"] == [math.comb(n, d) for d in range(1, n)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_the_collapse_schedule_pairs_every_face_but_one_vertex(n):
+    """The reported trace collapses the whole complex to a point, so it
+    pairs off every nonempty face but one: 2 * trace_length + 1 faces."""
+    faces = sum(clique_counts(disjointness_graph(mobius_crown(n))))
+    assert 2 * thm_mobius_collapse(n).claims[0].details["trace_length"] + 1 == faces
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -629,11 +651,11 @@ def test_a_broken_model_trace_fails_the_suite_naming_the_model(monkeypatch):
     trunk = theorems._trunk
 
     def misnamed(deg, models):
-        graph, c_arcs, (left, strong) = trunk(deg, models)
+        graph, c_arcs, (left, strong), faces = trunk(deg, models)
         if strong.steps:
             (v, _), *rest = strong.steps
             strong = StrongTrace(((v, v), *rest))  # a vertex never dominates itself
-        return graph, c_arcs, (left, strong)
+        return graph, c_arcs, (left, strong), faces
 
     monkeypatch.setattr(theorems, "_trunk", misnamed)
     with pytest.raises(TheoremError) as caught:
@@ -708,8 +730,8 @@ def test_a_perturbed_prediction_fails_the_lemma(monkeypatch, which, check):
     # the first two trip check (a), the last two check (b)
     real = theorems._mobius_prediction
 
-    def perturbed(n, ids):
-        maps = list(real(n, ids))
+    def perturbed(n):
+        maps = list(real(n))
         a, b = list(maps[which])[:2]
         maps[which] = {**maps[which], a: maps[which][b], b: maps[which][a]}
         return tuple(maps)
@@ -764,7 +786,7 @@ def test_one_toggled_edge_trips_each_whole_graph_check(monkeypatch, x, y, check)
         thm_mobius_not_strong(5)
     if check in ("(c)", "(d)"):
         # the dominators named are those the neighbour-by-neighbour scan finds
-        loops, _, ridge, _ = theorems._mobius_prediction(5, ids)
+        loops, _, ridge, _ = theorems._mobius_prediction(5)
         K = (1 << len(graph.vertices)) - 1 & ~sum(1 << v for v in (*loops.values(), *ridge.values()))
         if check == "(c)":
             v, kept = failed.value.details["arc"], K
