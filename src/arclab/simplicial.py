@@ -628,7 +628,9 @@ def count_max_cliques(g: Graph) -> int:
     """len(max_cliques(g)), by the same search, holding no clique.
 
     Each branch carries only its candidate and excluded bitsets, so memory
-    is the recursion depth, not the number of maximal cliques.
+    is the recursion depth, not the number of maximal cliques.  The graph
+    with no vertex has none, as `max_cliques` returns [], although its flag
+    complex has one facet, the empty face: callers counting facets count 1.
     """
     nbr = [nbhd & ~(1 << i) for i, nbhd in enumerate(g.closed_neighbourhoods)]
 

@@ -12,6 +12,9 @@ flag complex on V_sigma, its common neighbours v with sigma + v still a
 face, when every earlier sapling has a vertex outside sigma + V_sigma; it
 is compared row for row with its model, the graph join of its tiles and
 trunk, whose elementary trace length is read off the factors' face counts.
+The factors are pure, so each facet of the complex is the first sapling
+it holds plus a facet of that sapling's link, or a facet of the inner
+complex, and the facets are counted as the models' facet counts, summed.
 """
 
 from __future__ import annotations
@@ -235,26 +238,45 @@ def thm_inner_mobius(n: int) -> Report:
 MOBIUS_COLLAPSE_CLAIM = "mobius-collapse"
 
 
+def _pure_facets(graph: Graph, size: int) -> tuple[int, int]:
+    """The faces of graph's flag complex, the empty one included, and its
+    number of facets if every facet has `size` vertices, else 0.
+
+    That holds iff the largest cliques have `size` vertices and they are
+    all the maximal ones: iff `clique_counts` stops at `size` vertices and
+    its last count equals `count_max_cliques`.  With no vertex the one facet
+    is the empty face, which `count_max_cliques` does not count."""
+    counts = clique_counts(graph)
+    top = counts[-1] if counts else 1
+    pure = len(counts) == size and (not counts or count_max_cliques(graph) == top)
+    return sum(counts) + 1, top if pure else 0
+
+
 def _tile(W: int, models: dict) -> tuple[Graph, list[tuple[int, int]], int]:
     """polygon(W+1)'s disjointness graph, its diagonals d:i-j as (i - 1, j - i)
-    and its number of faces, the empty one included, built once per `models` dict."""
+    and its number of faces, the empty one included, built once per `models`
+    dict; its number of facets, 0 unless each has W - 2 vertices, goes to
+    models["facets", "tile", W]."""
     if ("tile", W) not in models:
         tile = polygon(W + 1)
         graph = disjointness_graph(tile)
         diagonals = [(d.a - 1, d.b - d.a) for d in enumerate_arcs(tile)]
-        models["tile", W] = graph, diagonals, sum(clique_counts(graph)) + 1
+        faces, models["facets", "tile", W] = _pure_facets(graph, W - 2)
+        models["tile", W] = graph, diagonals, faces
     return models["tile", W]
 
 
 def _trunk(deg: int, models: dict) -> tuple[Graph, list[tuple[int, int]], tuple[int, StrongTrace], int]:
     """The graph of the inner complex of mobius_crown(deg), its c-arcs cc:i-j
     as (i, j) by id, its `graph_core` and its number of faces, the empty one
-    included, built once per `models` dict."""
+    included, built once per `models` dict; its number of facets, 0 unless
+    each has deg vertices, goes to models["facets", "trunk", deg]."""
     if ("trunk", deg) not in models:
         trunk = mobius_crown(deg)
         graph = inner_graph(trunk)
         c_arcs = [(c.a, c.b) for c in enumerate_arcs(trunk)[:len(graph.vertices)]]
-        models["trunk", deg] = graph, c_arcs, graph_core(graph), sum(clique_counts(graph)) + 1
+        faces, models["facets", "trunk", deg] = _pure_facets(graph, deg)
+        models["trunk", deg] = graph, c_arcs, graph_core(graph), faces
     return models["trunk", deg]
 
 
@@ -291,7 +313,8 @@ def _sapling_arc_map(
 def _link_model(key: tuple[tuple[int, ...], int], models: dict) -> tuple[Graph, StrongTrace, int]:
     """The graph of the model join J of `key` (as `_sapling_arc_map` numbers
     it), its strong collapse to a vertex, checked on that graph, and the
-    length of the elementary collapse it stands for.
+    length of the elementary collapse it stands for; J's number of facets
+    goes to models["facets", key].
 
     J = X * T, X the join of the tiles and T the trunk, all flag, is the
     flag complex of the graph join: each factor's rows at its offset, ORed
@@ -305,7 +328,10 @@ def _link_model(key: tuple[tuple[int, ...], int], models: dict) -> tuple[Graph, 
     (F(J) - 1) / 2, F counting the nonempty faces.  The faces of a join are
     the unions of one face per factor, the empty one included, so F(J) + 1
     is the product of the factors' face counts, each with its empty face,
-    and no face of J is built or counted.
+    and no face of J is built or counted.  Its facets are the unions of one
+    facet per factor, so they number the product of the factors' facet
+    counts; each factor must be pure, its facets of W - 2 vertices for a
+    tile (a triangulation of the (W+1)-gon) and deg for the trunk.
     """
     widths, deg = key
     model = [list(widths), deg]
@@ -313,6 +339,9 @@ def _link_model(key: tuple[tuple[int, ...], int], models: dict) -> tuple[Graph, 
     _require(left.bit_count() == 1, MOBIUS_COLLAPSE_CLAIM,
              "trunk inner complex is not strongly collapsible", model=model)
     tiles = [_tile(W, models) for W in widths]
+    facets = [models["facets", "tile", W] for W in widths] + [models["facets", "trunk", deg]]
+    _require(all(facets), MOBIUS_COLLAPSE_CLAIM, "model factor is not pure", model=model)
+    models["facets", key] = math.prod(facets)
     factors = [tile.closed_neighbourhoods for tile, _, _ in tiles] + [trunk.closed_neighbourhoods]
     faces *= math.prod(tile_faces for _, _, tile_faces in tiles)
     everything = (1 << sum(map(len, factors))) - 1
@@ -353,9 +382,9 @@ def _near(earlier: list[list[int]], mask: int) -> list[int]:
 
 def _sapling_link_length(
     n: int, graph: Graph, earlier: list[list[int]], sap: tuple[Arc, ...], models: dict,
-) -> int:
+) -> tuple[int, int]:
     """Check a sapling's link against its model join, on the graph; returns
-    the length of the model's collapse trace.
+    the length of the model's collapse trace and its number of facets.
 
     Y is the full complex minus every face that holds one of the `earlier`
     saplings (masks of arc ids, listed at their lowest vertex), and the
@@ -398,7 +427,36 @@ def _sapling_link_length(
                  for a, row in zip(image, J.closed_neighbourhoods)),
              MOBIUS_COLLAPSE_CLAIM, "link is not the join of its tile complexes under the arc maps",
              sapling=sapling)
-    return length
+    return length, models["facets", key]
+
+
+def _spanning_pair(masks: list[int], commons: list[int], free) -> tuple[int, int] | None:
+    """The first pair i < j, lowest i first and then lowest j, of masks whose
+    union is a clique that `free` accepts; None if there is none.
+
+    commons[k] is `_common` of masks[k].  The union of two cliques is a
+    clique iff one lies in the other's common neighbourhood, the graph being
+    symmetric.  With one bitset per vertex of the masks through it, the
+    cliques j > i inside commons[i] are the clique mask less the OR of those
+    bitsets over the vertices outside commons[i], and only their unions go
+    to `free`.
+    """
+    through: dict[int, int] = {}  # vertex -> the masks through it, as a bitset of positions
+    cliques = 0
+    for k, (mask, common) in enumerate(zip(masks, commons)):
+        if not mask & ~common:
+            cliques |= 1 << k
+        for v in _bits(mask):
+            through[v] = through.get(v, 0) | 1 << k
+    used = sum(1 << v for v in through)
+    for i in _bits(cliques):
+        inside = cliques >> i + 1 << i + 1
+        for v in _bits(used & ~commons[i]):
+            inside &= ~through[v]
+        for j in _bits(inside):
+            if free(masks[i] | masks[j]):
+                return i, j
+    return None
 
 
 def thm_mobius_collapse(n: int) -> Report:
@@ -424,16 +482,28 @@ def thm_mobius_collapse(n: int) -> Report:
     (F - 1) / 2 for F its nonempty faces (`_link_model`).  So
     `trace_length` counts the model traces plus one step per sapling, and
     then the trace of the empty sapling, whose link is what the rounds
-    leave and whose model is the inner complex.  No face is built: `facets`
-    counts the maximal cliques of G without holding them.
+    leave and whose model is the inner complex.
+
+    No face is built, and `facets` is read off the schedule.  A facet tau
+    of the complex outside the final Y holds a first sapling sigma, and
+    tau - sigma is a facet of lk(sigma), the image of the model join.  Each
+    model factor is checked pure, so sigma + rho has n vertices for every
+    facet rho of the link: one per sapling arc, W - 2 per tile and deg for
+    the trunk, and the W - 1 boundary vertices inside each arc and the
+    trunk's deg make up the n (the arcs of a face do not cross, and nested
+    ones fail the arc map's bijection).  No face has more, as each lies in a
+    sigma + rho or in the inner complex, so every sigma + rho is a facet.
+    So `facets` is the sum over the saplings of their models' facet counts,
+    plus the inner complex's, and no clique search runs on G.
     """
     s = mobius_crown(n)
     graph = disjointness_graph(s)
     rows = graph.closed_neighbourhoods
-    models: dict = {}  # tiles by wrap length, trunks by degree, model joins by key
+    # tiles by wrap length, trunks by degree, model joins by key, each facet count by ("facets", ...)
+    models: dict = {}
     earlier: list[list[int]] = [[] for _ in rows]  # the saplings deleted so far, at their lowest vertex
     deleted = 0  # the b-arcs deleted as one-arc saplings
-    replayed = 0
+    replayed = facets = 0
     round_sizes: list[int] = []
 
     def free(mask: int) -> bool:  # whether the clique mask holds no earlier sapling
@@ -444,27 +514,25 @@ def thm_mobius_collapse(n: int) -> Report:
         round_sizes.append(len(saps))
         masks = [_sapling_mask(n, sap) for sap in saps]
         commons = [_common(rows, mask) for mask in masks]
-        for i, (m1, c1) in enumerate(zip(masks, commons)):
-            for j in range(i + 1, len(masks)):
-                union = m1 | masks[j]
-                if not union & ~(c1 & commons[j]) and free(union):  # labels only on failure
-                    pair = [[a.label() for a in saps[i]], [a.label() for a in saps[j]]]
-                    raise TheoremError(MOBIUS_COLLAPSE_CLAIM, "two same-round saplings span a common face",
-                                       n=n, degree=deg, pair=pair)
+        if pair := _spanning_pair(masks, commons, free):  # labels only on failure
+            raise TheoremError(MOBIUS_COLLAPSE_CLAIM, "two same-round saplings span a common face",
+                               n=n, degree=deg, pair=[[a.label() for a in saps[k]] for k in pair])
         for sap, mask, common in zip(saps, masks, commons):
             _require(mask and not mask & ~common and free(mask), MOBIUS_COLLAPSE_CLAIM,
                      "predicted sapling is not a face", n=n, degree=deg, sapling=[a.label() for a in sap])
-            replayed += _sapling_link_length(n, graph, earlier, sap, models) + 1
+            length, count = _sapling_link_length(n, graph, earlier, sap, models)
+            replayed += length + 1
+            facets += count
             earlier[(mask & -mask).bit_length() - 1].append(mask)
             if not mask & mask - 1:
                 deleted |= mask
         wide = sum(1 << b_id(n, p, w) for p in range(1, n + 1) for w in range(n - deg + 1, n + 1))
         _require(not wide & ~deleted, MOBIUS_COLLAPSE_CLAIM,
                  "a b-arc scheduled for this round survived it", n=n, degree=deg)
-    replayed += _sapling_link_length(n, graph, earlier, (), models)
+    length, count = _sapling_link_length(n, graph, earlier, (), models)
     return Report().add(MOBIUS_COLLAPSE_CLAIM, "mobius-collapse-to-point", n,
-                        vertices=len(graph.vertices), facets=count_max_cliques(graph),
-                        rounds=round_sizes, trace_length=replayed)
+                        vertices=len(graph.vertices), facets=facets + count,
+                        rounds=round_sizes, trace_length=replayed + length)
 
 
 # --- mobius non-strong-collapsibility ----------------------------------------------

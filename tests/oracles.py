@@ -597,6 +597,18 @@ def editor_mobius_collapse(n: int) -> Report:
                         trace_length=replayed)
 
 
+def all_pairs_spanning_pair(masks: list[int], commons: list[int], free):
+    """The same-round pair check that `theorems._spanning_pair` replaced:
+    every pair i < j in order, its union tested against both masks' common
+    rows and then by `free`; the first that passes, or None."""
+    for i, (m1, c1) in enumerate(zip(masks, commons)):
+        for j in range(i + 1, len(masks)):
+            union = m1 | masks[j]
+            if not union & ~(c1 & commons[j]) and free(union):
+                return i, j
+    return None
+
+
 # --- scans and the set-indexed replayer that the facet-bitset index replaced ---
 
 

@@ -29,6 +29,7 @@ from arclab.simplicial import (
     _bits,
     _complex,
     clique_counts,
+    count_max_cliques,
     flag_complex,
     join_all,
     make_complex,
@@ -275,6 +276,63 @@ def test_the_collapse_schedule_pairs_every_face_but_one_vertex(n):
     pairs off every nonempty face but one: 2 * trace_length + 1 faces."""
     faces = sum(clique_counts(disjointness_graph(mobius_crown(n))))
     assert 2 * thm_mobius_collapse(n).claims[0].details["trace_length"] + 1 == faces
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_the_facets_read_off_the_schedule_are_the_maximal_cliques_of_the_graph(n):
+    """The suite sums its models' facet counts; the whole graph's maximal
+    cliques are counted here, apart from the suite."""
+    facets = count_max_cliques(disjointness_graph(mobius_crown(n)))
+    assert thm_mobius_collapse(n).claims[0].details["facets"] == facets
+
+
+def test_the_suite_counts_maximal_cliques_only_on_tiles_and_trunks(monkeypatch):
+    counted = []
+    count = theorems.count_max_cliques
+    monkeypatch.setattr(theorems, "count_max_cliques", lambda g: counted.append(g) or count(g))
+    assert thm_mobius_collapse(7).all_passed
+    factors = ([disjointness_graph(polygon(W + 1)) for W in range(3, 8)]
+               + [theorems.inner_graph(mobius_crown(deg)) for deg in range(1, 8)])
+    assert len(counted) == len(set(counted)) == len(factors)
+    assert set(counted) == set(factors)
+
+
+def chorded(graph, chords):
+    for x, y in chords:
+        graph = toggled(graph, x, y)
+    return graph
+
+
+@pytest.mark.parametrize("chords", [[(0, 2)], [(0, 2), (0, 3)]])
+def test_a_tile_not_pure_of_its_size_fails_the_suite_naming_the_model(monkeypatch, chords):
+    """polygon(5)'s diagonals form a 5-cycle.  One chord across it makes a
+    triangle and leaves three edges maximal.  Two from one vertex make a
+    fan of three triangles: pure, but a facet of the tile must have 2
+    vertices, as a triangulation of the pentagon does.  At n = 4 the first
+    sapling, the loop M:1, has that tile, of width 4."""
+    build = theorems.disjointness_graph
+    monkeypatch.setattr(theorems, "disjointness_graph",
+                        lambda s: chorded(build(s), chords) if s == polygon(5) else build(s))
+    with pytest.raises(TheoremError) as caught:
+        thm_mobius_collapse(4)
+    assert "model factor is not pure" in str(caught.value)
+    assert caught.value.details == {"model": [[4], 1]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(), st.data())
+def test_the_bitset_pair_finder_finds_the_all_pairs_loops_first_pair(g, data):
+    """On random graphs, random masks (cliques or not, empty included) and a
+    random `free` that rejects the unions holding a random earlier mask."""
+    vertex_sets = st.sets(st.integers(0, len(g.vertices) - 1), max_size=3)
+    masks = [sum(1 << v for v in vs) for vs in data.draw(st.lists(vertex_sets, max_size=10))]
+    earlier = [sum(1 << v for v in vs) for vs in data.draw(st.lists(vertex_sets, max_size=3))]
+    commons = [theorems._common(g.closed_neighbourhoods, mask) for mask in masks]
+
+    def free(mask):
+        return all(p & ~mask for p in earlier)
+
+    assert theorems._spanning_pair(masks, commons, free) == oracles.all_pairs_spanning_pair(masks, commons, free)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
