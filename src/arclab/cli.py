@@ -233,7 +233,7 @@ def main(argv: list[str] | None = None) -> int:
             print(exc.code, file=sys.stderr)
             return 2
         return exc.code if exc.code is not None else 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # unreadable or unwritable paths too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,9 +9,12 @@ Every arc complex is a flag complex, so the collapse suites run on the
 disjointness graph and bitset masks, and every order-free core is a
 `graph_core`.  In the Moebius collapse the link of a sapling sigma is the
 flag complex on V_sigma, its common neighbours v with sigma + v still a
-face, when every earlier sapling has a vertex outside sigma + V_sigma; it
-is compared row for row with its model, the graph join of its tiles and
-trunk, whose elementary trace length is read off the factors' face counts.
+face, when every earlier sapling has a vertex outside sigma + V_sigma.
+V_sigma is found once, at the start of sigma's round; two saplings of a
+round span a face iff one lies in the other plus its V, and when none do,
+the round leaves every link as it found it.  Each link is compared row for
+row with its model, the graph join of its tiles and trunk, whose
+elementary trace length is read off the factors' face counts.
 The factors are pure, so each facet of the complex is the first sapling
 it holds plus a facet of that sapling's link, or a facet of the inner
 complex, and the facets are counted as the models' facet counts, summed.
@@ -252,31 +255,28 @@ def _pure_facets(graph: Graph, size: int) -> tuple[int, int]:
     return sum(counts) + 1, top if pure else 0
 
 
-def _tile(W: int, models: dict) -> tuple[Graph, list[tuple[int, int]], int]:
-    """polygon(W+1)'s disjointness graph, its diagonals d:i-j as (i - 1, j - i)
-    and its number of faces, the empty one included, built once per `models`
-    dict; its number of facets, 0 unless each has W - 2 vertices, goes to
-    models["facets", "tile", W]."""
+def _tile(W: int, models: dict) -> tuple[Graph, list[tuple[int, int]], int, int]:
+    """polygon(W+1)'s disjointness graph, its diagonals d:i-j as (i - 1, j - i),
+    its number of faces, the empty one included, and its number of facets,
+    0 unless each has W - 2 vertices; built once per `models` dict."""
     if ("tile", W) not in models:
         tile = polygon(W + 1)
         graph = disjointness_graph(tile)
         diagonals = [(d.a - 1, d.b - d.a) for d in enumerate_arcs(tile)]
-        faces, models["facets", "tile", W] = _pure_facets(graph, W - 2)
-        models["tile", W] = graph, diagonals, faces
+        models["tile", W] = graph, diagonals, *_pure_facets(graph, W - 2)
     return models["tile", W]
 
 
-def _trunk(deg: int, models: dict) -> tuple[Graph, list[tuple[int, int]], tuple[int, StrongTrace], int]:
+def _trunk(deg: int, models: dict) -> tuple[Graph, list[tuple[int, int]], tuple[int, StrongTrace], int, int]:
     """The graph of the inner complex of mobius_crown(deg), its c-arcs cc:i-j
-    as (i, j) by id, its `graph_core` and its number of faces, the empty one
-    included, built once per `models` dict; its number of facets, 0 unless
-    each has deg vertices, goes to models["facets", "trunk", deg]."""
+    as (i, j) by id, its `graph_core`, its number of faces, the empty one
+    included, and its number of facets, 0 unless each has deg vertices;
+    built once per `models` dict."""
     if ("trunk", deg) not in models:
         trunk = mobius_crown(deg)
         graph = inner_graph(trunk)
         c_arcs = [(c.a, c.b) for c in enumerate_arcs(trunk)[:len(graph.vertices)]]
-        faces, models["facets", "trunk", deg] = _pure_facets(graph, deg)
-        models["trunk", deg] = graph, c_arcs, graph_core(graph), faces
+        models["trunk", deg] = graph, c_arcs, graph_core(graph), *_pure_facets(graph, deg)
     return models["trunk", deg]
 
 
@@ -310,11 +310,10 @@ def _sapling_arc_map(
     return (tuple(W for W, _ in tiles), len(o)), image
 
 
-def _link_model(key: tuple[tuple[int, ...], int], models: dict) -> tuple[Graph, StrongTrace, int]:
+def _link_model(key: tuple[tuple[int, ...], int], models: dict) -> tuple[Graph, StrongTrace, int, int]:
     """The graph of the model join J of `key` (as `_sapling_arc_map` numbers
-    it), its strong collapse to a vertex, checked on that graph, and the
-    length of the elementary collapse it stands for; J's number of facets
-    goes to models["facets", key].
+    it), its strong collapse to a vertex, checked on that graph, the length
+    of the elementary collapse it stands for, and J's number of facets.
 
     J = X * T, X the join of the tiles and T the trunk, all flag, is the
     flag complex of the graph join: each factor's rows at its offset, ORed
@@ -335,15 +334,14 @@ def _link_model(key: tuple[tuple[int, ...], int], models: dict) -> tuple[Graph, 
     """
     widths, deg = key
     model = [list(widths), deg]
-    trunk, _, (left, strong), faces = _trunk(deg, models)
+    trunk, _, (left, strong), faces, trunk_facets = _trunk(deg, models)
     _require(left.bit_count() == 1, MOBIUS_COLLAPSE_CLAIM,
              "trunk inner complex is not strongly collapsible", model=model)
     tiles = [_tile(W, models) for W in widths]
-    facets = [models["facets", "tile", W] for W in widths] + [models["facets", "trunk", deg]]
+    facets = [tile_facets for *_, tile_facets in tiles] + [trunk_facets]
     _require(all(facets), MOBIUS_COLLAPSE_CLAIM, "model factor is not pure", model=model)
-    models["facets", key] = math.prod(facets)
-    factors = [tile.closed_neighbourhoods for tile, _, _ in tiles] + [trunk.closed_neighbourhoods]
-    faces *= math.prod(tile_faces for _, _, tile_faces in tiles)
+    factors = [tile.closed_neighbourhoods for tile, *_ in tiles] + [trunk.closed_neighbourhoods]
+    faces *= math.prod(tile_faces for _, _, tile_faces, _ in tiles)
     everything = (1 << sum(map(len, factors))) - 1
     rows: list[int] = []
     for factor in factors:
@@ -354,7 +352,7 @@ def _link_model(key: tuple[tuple[int, ...], int], models: dict) -> tuple[Graph, 
     w = offset + left.bit_length() - 1
     steps = [(offset + v, offset + u) for v, u in strong.steps] + [(x, w) for x in range(offset)]
     _replay(J, everything, steps, MOBIUS_COLLAPSE_CLAIM, model=model)
-    return J, StrongTrace(tuple(steps)), (faces - 2) // 2
+    return J, StrongTrace(tuple(steps)), (faces - 2) // 2, math.prod(facets)
 
 
 def _sapling_mask(n: int, sap: tuple[Arc, ...]) -> int:
@@ -362,59 +360,62 @@ def _sapling_mask(n: int, sap: tuple[Arc, ...]) -> int:
     return sum(1 << b_id(n, b.a, wrap_length(b, n)) for b in sap)
 
 
-def _common(rows: tuple[int, ...], mask: int) -> int:
-    """The common closed neighbourhood of the vertices in mask (all vertices if none).
-
-    mask is a clique iff it lies in this."""
-    common = (1 << len(rows)) - 1
-    for u in _bits(mask):
-        common &= rows[u]
-    return common
-
-
-def _near(earlier: list[list[int]], mask: int) -> list[int]:
-    """The earlier saplings listed at a vertex of mask.
-
-    `earlier` lists each sapling's mask at its lowest vertex, so every
-    earlier sapling that lies in mask is among these."""
-    return [p for v in _bits(mask) for p in earlier[v]]
-
-
-def _sapling_link_length(
-    n: int, graph: Graph, earlier: list[list[int]], sap: tuple[Arc, ...], models: dict,
-) -> tuple[int, int]:
-    """Check a sapling's link against its model join, on the graph; returns
-    the length of the model's collapse trace and its number of facets.
+def _link_vertices(
+    rows: tuple[int, ...], earlier: list[list[int]], sigma: int, sap: tuple[Arc, ...], **where,
+) -> int:
+    """V_sigma, the vertex set of lk_Y(sigma), once sigma is checked to be a
+    face of Y and lk_Y(sigma) to be the flag complex on V_sigma.
 
     Y is the full complex minus every face that holds one of the `earlier`
-    saplings (masks of arc ids, listed at their lowest vertex), and the
-    sapling sigma is a face of Y.
-    Every face of lk_Y(sigma) lies in V, the common neighbours v of sigma
-    with no earlier s' where s' - sigma = {v}.  A clique tau in V is
-    missing from the link iff sigma + tau holds an earlier s', so then
-    s' - sigma lies in tau: lk_Y(sigma) is the flag complex on V iff every
-    earlier sapling has a vertex outside sigma + V.  The arc map must be a
-    bijection onto V carrying J's rows onto the rows restricted to V; flag
-    complexes are equal iff their graphs are, so it is an isomorphism from
-    the model onto the link, and carries the model's collapse to one of it.
-    The empty sapling () is checked after the rounds: its link is Y, its
-    key ((), n), and its arc map the identity onto the c-arcs, which V must
-    be; its model is the inner complex of s and nothing else.
+    saplings (masks of arc ids, listed at their lowest vertex), and sigma is
+    the mask of the sapling `sap`.  sigma is a face of Y iff it is a clique
+    holding no earlier sapling; a sapling of a round, named by `where` (n
+    and degree), must also be nonempty, and the empty sapling, checked after
+    the rounds, has no `where`.  Every face of lk_Y(sigma) lies in V, the
+    common neighbours v of sigma with no earlier s' where s' - sigma = {v}.
+    A clique tau in V is missing from the link iff sigma + tau holds an
+    earlier s', so then s' - sigma lies in tau: lk_Y(sigma) is the flag
+    complex on V iff every earlier sapling has a vertex outside sigma + V.
+    Then a clique sigma + tau is a face of Y iff tau lies in V.
     """
-    rows = graph.closed_neighbourhoods
-    sigma = _sapling_mask(n, sap)
-    V = _common(rows, sigma) & ~sigma
-    near = _near(earlier, sigma | V)  # an s' - sigma = {v} with v outside V changes nothing
+    sapling = [b.label() for b in sap]
+    common = (1 << len(rows)) - 1  # sigma's common closed neighbourhood: a clique iff sigma lies in it
+    for u in _bits(sigma):
+        common &= rows[u]
+    V = common & ~sigma
+    # the earlier saplings inside sigma + V, listed at their lowest vertex, are
+    # among these; an s' - sigma = {v} with v outside V changes nothing
+    near = [p for v in _bits(sigma | V) for p in earlier[v]]
+    _require((sigma or not where) and not sigma & ~common and all(p & ~sigma for p in near),
+             MOBIUS_COLLAPSE_CLAIM, "predicted sapling is not a face", **where, sapling=sapling)
     for p in near:
         if (d := p & ~sigma) & d - 1 == 0:  # s' - sigma is one vertex
             V &= ~d
-    sapling = [b.label() for b in sap]
     _require(all(p & ~(sigma | V) for p in near), MOBIUS_COLLAPSE_CLAIM,
              "an earlier sapling lies in the link's vertex set", sapling=sapling)
+    return V
+
+
+def _sapling_link_length(
+    n: int, rows: tuple[int, ...], V: int, sap: tuple[Arc, ...], models: dict,
+) -> tuple[int, int]:
+    """Check a sapling's link, the flag complex of the graph on V (from
+    `_link_vertices`), against its model join; returns the length of the
+    model's collapse trace and its number of facets.
+
+    The arc map must be a bijection onto V carrying J's rows onto the rows
+    restricted to V; flag complexes are equal iff their graphs are, so it is
+    an isomorphism from the model onto the link, and carries the model's
+    collapse to one of it.  The empty sapling () is checked after the
+    rounds: its link is Y, its key ((), n), and its arc map the identity
+    onto the c-arcs, which V must be; its model is the inner complex of s
+    and nothing else.
+    """
+    sapling = [b.label() for b in sap]
     key, image = _sapling_arc_map(n, sap, models)
     if key not in models:
         models[key] = _link_model(key, models)
-    J, _, length = models[key]
+    J, _, length, facets = models[key]
     bits = [1 << a for a in image]
     onto = sum(bits)
     _require(onto == V and onto.bit_count() == len(image),
@@ -427,34 +428,18 @@ def _sapling_link_length(
                  for a, row in zip(image, J.closed_neighbourhoods)),
              MOBIUS_COLLAPSE_CLAIM, "link is not the join of its tile complexes under the arc maps",
              sapling=sapling)
-    return length, models["facets", key]
+    return length, facets
 
 
-def _spanning_pair(masks: list[int], commons: list[int], free) -> tuple[int, int] | None:
-    """The first pair i < j, lowest i first and then lowest j, of masks whose
-    union is a clique that `free` accepts; None if there is none.
-
-    commons[k] is `_common` of masks[k].  The union of two cliques is a
-    clique iff one lies in the other's common neighbourhood, the graph being
-    symmetric.  With one bitset per vertex of the masks through it, the
-    cliques j > i inside commons[i] are the clique mask less the OR of those
-    bitsets over the vertices outside commons[i], and only their unions go
-    to `free`.
-    """
-    through: dict[int, int] = {}  # vertex -> the masks through it, as a bitset of positions
-    cliques = 0
-    for k, (mask, common) in enumerate(zip(masks, commons)):
-        if not mask & ~common:
-            cliques |= 1 << k
-        for v in _bits(mask):
-            through[v] = through.get(v, 0) | 1 << k
-    used = sum(1 << v for v in through)
-    for i in _bits(cliques):
-        inside = cliques >> i + 1 << i + 1
-        for v in _bits(used & ~commons[i]):
-            inside &= ~through[v]
-        for j in _bits(inside):
-            if free(masks[i] | masks[j]):
+def _same_round_pair(masks: list[int], links: list[int]) -> tuple[int, int] | None:
+    """The first pair i < j, lowest i first and then lowest j, of saplings
+    whose union is a face of Y, or None.  Each mask has passed
+    `_link_vertices`, which gave links[i] = V_i; masks[j] is a clique, so
+    the union is a face iff masks[j] - masks[i] lies in V_i."""
+    for i, (mask, V) in enumerate(zip(masks, links)):
+        span = mask | V
+        for j in range(i + 1, len(masks)):
+            if not masks[j] & ~span:
                 return i, j
     return None
 
@@ -473,16 +458,21 @@ def thm_mobius_collapse(n: int) -> Report:
 
     The complex is flag, so Y is the disjointness graph G and the masks of
     the saplings deleted so far: a face of Y is a clique holding none of
-    them, and a b-arc survives iff it is no one-arc sapling among them.
-    A union of saplings is a clique iff it lies in the AND of their common
-    neighbourhoods, and an earlier sapling inside it is found by its lowest
-    vertex.  Each link is the flag complex of G on V_sigma
-    (`_sapling_link_length`), the image of its model join, whose collapse
-    is checked once per call on the join's rows, and whose trace length is
-    (F - 1) / 2 for F its nonempty faces (`_link_model`).  So
-    `trace_length` counts the model traces plus one step per sapling, and
-    then the trace of the empty sapling, whose link is what the rounds
-    leave and whose model is the inner complex.
+    them, and a b-arc survives iff it is no one-arc sapling among them.  An
+    earlier sapling inside a clique is found by its lowest vertex.  At the
+    start of a round each sapling sigma is checked to be a face of Y, and
+    its link to be the flag complex of G on V_sigma (`_link_vertices`).
+    Then sigma_i + sigma_j is a face iff sigma_j lies in sigma_i + V_i
+    (`_same_round_pair`).  When no two span a face, deleting the star of
+    sigma_i removes no face through sigma_j, as that face would hold both;
+    so each link, and its V, stays as it was at the round's start for the
+    whole round.  Each link is the image of its model join
+    (`_sapling_link_length`), whose collapse is checked once per call on
+    the join's rows, and whose trace length is (F - 1) / 2 for F its
+    nonempty faces (`_link_model`).  So `trace_length` counts the model
+    traces plus one step per sapling, and then the trace of the empty
+    sapling, whose link is what the rounds leave and whose model is the
+    inner complex.
 
     No face is built, and `facets` is read off the schedule.  A facet tau
     of the complex outside the final Y holds a first sapling sigma, and
@@ -499,28 +489,21 @@ def thm_mobius_collapse(n: int) -> Report:
     s = mobius_crown(n)
     graph = disjointness_graph(s)
     rows = graph.closed_neighbourhoods
-    # tiles by wrap length, trunks by degree, model joins by key, each facet count by ("facets", ...)
-    models: dict = {}
+    models: dict = {}  # tiles by wrap length, trunks by degree, model joins by key
     earlier: list[list[int]] = [[] for _ in rows]  # the saplings deleted so far, at their lowest vertex
     deleted = 0  # the b-arcs deleted as one-arc saplings
     replayed = facets = 0
     round_sizes: list[int] = []
-
-    def free(mask: int) -> bool:  # whether the clique mask holds no earlier sapling
-        return all(p & ~mask for p in _near(earlier, mask))
-
     for deg in range(1, n):
         saps = saplings_of_degree(s, deg)
         round_sizes.append(len(saps))
         masks = [_sapling_mask(n, sap) for sap in saps]
-        commons = [_common(rows, mask) for mask in masks]
-        if pair := _spanning_pair(masks, commons, free):  # labels only on failure
+        links = [_link_vertices(rows, earlier, mask, sap, n=n, degree=deg) for sap, mask in zip(saps, masks)]
+        if pair := _same_round_pair(masks, links):  # labels only on failure
             raise TheoremError(MOBIUS_COLLAPSE_CLAIM, "two same-round saplings span a common face",
                                n=n, degree=deg, pair=[[a.label() for a in saps[k]] for k in pair])
-        for sap, mask, common in zip(saps, masks, commons):
-            _require(mask and not mask & ~common and free(mask), MOBIUS_COLLAPSE_CLAIM,
-                     "predicted sapling is not a face", n=n, degree=deg, sapling=[a.label() for a in sap])
-            length, count = _sapling_link_length(n, graph, earlier, sap, models)
+        for sap, mask, V in zip(saps, masks, links):
+            length, count = _sapling_link_length(n, rows, V, sap, models)
             replayed += length + 1
             facets += count
             earlier[(mask & -mask).bit_length() - 1].append(mask)
@@ -529,7 +512,7 @@ def thm_mobius_collapse(n: int) -> Report:
         wide = sum(1 << b_id(n, p, w) for p in range(1, n + 1) for w in range(n - deg + 1, n + 1))
         _require(not wide & ~deleted, MOBIUS_COLLAPSE_CLAIM,
                  "a b-arc scheduled for this round survived it", n=n, degree=deg)
-    length, count = _sapling_link_length(n, graph, earlier, (), models)
+    length, count = _sapling_link_length(n, rows, _link_vertices(rows, earlier, 0, ()), (), models)
     return Report().add(MOBIUS_COLLAPSE_CLAIM, "mobius-collapse-to-point", n,
                         vertices=len(graph.vertices), facets=facets + count,
                         rounds=round_sizes, trace_length=replayed + length)

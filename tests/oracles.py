@@ -598,9 +598,10 @@ def editor_mobius_collapse(n: int) -> Report:
 
 
 def all_pairs_spanning_pair(masks: list[int], commons: list[int], free):
-    """The same-round pair check that `theorems._spanning_pair` replaced:
-    every pair i < j in order, its union tested against both masks' common
-    rows and then by `free`; the first that passes, or None."""
+    """The same-round pair check by unions, the reference for
+    `theorems._same_round_pair`: every pair i < j in order, its union tested
+    against both masks' common rows and then by `free`; the first that
+    passes, or None."""
     for i, (m1, c1) in enumerate(zip(masks, commons)):
         for j in range(i + 1, len(masks)):
             union = m1 | masks[j]

@@ -213,6 +213,19 @@ def test_missing_input_file_is_usage_error(capsys):
     assert "no such file" in err
 
 
+def test_a_directory_as_input_is_an_input_error(tmp_path, capsys):
+    code, out, err = run(capsys, "check", "--in", str(tmp_path))
+    assert code == 2 and out == ""
+    assert str(tmp_path) in err and len(err.splitlines()) == 1
+
+
+def test_an_output_in_a_missing_directory_is_an_input_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    code, _, err = run(capsys, "gen", "--surface", "mobius", "--n", "3", "--out", str(out))
+    assert code == 2 and not out.parent.exists()
+    assert str(out) in err and len(err.splitlines()) == 1
+
+
 def test_theorems_evidence_dir(tmp_path, capsys):
     out = tmp_path / "report.json"
     evidence = tmp_path / "evidence"

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import re
@@ -319,20 +320,53 @@ def test_a_tile_not_pure_of_its_size_fails_the_suite_naming_the_model(monkeypatc
     assert caught.value.details == {"model": [[4], 1]}
 
 
+def common(rows, mask):
+    """The AND of the rows of the vertices in mask, every vertex if none."""
+    return functools.reduce(int.__and__, (rows[u] for u in _bits(mask)), (1 << len(rows)) - 1)
+
+
 @settings(max_examples=300, deadline=None)
 @given(graphs(), st.data())
-def test_the_bitset_pair_finder_finds_the_all_pairs_loops_first_pair(g, data):
-    """On random graphs, random masks (cliques or not, empty included) and a
-    random `free` that rejects the unions holding a random earlier mask."""
-    vertex_sets = st.sets(st.integers(0, len(g.vertices) - 1), max_size=3)
+def test_the_link_vertices_tell_the_faces_through_a_sapling_and_the_first_same_round_pair(g, data):
+    """On random graphs, random earlier masks and random masks sigma (cliques
+    or not, empty included), with a face a clique holding no earlier mask:
+    `_link_vertices` fails sigma iff it is no face, or else iff an earlier
+    mask lies in sigma + V_sigma, V_sigma found here by its definition;
+    otherwise it returns V_sigma, and sigma | m is a face iff m is a clique
+    inside sigma | V_sigma.  On the masks that pass, `_same_round_pair`
+    finds the all-pairs loop's first pair."""
+    rows = g.closed_neighbourhoods
+    vertex_sets = st.sets(st.integers(0, len(rows) - 1), max_size=3)
     masks = [sum(1 << v for v in vs) for vs in data.draw(st.lists(vertex_sets, max_size=10))]
-    earlier = [sum(1 << v for v in vs) for vs in data.draw(st.lists(vertex_sets, max_size=3))]
-    commons = [theorems._common(g.closed_neighbourhoods, mask) for mask in masks]
+    nonempty = st.sets(st.integers(0, len(rows) - 1), min_size=1, max_size=3)
+    earlier = [sum(1 << v for v in vs) for vs in data.draw(st.lists(nonempty, max_size=3))]
 
     def free(mask):
         return all(p & ~mask for p in earlier)
 
-    assert theorems._spanning_pair(masks, commons, free) == oracles.all_pairs_spanning_pair(masks, commons, free)
+    def is_face(mask):
+        return not mask & ~common(rows, mask) and free(mask)
+
+    passed, links = [], []
+    for sigma in masks:
+        V = sum(1 << v for v in range(len(rows)) if not sigma >> v & 1 and not sigma & ~rows[v]
+                and free(sigma | 1 << v))
+        try:
+            found = theorems._link_vertices(rows, at_lowest(rows, earlier), sigma, ())
+        except TheoremError as caught:
+            if is_face(sigma):
+                assert "an earlier sapling lies in the link's vertex set" in str(caught)
+                assert not free(sigma | V)
+            else:
+                assert "predicted sapling is not a face" in str(caught)
+            continue
+        assert found == V and free(sigma | V)
+        for m in range(1 << len(rows)):
+            assert is_face(sigma | m) == (not m & ~common(rows, m) and not m & ~(sigma | V)), m
+        passed.append(sigma)
+        links.append(V)
+    commons = [common(rows, mask) for mask in passed]
+    assert theorems._same_round_pair(passed, links) == oracles.all_pairs_spanning_pair(passed, commons, free)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -421,14 +455,14 @@ def test_every_model_strong_collapse_converts_to_an_elementary_trace_of_the_coun
     complex of its join rows, `strong_to_elementary` of the suite's strong
     trace passes `verify_trace` down to a vertex, and its length is the one
     the suite counts on the rows."""
-    found = {}  # key -> (J, strong trace, counted length)
+    found = {}  # key -> (J, strong trace, counted length, facets)
     build_model = theorems._link_model
     monkeypatch.setattr(theorems, "_link_model",
                         lambda key, models: found.setdefault(key, build_model(key, models)))
     for n in range(1, 9):
         assert thm_mobius_collapse(n).all_passed
     assert len(found) > 30 and ((), 8) in found and ((8,), 1) in found
-    for key, (J, strong, length) in found.items():
+    for key, (J, strong, length, _) in found.items():
         c = flag_complex(J)
         t = strong_to_elementary(c, strong)
         verdict = verify_trace(c, t)
@@ -451,29 +485,30 @@ def test_each_model_is_the_join_of_its_tile_and_trunk_complexes():
 
 
 def graph_sapling_checks(monkeypatch, n):
-    """(surface, graph, earlier saplings, sapling, ids) for every call of the
-    suite's link check in thm_mobius_collapse(n), each after it passed; the
-    earlier saplings as one list of masks."""
+    """(surface, graph rows, earlier saplings, sapling, ids) for every call
+    of the suite's link vertex check in thm_mobius_collapse(n), each after
+    it passed; the earlier saplings, those of the rounds before the
+    sapling's, as one list of masks."""
     seen = []
-    check = theorems._sapling_link_length
+    check = theorems._link_vertices
     s = mobius_crown(n)
     ids = arc_ids(s)
 
-    def recording(n, graph, earlier, sap, models):
-        length = check(n, graph, earlier, sap, models)
-        seen.append((s, graph, [p for listed in earlier for p in listed], sap, ids))
-        return length
+    def recording(rows, earlier, sigma, sap, **where):
+        V = check(rows, earlier, sigma, sap, **where)
+        seen.append((s, rows, [p for listed in earlier for p in listed], sap, ids))
+        return V
 
-    monkeypatch.setattr(theorems, "_sapling_link_length", recording)
+    monkeypatch.setattr(theorems, "_link_vertices", recording)
     assert thm_mobius_collapse(n).all_passed
     monkeypatch.undo()
     return seen
 
 
-def at_lowest(graph, masks):
-    """The earlier saplings as the suite's link check takes them: each mask
-    listed at its lowest vertex."""
-    earlier = [[] for _ in graph.vertices]
+def at_lowest(rows, masks):
+    """The earlier saplings as the suite's link vertex check takes them:
+    each mask listed at its lowest vertex."""
+    earlier = [[] for _ in rows]
     for p in masks:
         earlier[(p & -p).bit_length() - 1].append(p)
     return earlier
@@ -486,9 +521,8 @@ def test_each_link_is_the_flag_complex_on_its_vertex_set(monkeypatch):
     links = sapling_links(monkeypatch, 5)
     checks = graph_sapling_checks(monkeypatch, 5)
     assert [x[2] for x in links] == [x[3] for x in checks]
-    for (_, L, _, _, _), (_, graph, earlier, sap, ids) in zip(links, checks):
+    for (_, L, _, _, _), (_, rows, earlier, sap, ids) in zip(links, checks):
         sigma = {ids[b] for b in sap}
-        rows = graph.closed_neighbourhoods
         V = {v for v in range(len(rows)) if v not in sigma
              and all(rows[u] >> v & 1 for u in sigma)
              and not any(set(_bits(p)) <= sigma | {v} for p in earlier)}
@@ -509,8 +543,8 @@ def test_a_flipped_model_row_bit_fails_naming_the_sapling(monkeypatch):
             flipped = toggled(J, x, y)
 
             def flipping(k, models, key=key, flipped=flipped):
-                J, strong, length = build_model(k, models)
-                return (flipped, strong, length) if k == key else (J, strong, length)
+                J, strong, length, facets = build_model(k, models)
+                return (flipped, strong, length, facets) if k == key else (J, strong, length, facets)
 
             monkeypatch.setattr(theorems, "_link_model", flipping)
             with pytest.raises(TheoremError) as caught:
@@ -527,10 +561,10 @@ def test_a_trunk_map_shifted_by_one_fails_naming_the_sapling(monkeypatch):
     oracles.sapling_link_length(s, set(L.facets), sap, ids, cached)
     checks = [x for x in graph_sapling_checks(monkeypatch, 4) if x[3] == sap]
     assert len(checks) == 1
-    _, graph, earlier, _, _ = checks[0]
+    _, rows, earlier, _, _ = checks[0]
     suite_cached: dict = {}
-    earlier = at_lowest(graph, earlier)
-    theorems._sapling_link_length(s.n, graph, earlier, sap, suite_cached)
+    V = theorems._link_vertices(rows, at_lowest(rows, earlier), sum(1 << ids[b] for b in sap), sap)
+    theorems._sapling_link_length(s.n, rows, V, sap, suite_cached)
     # every trunk arc cc(o_i, o_j) lands on cc(o_i + 1, o_j + 1) instead
     shifted = lambda i, j: cc_arc(i % s.n + 1, j % s.n + 1)  # noqa: E731
     monkeypatch.setattr(oracles, "cc_arc", shifted)
@@ -543,7 +577,7 @@ def test_a_trunk_map_shifted_by_one_fails_naming_the_sapling(monkeypatch):
         assert caught.value.details["sapling"] == [b.label() for b in sap]
     for models in ({}, suite_cached):
         with pytest.raises(TheoremError) as caught:
-            theorems._sapling_link_length(s.n, graph, earlier, sap, models)
+            theorems._sapling_link_length(s.n, rows, V, sap, models)
         assert re.search("not a bijection onto the link|link is not the join", str(caught.value))
         assert caught.value.details["sapling"] == [b.label() for b in sap]
 
@@ -573,9 +607,8 @@ def test_a_hidden_earlier_sapling_inside_the_link_fails_the_witness_naming_the_s
     """Hiding an earlier sapling sigma + tau, tau an edge of the link's
     graph, removes tau from the link without removing a vertex: the link is
     no longer the flag complex on V_sigma, and the witness check says so."""
-    for s, graph, earlier, sap, ids in graph_sapling_checks(monkeypatch, n):
+    for s, rows, earlier, sap, ids in graph_sapling_checks(monkeypatch, n):
         sigma = sum(1 << ids[b] for b in sap)
-        rows = graph.closed_neighbourhoods
         V = [v for v in range(len(rows)) if not sigma >> v & 1 and not sigma & ~rows[v]
              and not any(not p & ~(sigma | 1 << v) for p in earlier)]
         edge = next(((u, v) for u, v in itertools.combinations(V, 2) if rows[u] >> v & 1), None)
@@ -583,7 +616,7 @@ def test_a_hidden_earlier_sapling_inside_the_link_fails_the_witness_naming_the_s
             continue
         hidden = earlier + [sigma | 1 << edge[0] | 1 << edge[1]]
         with pytest.raises(TheoremError) as caught:
-            theorems._sapling_link_length(s.n, graph, at_lowest(graph, hidden), sap, {})
+            theorems._link_vertices(rows, at_lowest(rows, hidden), sigma, sap)
         assert "an earlier sapling lies in the link's vertex set" in str(caught.value)
         assert caught.value.details["sapling"] == [b.label() for b in sap]
 
@@ -599,6 +632,19 @@ def injecting(monkeypatch, deg, saps, last=False):
         return real(s, d) + saps if last else saps + real(s, d)
 
     monkeypatch.setattr(theorems, "saplings_of_degree", saplings)
+
+
+@pytest.mark.parametrize("last", (False, True))
+def test_a_sapling_listed_twice_in_its_round_fails_naming_it_twice(monkeypatch, last):
+    """A sapling spans a face with itself; at n = 4 a two-arc sapling of
+    round 2, listed once more first (or last)."""
+    sap = next(sap for sap in theorems.saplings_of_degree(mobius_crown(4), 2) if len(sap) == 2)
+    injecting(monkeypatch, 2, [sap], last)
+    with pytest.raises(TheoremError) as caught:
+        thm_mobius_collapse(4)
+    assert "two same-round saplings span a common face" in str(caught.value)
+    assert caught.value.details["pair"] == [[b.label() for b in sap]] * 2
+    assert caught.value.details["degree"] == 2
 
 
 def test_two_same_round_saplings_spanning_a_face_fail_naming_the_pair(monkeypatch):
@@ -618,6 +664,7 @@ def test_two_same_round_saplings_spanning_a_face_fail_naming_the_pair(monkeypatc
     # only if the sapling's own rows are left out of the union's
     (1, (b_arc(1, 3), b_arc(2, 4)), "the two arcs cross: no clique"),
     (2, (b_arc(1, 3), loop_b(1)), "a clique that holds M:1, deleted in round 1"),
+    (1, (), "the empty face, which is no sapling of a round"),
 ])
 def test_a_predicted_sapling_that_is_no_face_fails_naming_it(monkeypatch, deg, sap, why, last):
     injecting(monkeypatch, deg, [sap], last)
@@ -709,11 +756,11 @@ def test_a_broken_model_trace_fails_the_suite_naming_the_model(monkeypatch):
     trunk = theorems._trunk
 
     def misnamed(deg, models):
-        graph, c_arcs, (left, strong), faces = trunk(deg, models)
+        graph, c_arcs, (left, strong), faces, facets = trunk(deg, models)
         if strong.steps:
             (v, _), *rest = strong.steps
             strong = StrongTrace(((v, v), *rest))  # a vertex never dominates itself
-        return graph, c_arcs, (left, strong), faces
+        return graph, c_arcs, (left, strong), faces, facets
 
     monkeypatch.setattr(theorems, "_trunk", misnamed)
     with pytest.raises(TheoremError) as caught:
