@@ -64,6 +64,19 @@ class Graph:
         """
         return {}
 
+    @cached_property
+    def dominated_at(self) -> dict[int, int]:
+        """alive -> the bitset of its positions dominated in the flag complex on
+        `alive`, for every alive set that a `graph_core` of this graph settled.
+
+        The dominated set is a function of `alive` alone, so a later core that
+        reaches a stored alive set reads it here and asks nothing.  Every key
+        (i, N[i] & alive) of a stored alive set's live i is in
+        `dominating_sets`, so its witnesses and its neighbours' old answers can
+        be looked up.  Not a field, so equality and hashing ignore it.
+        """
+        return {}
+
 
 @dataclass(frozen=True)
 class Complex:

@@ -22,6 +22,14 @@ an `alive` mask, with no facets built: each distinct (v, N[v] & alive) is
 answered once per graph, by witnesses against candidate dominators
 (`_dominators`).  Every suite computes its cores with them, the trunk of
 each Moebius-collapse link model included.
+
+A core asks again only about what a removal can change.  Removing x leaves
+the answer of every w in N[x] for a neighbour j of x as it was, since x is
+in N[w]; every other w had x as a witness against it.  So j keeps its old
+dominators that are still alive and asks about the candidates outside N[x]
+alone.  The dominated set of an alive set depends on nothing else, so
+`Graph.dominated_at` keeps it for every alive set a core of the graph
+settled, and the cores of one graph in other orders read it there.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from itertools import combinations
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .collapse import CollapseTrace, face_order, trace
-from .simplicial import Complex, Face, FacetEditor, Graph
+from .simplicial import Complex, Face, FacetEditor, Graph, _bits
 
 
 @dataclass(frozen=True)
@@ -182,24 +190,52 @@ def graph_core(g: Graph, order: str = "canonical", seed: int = 0,
     trace step for step as `core` of the induced subgraph's flag complex:
     positions follow the sorted ids, so both pick from the same sorted list.
     "random" draws k below the number of dominated positions and takes the
-    k-th lowest, the index `rng.choice` of their sorted list draws.
+    k-th lowest, the index `rng.choice` of their sorted list draws.  An
+    `alive` with a position outside g raises ValueError.
 
-    The dominated positions are kept up to date, not rescanned each round:
-    at a fixed `alive` the dominating set of i depends only on N[i] & alive,
-    so removing x changes it only for the neighbours of x, which are asked
-    again.  Each question is answered as `graph_dominating_set` answers it,
-    from and into `g.dominating_sets`, so cores of one graph in other
-    orders, and the suite checks run on it, share the answers.
+    The dominated positions are kept up to date, not rescanned each round.
+    At a fixed `alive` the dominating set D(j) of j depends only on
+    S = N[j] & alive, so removing x changes it only for the neighbours j of
+    x, and only outside N[x]: a w in N[x] has x in N[w], so S lies in N[w]
+    iff S' = S - x does, while x witnessed against every other w.  So j
+    keeps D(j) & S' and asks `_dominators` only about the candidates in
+    S' - N[x].  Every answer goes into `g.dominating_sets`, where the old one
+    is found under (j, S), and every alive set settled goes with its
+    dominated positions into `g.dominated_at`: a later core of g in any
+    order that reaches it reads them and asks nothing.
     """
     if order not in ("canonical", "random"):
         raise ValueError("order must be 'canonical' or 'random'")
+    full = (1 << len(g.vertices)) - 1
+    if alive is None:
+        alive = full
+    elif alive & ~full:  # a negative mask has every high bit set
+        raise ValueError(f"alive mask {alive:#b} has positions outside the graph's "
+                         f"{len(g.vertices)} vertices")
     rng = random.Random(seed)
-    alive = (1 << len(g.vertices)) - 1 if alive is None else alive
     nbhds = g.closed_neighbourhoods
-    memo = g.dominating_sets
-    ask, dominated = alive, 0
+    memo, states = g.dominating_sets, g.dominated_at
+    dominated = states.get(alive)
+    if dominated is None:
+        dominated = states[alive] = sum(1 << j for j in _bits(alive) if graph_dominating_set(g, alive, j))
     steps: list[tuple[int, int]] = []
-    while True:
+    while dominated:
+        pick = dominated
+        if order == "random":
+            for _ in range(rng.randrange(dominated.bit_count())):
+                pick &= pick - 1
+        x = pick & -pick
+        i = x.bit_length() - 1
+        d = memo[i, nbhds[i] & alive]
+        steps.append((g.vertices[i], g.vertices[(d & -d).bit_length() - 1]))
+        alive ^= x
+        known = states.get(alive)
+        if known is not None:
+            dominated = known
+            continue
+        dominated ^= x
+        ask = nbhds[i] & alive
+        outside = ~nbhds[i]
         while ask:
             low = ask & -ask
             ask ^= low
@@ -207,21 +243,10 @@ def graph_core(g: Graph, order: str = "canonical", seed: int = 0,
             mine = nbhds[j] & alive
             d = memo.get((j, mine))
             if d is None:
-                d = memo[j, mine] = _dominators(nbhds, mine, mine ^ low)
+                d = memo[j, mine] = memo[j, mine | x] & mine | _dominators(nbhds, mine, mine & outside)
             dominated = dominated | low if d else dominated & ~low
-        if not dominated:
-            return alive, StrongTrace(tuple(steps))
-        pick = dominated
-        if order == "random":
-            for _ in range(rng.randrange(dominated.bit_count())):
-                pick &= pick - 1
-        low = pick & -pick
-        i = low.bit_length() - 1
-        d = memo[i, nbhds[i] & alive]
-        steps.append((g.vertices[i], g.vertices[(d & -d).bit_length() - 1]))
-        alive ^= low
-        dominated ^= low
-        ask = nbhds[i] & alive
+        states[alive] = dominated
+    return alive, StrongTrace(tuple(steps))
 
 
 def _replay(editor: FacetEditor, t: StrongTrace) -> Iterator[tuple[int, int]]:

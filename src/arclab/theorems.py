@@ -383,9 +383,11 @@ def _link_vertices(
     for u in _bits(sigma):
         common &= rows[u]
     V = common & ~sigma
-    # the earlier saplings inside sigma + V, listed at their lowest vertex, are
-    # among these; an s' - sigma = {v} with v outside V changes nothing
-    near = [p for v in _bits(sigma | V) for p in earlier[v]]
+    # the earlier saplings inside sigma + V, listed at their lowest vertex: each
+    # check below is about those alone, and an s' - sigma = {v} with v outside
+    # V changes nothing
+    outside = ~(sigma | V)
+    near = [p for v in _bits(sigma | V) for p in earlier[v] if not p & outside]
     _require((sigma or not where) and not sigma & ~common and all(p & ~sigma for p in near),
              MOBIUS_COLLAPSE_CLAIM, "predicted sapling is not a face", **where, sapling=sapling)
     for p in near:

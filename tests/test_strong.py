@@ -237,6 +237,76 @@ def test_graph_cores_sharing_one_memo_match_the_rescanning_oracle(g, data):
     graph_core(g)
     assert len(g.dominating_sets) == entries
 
+@settings(max_examples=200, deadline=None)
+@given(sparse_ids_graphs(), st.data())
+def test_a_neighbours_dominators_change_only_outside_the_removed_closed_neighbourhood(g, data):
+    size = len(g.vertices)
+    nbhds = g.closed_neighbourhoods
+    for _ in range(data.draw(st.integers(1, 6))):
+        x = data.draw(st.integers(0, size - 1))
+        alive = data.draw(st.integers(0, (1 << size) - 1)) | 1 << x
+        for j in range(size):
+            if j == x or not (alive & nbhds[x]) >> j & 1:
+                continue
+            before = nbhds[j] & alive
+            after = before ^ 1 << x
+            old = _dominators(nbhds, before, before ^ 1 << j)
+            kept_and_gained = old & after | _dominators(nbhds, after, after & ~nbhds[x])
+            assert kept_and_gained == _dominators(nbhds, after, after ^ 1 << j)
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_ids_graphs(), st.data())
+def test_graph_cores_sharing_settled_states_match_the_rescanning_oracle(g, data):
+    size = len(g.vertices)
+    nbhds = g.closed_neighbourhoods
+    runs = st.tuples(st.sampled_from(["canonical", "random"]), st.integers(0, 5),
+                     st.none() | st.integers(0, (1 << size) - 1))
+    for order, seed, start in data.draw(st.lists(runs, min_size=1, max_size=12)):
+        left, t = graph_core(g, order, seed, alive=start)
+        if start is None:
+            assert (left, t) == rescanning_graph_core(make_graph(g.vertices, g.edges), order, seed)
+        else:
+            kept = members(g, start)
+            induced = make_graph(kept, [e for e in g.edges if set(e) <= kept])
+            induced_left, induced_t = rescanning_graph_core(induced, order, seed)
+            assert t == induced_t
+            assert members(g, left) == members(induced, induced_left)
+    assert g.dominated_at
+    for alive, dominated in g.dominated_at.items():
+        assert dominated == sum(1 << i for i in range(size)
+                                if alive >> i & 1 and intersecting_dominating_set(g, alive, i))
+        # every question of a stored state is answered, for a later core to look up
+        assert all((i, nbhds[i] & alive) in g.dominating_sets for i in range(size) if alive >> i & 1)
+
+class _CountingMemo(dict):
+    """A dominating-set memo that counts the questions looked up in it."""
+
+    asked = 0
+
+    def get(self, key, default=None):
+        self.asked += 1
+        return super().get(key, default)
+
+@pytest.mark.parametrize(("n", "states", "asked"), [(6, 150, 2073), (10, 365, 15314)])
+def test_the_moebius_suites_cores_store_their_settled_states(n, states, asked):
+    # a core reaching a stored state reads its dominated set and asks nothing
+    g = disjointness_graph(mobius_crown(n))
+    g.__dict__["dominating_sets"] = memo = _CountingMemo()
+    graph_core(g)
+    for seed in range(20):
+        graph_core(g, "random", seed)
+    assert len(g.dominated_at) == states
+    assert memo.asked == asked
+
+@pytest.mark.parametrize("alive", [0b1000, -1])
+def test_graph_core_rejects_an_alive_mask_outside_the_graph(alive):
+    g = make_graph(range(3), [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match=f"alive mask {alive:#b}"):
+        graph_core(g, alive=alive)
+    assert g.dominated_at == {} and g.dominating_sets == {}
+    assert graph_core(g, alive=0b101) == (0b101, StrongTrace(()))
+    assert graph_core(g, alive=0) == (0, StrongTrace(()))
+
 def test_graph_dominating_set_rejects_a_dead_vertex():
     g = make_graph(range(3), [(0, 1), (1, 2)])
     assert graph_dominating_set(g, 0b111, 0) == 0b010
