@@ -24,7 +24,6 @@ from .collapse import (
     is_collapsible,
 )
 from .simplicial import (
-    EMPTY_FACE,
     Complex,
     Face,
     Graph,
@@ -50,7 +49,6 @@ EFFORT_BUDGETS = {"fast": (20_000, 5_000), "full": (DEFAULT_BUDGET, 200_000)}
 class PseudomanifoldReport:
     status: str  # closed | with-boundary | no
     strongly_connected: bool
-    boundary: tuple[Face, ...]  # codimension-one faces in exactly one facet
 
 
 @dataclass(frozen=True)
@@ -119,22 +117,24 @@ def graph_diameter(g: Graph) -> int:
 
 
 def pseudomanifold_check(c: Complex) -> PseudomanifoldReport:
-    """Classify a pure complex as closed / with-boundary / not a pseudomanifold."""
+    """Classify a pure complex as closed / with-boundary / not a pseudomanifold.
+
+    The status reads only the ridge counts, the lengths in
+    `Complex.ridge_neighbours`, and strong connectivity: a ridge in three or
+    more facets, or a disconnected dual graph, gives "no"; else a ridge in
+    one facet, or the empty complex, gives "with-boundary"; else "closed".
+    """
     if not is_pure(c):
         raise ValueError("pseudomanifold check requires a pure complex")
-    table = c.ridge_neighbours
-    boundary = [f - {v} for f, row in zip(c.facets, table) for v, others in row if not others]
-    if c.n_vertices == 0:
-        boundary = [EMPTY_FACE]  # the one ridge of the empty facet
-    overfull = any(len(others) > 1 for row in table for _, others in row)
+    counts = {len(others) for row in c.ridge_neighbours for _, others in row}
     connected = _floods(c.facet_adjacency)
-    if overfull or not connected:
+    if max(counts, default=0) > 1 or not connected:
         status = PM_NO
-    elif boundary:
+    elif 0 in counts or not counts:
         status = PM_BOUNDARY
     else:
         status = PM_CLOSED
-    return PseudomanifoldReport(status, connected, tuple(sorted(boundary, key=sorted)))
+    return PseudomanifoldReport(status, connected)
 
 
 def flip_graph(c: Complex) -> Graph:
@@ -217,8 +217,6 @@ def shelling_search(c: Complex, budget: int = DEFAULT_BUDGET) -> ShellingResult:
         raise ValueError("shelling search requires a pure complex")
     facets = list(c.facets)
     t = len(facets)
-    if t == 1:
-        return ShellingResult(PROVEN, tuple(facets))
     d = dimension(c)
     if d <= 0:
         # any order of points shells by convention
@@ -280,20 +278,15 @@ def shelling_search(c: Complex, budget: int = DEFAULT_BUDGET) -> ShellingResult:
 # --- certificates --------------------------------------------------------------
 
 
-def _chi_consistent(verdict: str, d: int, chi: int) -> bool:
-    if verdict == "sphere":
-        return chi == 1 + (-1) ** d
-    if verdict == "ball":
-        return chi == 1
-    return True
-
-
 def certify(c: Complex, effort: str = "full") -> Certificate:
     """Assemble a ball/sphere certificate for a pure complex.
 
     effort picks the search budgets ("fast" or "full").  Danaraj-Klee is
-    tried first, then Whitehead.  The verdict cites the inference rule
-    used; "undetermined" is an honest outcome.
+    tried first, then Whitehead, which needs a collapse and every vertex
+    link a sphere or ball one dimension down, one at least a ball.  Points
+    are never searched: one is a ball, two a sphere, and three or more no
+    pseudomanifold.  Each proven verdict is checked against the Euler
+    characteristic and cites its rule; "undetermined" is an honest outcome.
     """
     if not is_pure(c):
         raise ValueError("certification requires a pure complex")
@@ -301,66 +294,36 @@ def certify(c: Complex, effort: str = "full") -> Certificate:
         raise ValueError("effort must be 'fast' or 'full'")
     shell_budget, collapse_budget = EFFORT_BUDGETS[effort]
 
-    d = dimension(c)
     pm = pseudomanifold_check(c)
-    notes: list[str] = []
-
     if c.n_vertices == 0:
-        return Certificate(
-            pm.status, pm.strongly_connected, None, "undetermined", None, None,
-            ("empty complex",),
-        )
-    if d == 0:
-        if c.n_vertices == 1:
-            return Certificate(pm.status, pm.strongly_connected, tuple(c.facets), "ball", 0, RULE_DANARAJ_KLEE)
-        if c.n_vertices == 2:
-            return Certificate(pm.status, pm.strongly_connected, tuple(c.facets), "sphere", 0, RULE_DANARAJ_KLEE)
-        return Certificate(pm.status, pm.strongly_connected, None, "undetermined", None, None)
+        return Certificate(pm.status, pm.strongly_connected, None, "undetermined", None, None,
+                           ("empty complex",))
+    d = dimension(c)
+    notes: list[str] = []
+    verdict = rule = shelling = None
 
-    shelling: tuple[Face, ...] | None = None
-    if pm.status in (PM_CLOSED, PM_BOUNDARY):
-        result = shelling_search(c, shell_budget)
+    if pm.status != PM_NO:
+        result = ShellingResult(PROVEN, c.facets) if d == 0 else shelling_search(c, shell_budget)
         if result.status == PROVEN:
-            shelling = result.order
             verdict = "sphere" if pm.status == PM_CLOSED else "ball"
-            if not _chi_consistent(verdict, d, euler_characteristic(c)):
-                raise AssertionError("certificate contradicts Euler characteristic")
-            return Certificate(
-                pm.status, pm.strongly_connected, shelling, verdict, d, RULE_DANARAJ_KLEE
-            )
-        if result.status == INCONCLUSIVE:
-            notes.append(
-                f"shelling search: inconclusive after {result.nodes} of {shell_budget} nodes"
-            )
+            shelling, rule = result.order, RULE_DANARAJ_KLEE
+        elif result.status == INCONCLUSIVE:
+            notes.append(f"shelling search: inconclusive after {result.nodes} of {shell_budget} nodes")
         else:
             notes.append(f"shelling search: disproven after {result.nodes} nodes")
 
-    if pm.status == PM_BOUNDARY:
+    if verdict is None and pm.status == PM_BOUNDARY:
         coll = is_collapsible(c, collapse_budget)
         if coll.status == PROVEN:
-            links_ok = True
-            saw_ball = False
+            kinds = set()  # of the link verdicts, up to the first undetermined
             for v in c.vertex_ids:
-                # each link is one dimension down, and d = 0 returns above
-                sub = certify(link(c, [v]), effort)
-                if sub.verdict == "ball" and sub.dim == d - 1:
-                    saw_ball = True
-                elif not (sub.verdict == "sphere" and sub.dim == d - 1):
-                    links_ok = False
+                # each link is one dimension down, and points are never searched
+                kinds.add(certify(link(c, [v]), effort).verdict)
+                if "undetermined" in kinds:
                     break
-            if links_ok and saw_ball:
-                if not _chi_consistent("ball", d, euler_characteristic(c)):
-                    raise AssertionError("certificate contradicts Euler characteristic")
+            if kinds in ({"ball"}, {"ball", "sphere"}):
+                verdict, rule = "ball", RULE_WHITEHEAD
                 notes.append("collapsible combinatorial manifold with boundary")
-                return Certificate(
-                    pm.status,
-                    pm.strongly_connected,
-                    shelling,
-                    "ball",
-                    d,
-                    RULE_WHITEHEAD,
-                    tuple(notes),
-                )
         elif coll.status == INCONCLUSIVE:
             notes.append(
                 f"collapsibility search: inconclusive after {coll.nodes} of {collapse_budget} nodes"
@@ -368,6 +331,8 @@ def certify(c: Complex, effort: str = "full") -> Certificate:
         else:
             notes.append(f"collapsibility search: disproven after {coll.nodes} nodes")
 
-    return Certificate(
-        pm.status, pm.strongly_connected, shelling, "undetermined", None, None, tuple(notes)
-    )
+    if verdict is None:
+        return Certificate(pm.status, pm.strongly_connected, None, "undetermined", None, None, tuple(notes))
+    if euler_characteristic(c) != (1 + (-1) ** d if verdict == "sphere" else 1):
+        raise AssertionError("certificate contradicts Euler characteristic")
+    return Certificate(pm.status, pm.strongly_connected, shelling, verdict, d, rule, tuple(notes))

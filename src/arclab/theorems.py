@@ -216,9 +216,9 @@ def thm_inner_mobius(n: int) -> Report:
         v = cc_id(n, np_, np_)  # the loop L_{n'}
         fan = sum(1 << cc_id(n, i, np_) for i in range(1, np_ + 1))
         star = graph.closed_neighbourhoods[v] & alive
-        _require(star == fan and _simplex(graph, fan), INNER_CLAIM,
-                 f"L:{np_} is not contained solely in the fan at {np_}",
-                 n=n, neighbourhood=list(_bits(star)))
+        if not (star == fan and _simplex(graph, fan)):
+            raise TheoremError(INNER_CLAIM, f"L:{np_} is not contained solely in the fan at {np_}",
+                               n=n, neighbourhood=list(_bits(star)))
         round_steps = [(v, cc_id(n, 1, np_))]
         round_steps += [(cc_id(n, i, np_), cc_id(n, 1, i)) for i in range(np_ - 1, 0, -1)]
         alive = _replay(graph, alive, round_steps, INNER_CLAIM, n=n, fan=np_)
@@ -378,7 +378,6 @@ def _link_vertices(
     complex on V iff every earlier sapling has a vertex outside sigma + V.
     Then a clique sigma + tau is a face of Y iff tau lies in V.
     """
-    sapling = [b.label() for b in sap]
     common = (1 << len(rows)) - 1  # sigma's common closed neighbourhood: a clique iff sigma lies in it
     for u in _bits(sigma):
         common &= rows[u]
@@ -388,13 +387,15 @@ def _link_vertices(
     # V changes nothing
     outside = ~(sigma | V)
     near = [p for v in _bits(sigma | V) for p in earlier[v] if not p & outside]
-    _require((sigma or not where) and not sigma & ~common and all(p & ~sigma for p in near),
-             MOBIUS_COLLAPSE_CLAIM, "predicted sapling is not a face", **where, sapling=sapling)
+    if not ((sigma or not where) and not sigma & ~common and all(p & ~sigma for p in near)):
+        raise TheoremError(MOBIUS_COLLAPSE_CLAIM, "predicted sapling is not a face", **where,
+                           sapling=[b.label() for b in sap])
     for p in near:
         if (d := p & ~sigma) & d - 1 == 0:  # s' - sigma is one vertex
             V &= ~d
-    _require(all(p & ~(sigma | V) for p in near), MOBIUS_COLLAPSE_CLAIM,
-             "an earlier sapling lies in the link's vertex set", sapling=sapling)
+    if not all(p & ~(sigma | V) for p in near):
+        raise TheoremError(MOBIUS_COLLAPSE_CLAIM, "an earlier sapling lies in the link's vertex set",
+                           sapling=[b.label() for b in sap])
     return V
 
 
@@ -413,23 +414,23 @@ def _sapling_link_length(
     onto the c-arcs, which V must be; its model is the inner complex of s
     and nothing else.
     """
-    sapling = [b.label() for b in sap]
     key, image = _sapling_arc_map(n, sap, models)
     if key not in models:
         models[key] = _link_model(key, models)
     J, _, length, facets = models[key]
     bits = [1 << a for a in image]
     onto = sum(bits)
-    _require(onto == V and onto.bit_count() == len(image),
-             MOBIUS_COLLAPSE_CLAIM, "the arc map is not a bijection onto the link's vertices",
-             sapling=sapling)
+    if not (onto == V and onto.bit_count() == len(image)):
+        raise TheoremError(MOBIUS_COLLAPSE_CLAIM, "the arc map is not a bijection onto the link's vertices",
+                           sapling=[b.label() for b in sap])
     # a bijection carries a row onto one iff it carries the non-neighbours
     # onto the non-neighbours, and in a join those lie in one factor
     everyone = (1 << len(image)) - 1
-    _require(all(sum(bits[y] for y in _bits(everyone & ~row)) == V & ~rows[a]
-                 for a, row in zip(image, J.closed_neighbourhoods)),
-             MOBIUS_COLLAPSE_CLAIM, "link is not the join of its tile complexes under the arc maps",
-             sapling=sapling)
+    if not all(sum(bits[y] for y in _bits(everyone & ~row)) == V & ~rows[a]
+               for a, row in zip(image, J.closed_neighbourhoods)):
+        raise TheoremError(MOBIUS_COLLAPSE_CLAIM,
+                           "link is not the join of its tile complexes under the arc maps",
+                           sapling=[b.label() for b in sap])
     return length, facets
 
 
@@ -768,37 +769,34 @@ def thm_strip_strong(m: int, n: int) -> Report:
 # --- certificates, flips, structural propositions -------------------------------
 
 
+def _add_certificate(report: Report, claim: str, paper_ref: str, n: int, c: Complex,
+                     verdict: str, dim: int, ok: bool = True, **details) -> None:
+    """Claim that c is a `verdict` ("ball" or "sphere") of dimension dim, with
+    the Euler characteristic to match; ok carries any further check of the
+    caller's, and details its extra fields."""
+    cert = certify(c)
+    chi = 1 + (-1) ** dim if verdict == "sphere" else 1
+    ok = ok and (cert.verdict, cert.dim) == (verdict, dim) and euler_characteristic(c) == chi
+    report.add(claim, paper_ref, n, "pass" if ok else "fail",
+               verdict=cert.verdict, dim=cert.dim, rule=cert.rule, **details)
+
+
 def polygon_certificates(n_max: int) -> Report:
     report = Report()
     for n in range(4, n_max + 1):
         c = arc_complex(polygon(n))
-        cert = certify(c)
         catalan = math.comb(2 * n - 4, n - 2) // (n - 1)
-        ok = (
-            cert.verdict == "sphere"
-            and cert.dim == n - 4
-            and len(c.facets) == catalan
-            and euler_characteristic(c) == 1 + (-1) ** (n - 4)
-        )
-        report.add("polygon-sphere-certificate", "polygon-shellable-sphere", n,
-                   "pass" if ok else "fail", verdict=cert.verdict, dim=cert.dim,
-                   rule=cert.rule, facets=len(c.facets), catalan=catalan)
+        _add_certificate(report, "polygon-sphere-certificate", "polygon-shellable-sphere", n, c,
+                         "sphere", n - 4, ok=len(c.facets) == catalan,
+                         facets=len(c.facets), catalan=catalan)
     return report
-
-
-def _add_ball(report: Report, claim: str, paper_ref: str, n: int, c: Complex) -> None:
-    """Claim that c is an (n-1)-ball."""
-    cert = certify(c)
-    ok = cert.verdict == "ball" and cert.dim == n - 1 and euler_characteristic(c) == 1
-    report.add(claim, paper_ref, n, "pass" if ok else "fail",
-               verdict=cert.verdict, dim=cert.dim, rule=cert.rule)
 
 
 def crown_ball_certificates(n_max: int) -> Report:
     report = Report()
     for n in range(2, n_max + 1):
-        _add_ball(report, "crown-ball-certificate", "crown-combinatorial-ball", n,
-                  arc_complex(crown(n)))
+        _add_certificate(report, "crown-ball-certificate", "crown-combinatorial-ball", n,
+                         arc_complex(crown(n)), "ball", n - 1)
     return report
 
 
@@ -806,8 +804,8 @@ def mobius_ball_certificates(n_max: int) -> Report:
     report = Report()
     for n in range(2, n_max + 1):
         s = mobius_crown(n)
-        _add_ball(report, "mobius-ball-certificate", "mobius-combinatorial-ball", n,
-                  arc_complex(s))
+        _add_certificate(report, "mobius-ball-certificate", "mobius-combinatorial-ball", n,
+                         arc_complex(s), "ball", n - 1)
         inner = inner_complex(s)
         inner_cert = certify(inner)
         dim = dimension(inner)

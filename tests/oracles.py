@@ -40,13 +40,26 @@ from arclab.arcs import (
     validate_arc,
     wrap_length,
 )
+from arclab import certify as certify_module
 from arclab.build import arc_complex, disjointness_graph, induced_arc_complex, inner_complex
-from arclab.collapse import face_order, trace, verify_trace
+from arclab.certify import (
+    PM_BOUNDARY,
+    PM_CLOSED,
+    PM_NO,
+    RULE_DANARAJ_KLEE,
+    RULE_WHITEHEAD,
+    Certificate,
+    _floods,
+)
+from arclab.collapse import INCONCLUSIVE, PROVEN, face_order, is_collapsible, trace, verify_trace
 from arclab.simplicial import (
+    EMPTY_FACE,
     Complex,
     FacetEditor,
     Graph,
     _complex,
+    dimension,
+    euler_characteristic,
     facets_containing,
     faces,
     is_cone,
@@ -260,6 +273,93 @@ def ridge_dict_pseudomanifold_check(c):
     if overfull or not connected:
         return "no", connected, boundary
     return ("with-boundary" if boundary else "closed"), connected, boundary
+
+
+def reference_pseudomanifold_check(c):
+    """(status, strongly connected, boundary) of a pure complex: the check
+    that read the sorted boundary ridges off `Complex.ridge_neighbours`
+    before the status came from the ridge counts alone."""
+    table = c.ridge_neighbours
+    boundary = [f - {v} for f, row in zip(c.facets, table) for v, others in row if not others]
+    if c.n_vertices == 0:
+        boundary = [EMPTY_FACE]  # the one ridge of the empty facet
+    overfull = any(len(others) > 1 for row in table for _, others in row)
+    connected = _floods(c.facet_adjacency)
+    if overfull or not connected:
+        status = PM_NO
+    elif boundary:
+        status = PM_BOUNDARY
+    else:
+        status = PM_CLOSED
+    return status, connected, tuple(sorted(boundary, key=sorted))
+
+
+def _reference_chi_consistent(verdict: str, d: int, chi: int) -> bool:
+    if verdict == "sphere":
+        return chi == 1 + (-1) ** d
+    if verdict == "ball":
+        return chi == 1
+    return True
+
+
+def reference_certify(c, effort: str = "full") -> Certificate:
+    """The certificate assembly that one exit per outcome replaced: points
+    answered apart, and one exit and one Euler check per rule.  It reads
+    `shelling_search` and `EFFORT_BUDGETS` through the certify module, so a
+    test that patches them there patches both paths."""
+    shell_budget, collapse_budget = certify_module.EFFORT_BUDGETS[effort]
+    d = dimension(c)
+    status, connected, _ = reference_pseudomanifold_check(c)
+    notes: list[str] = []
+
+    if c.n_vertices == 0:
+        return Certificate(status, connected, None, "undetermined", None, None, ("empty complex",))
+    if d == 0:
+        if c.n_vertices == 1:
+            return Certificate(status, connected, tuple(c.facets), "ball", 0, RULE_DANARAJ_KLEE)
+        if c.n_vertices == 2:
+            return Certificate(status, connected, tuple(c.facets), "sphere", 0, RULE_DANARAJ_KLEE)
+        return Certificate(status, connected, None, "undetermined", None, None)
+
+    shelling = None
+    if status in (PM_CLOSED, PM_BOUNDARY):
+        result = certify_module.shelling_search(c, shell_budget)
+        if result.status == PROVEN:
+            shelling = result.order
+            verdict = "sphere" if status == PM_CLOSED else "ball"
+            if not _reference_chi_consistent(verdict, d, euler_characteristic(c)):
+                raise AssertionError("certificate contradicts Euler characteristic")
+            return Certificate(status, connected, shelling, verdict, d, RULE_DANARAJ_KLEE)
+        if result.status == INCONCLUSIVE:
+            notes.append(f"shelling search: inconclusive after {result.nodes} of {shell_budget} nodes")
+        else:
+            notes.append(f"shelling search: disproven after {result.nodes} nodes")
+
+    if status == PM_BOUNDARY:
+        coll = is_collapsible(c, collapse_budget)
+        if coll.status == PROVEN:
+            links_ok = True
+            saw_ball = False
+            for v in c.vertex_ids:
+                sub = reference_certify(link(c, [v]), effort)
+                if sub.verdict == "ball" and sub.dim == d - 1:
+                    saw_ball = True
+                elif not (sub.verdict == "sphere" and sub.dim == d - 1):
+                    links_ok = False
+                    break
+            if links_ok and saw_ball:
+                if not _reference_chi_consistent("ball", d, euler_characteristic(c)):
+                    raise AssertionError("certificate contradicts Euler characteristic")
+                notes.append("collapsible combinatorial manifold with boundary")
+                return Certificate(status, connected, shelling, "ball", d, RULE_WHITEHEAD, tuple(notes))
+        elif coll.status == INCONCLUSIVE:
+            notes.append(
+                f"collapsibility search: inconclusive after {coll.nodes} of {collapse_budget} nodes"
+            )
+        else:
+            notes.append(f"collapsibility search: disproven after {coll.nodes} nodes")
+
+    return Certificate(status, connected, shelling, "undetermined", None, None, tuple(notes))
 
 
 def reference_shelling_search(c, budget: int):

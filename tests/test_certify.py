@@ -1,9 +1,12 @@
+from collections import Counter
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arclab import certify as certify_module
 from arclab.certify import (
+    EFFORT_BUDGETS,
     PM_BOUNDARY,
     PM_CLOSED,
     PM_NO,
@@ -18,7 +21,14 @@ from arclab.certify import (
     shelling_search,
     validate_shelling,
 )
-from arclab.collapse import DEFAULT_BUDGET, DISPROVEN, INCONCLUSIVE, PROVEN, is_collapsible
+from arclab.collapse import (
+    DEFAULT_BUDGET,
+    DISPROVEN,
+    INCONCLUSIVE,
+    PROVEN,
+    SearchResult,
+    is_collapsible,
+)
 from arclab.simplicial import (
     dumps_canonical,
     euler_characteristic,
@@ -26,11 +36,14 @@ from arclab.simplicial import (
     loads_complex,
     make_complex,
 )
+import oracles
 from oracles import (
     bfs_is_connected,
     floyd_warshall_diameter,
     make_graph,
     pairwise_validate_shelling,
+    reference_certify,
+    reference_pseudomanifold_check,
     reference_shelling_search,
     ridge_dict_dual_edges,
     ridge_dict_neighbours,
@@ -56,7 +69,6 @@ def test_a_json_round_trip_drops_the_graph_but_not_the_f_vector_or_the_certifica
 def test_hexagon_complex_is_a_closed_pseudomanifold(complex_of):
     report = pseudomanifold_check(complex_of("polygon", 6))
     assert report.status == PM_CLOSED and report.strongly_connected
-    assert report.boundary == ()
 
 def test_crown_complex_has_boundary(complex_of):
     report = pseudomanifold_check(complex_of("crown", 4))
@@ -126,7 +138,7 @@ def test_ridge_neighbours_match_the_ridge_dict(c):
         ridge_dict_neighbours(c)
     )
     pm = pseudomanifold_check(c)
-    assert (pm.status, pm.strongly_connected, pm.boundary) == ridge_dict_pseudomanifold_check(c)
+    assert (pm.status, pm.strongly_connected) == ridge_dict_pseudomanifold_check(c)[:2]
     g = flip_graph(c)
     assert list(g.edges) == ridge_dict_dual_edges(c)
     assert g.closed_neighbourhoods == make_graph(g.vertices, g.edges).closed_neighbourhoods
@@ -306,6 +318,86 @@ def test_undetermined_without_applicable_rules(complex_of, monkeypatch):
     cert = certify(complex_of("polygon", 6))
     assert cert.verdict == "undetermined"
 
+
+# the arc complexes up to polygon(9), crown(6), mobius(5), inner(6) and strip(4,4)
+ARC_COMPLEXES = (
+    [("polygon", n, None) for n in range(3, 10)] + [("crown", n, None) for n in range(1, 7)]
+    + [("mobius", n, None) for n in range(1, 6)] + [("inner-mobius", n, None) for n in range(1, 7)]
+    + [("strip", n, m) for m in range(1, 5) for n in range(1, 5)]
+)
+SMALL_COMPLEXES = {
+    "1 point": [[0]], "2 points": [[0], [1]], "3 points": [[0], [1], [2]],
+    "4 points": [[0], [1], [2], [3]], "empty": [], "edge": [[0, 1]],
+    "disk": [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1]],
+    "torus": [[i, (i + a) % 7, (i + 3) % 7] for i in range(7) for a in (1, 2)],
+    "annulus": [[0, 1, 3], [1, 3, 4], [1, 2, 4], [2, 4, 5], [0, 2, 5], [0, 3, 5]],
+    "bowtie": [[0, 1, 2], [2, 3, 4]], "two edges": [[0, 1], [2, 3]],
+    "hollow triangle": [[0, 1], [1, 2], [0, 2]], "6-simplex": [range(7)],
+}
+
+def corpus(complex_of):
+    return ([complex_of(family, n, m) for family, n, m in ARC_COMPLEXES]
+            + [labeled(facets) for facets in SMALL_COMPLEXES.values()])
+
+def assert_certify_matches_the_reference(c):
+    pm = pseudomanifold_check(c)
+    assert (pm.status, pm.strongly_connected) == reference_pseudomanifold_check(c)[:2]
+    for effort in EFFORT_BUDGETS:
+        cert, reference = certify(c, effort), reference_certify(c, effort)
+        assert cert == reference and cert.to_json() == reference.to_json()
+
+def test_certify_matches_the_reference_on_the_corpus(complex_of):
+    for c in corpus(complex_of):
+        assert_certify_matches_the_reference(c)
+
+@settings(max_examples=300, deadline=None)
+@given(pure_complexes())
+def test_certify_matches_the_reference_on_random_complexes(c):
+    assert_certify_matches_the_reference(c)
+
+def test_certify_matches_the_reference_with_shelling_refused(complex_of, monkeypatch):
+    # every certificate with boundary goes by Whitehead, or is undetermined
+    refuse_shelling(monkeypatch)
+    cases = [complex_of(family, n) for family, top in [("polygon", 7), ("crown", 4), ("mobius", 4),
+                                                       ("inner-mobius", 5)] for n in range(1, top + 1)]
+    cases += [labeled(facets) for facets in SMALL_COMPLEXES.values()]
+    assert any(certify(c).rule == RULE_WHITEHEAD for c in cases)
+    # both stop at the first vertex link that is not a sphere or ball
+    links = Counter()
+
+    def counted(name, link_of):
+        def counting(c, face):
+            links[name] += 1
+            return link_of(c, face)
+        return counting
+
+    monkeypatch.setattr(certify_module, "link", counted("certify", certify_module.link))
+    monkeypatch.setattr(oracles, "link", counted("reference", oracles.link))
+    for c in cases:
+        assert_certify_matches_the_reference(c)
+    assert links["certify"] == links["reference"] > 0
+
+def test_certify_matches_the_reference_at_budgets_of_three(complex_of, monkeypatch):
+    # every search that does not finish at once stops on its budget, with a note
+    for effort in EFFORT_BUDGETS:
+        monkeypatch.setitem(certify_module.EFFORT_BUDGETS, effort, (3, 3))
+    cases = corpus(complex_of)
+    assert any("inconclusive after 3 of 3 nodes" in note for c in cases for note in certify(c).notes)
+    for c in cases:
+        assert_certify_matches_the_reference(c)
+
+def test_the_euler_check_guards_every_proven_verdict(monkeypatch):
+    # an annulus (chi 0) passed off as a ball by either rule, and the torus (chi 0) as a sphere
+    annulus, torus = labeled(SMALL_COMPLEXES["annulus"]), labeled(SMALL_COMPLEXES["torus"])
+    monkeypatch.setattr(certify_module, "shelling_search",
+                        lambda c, budget: ShellingResult(PROVEN, c.facets))
+    for c in (annulus, torus):
+        with pytest.raises(AssertionError, match="Euler characteristic"):
+            certify(c)
+    refuse_shelling(monkeypatch)
+    monkeypatch.setattr(certify_module, "is_collapsible", lambda c, budget: SearchResult(PROVEN))
+    with pytest.raises(AssertionError, match="Euler characteristic"):
+        certify(annulus)
 
 def test_empty_complex_is_undetermined(complex_of):
     cert = certify(complex_of("polygon", 3))

@@ -91,6 +91,24 @@ def test_check_reports_certificate(tmp_path, capsys):
     assert report["certificate"]["verdict"] == {"kind": "ball", "dim": 2}
 
 
+@pytest.mark.parametrize("points,verdict,notes", [
+    (1, {"kind": "ball", "dim": 0}, []),
+    (2, {"kind": "sphere", "dim": 0}, []),
+    (3, {"kind": "undetermined", "dim": None}, []),
+    (0, {"kind": "undetermined", "dim": None}, ["empty complex"]),
+])
+def test_check_certifies_points_and_the_empty_complex(tmp_path, capsys, points, verdict, notes):
+    # points are never searched: one is a ball, two a sphere, three no pseudomanifold
+    src = tmp_path / "points.json"
+    src.write_text(json.dumps({"vertices": [{"id": i, "label": f"p{i}"} for i in range(points)],
+                               "facets": [[i] for i in range(points)]}))
+    code, out, _ = run(capsys, "check", "--in", str(src), "--cert-level", "full")
+    assert code == 0
+    cert = json.loads(out)["certificate"]
+    assert (cert["verdict"], cert["notes"]) == (verdict, notes)
+    assert cert["rule"] == ("danaraj-klee" if points in (1, 2) else None)
+
+
 def test_check_rejects_malformed_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"vertices": [{"id": 0, "label": "a"}], "facets": [[1]]}')

@@ -23,6 +23,7 @@ from arclab.arcs import (
     strip_arc,
 )
 from arclab.build import arc_complex, disjointness_graph, induced_arc_complex, inner_complex
+from arclab.certify import certify
 from arclab.collapse import CollapseTrace, trace, verify_trace
 from arclab.simplicial import (
     FacetEditor,
@@ -1053,6 +1054,33 @@ def test_strip_graph_checks_match_their_facet_forms(m, n):
             lk = graph.closed_neighbourhoods[v] & alive & ~(1 << v)
             lowest = (lk & -lk).bit_length() - 1
             assert link_apex(editor, v) == (lowest if theorems._simplex(graph, lk) else None)
+
+
+# --- certificates -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("verdict,dim,ok,status", [
+    ("sphere", 2, True, "pass"), ("sphere", 2, False, "fail"),
+    ("ball", 2, True, "fail"), ("sphere", 1, True, "fail"),
+])
+def test_a_certificate_claim_fails_on_each_check(complex_of, verdict, dim, ok, status):
+    report = theorems.Report()
+    theorems._add_certificate(report, "claim", "ref", 6, complex_of("polygon", 6), verdict, dim, ok,
+                              facets=14)
+    [claim] = report.claims
+    assert claim.status == status
+    assert claim.details == {"verdict": "sphere", "dim": 2, "rule": "danaraj-klee", "facets": 14}
+
+
+def test_a_certificate_claim_fails_on_the_euler_characteristic(monkeypatch, complex_of):
+    # a 2-ball certificate for an annulus, whose Euler characteristic is 0
+    annulus = make_complex({v: f"v{v}" for v in range(6)},
+                           [[0, 1, 3], [1, 3, 4], [1, 2, 4], [2, 4, 5], [0, 2, 5], [0, 3, 5]])
+    ball = certify(complex_of("crown", 3))
+    monkeypatch.setattr(theorems, "certify", lambda c: ball)
+    report = theorems.Report()
+    theorems._add_certificate(report, "claim", "ref", 3, annulus, "ball", 2)
+    assert report.claims[0].status == "fail"
 
 
 # --- runner -----------------------------------------------------------------------------
